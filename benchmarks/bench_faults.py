@@ -10,9 +10,11 @@ recovery loop entirely, on the ISSUE-4 100-document CPU-bound workload
 shared runners jitter more than the layer costs).
 
 The baseline submits the identical chunks to the identical pool via the
-identical worker entry point (``_thread_chunk``) and gathers in submission
-order — exactly what ``run_batch`` did before the fault-tolerance layer —
-so the measured delta is the recovery loop itself, not a workload change.
+identical worker entry point (``_thread_chunk`` running the same
+:func:`~repro.parallel.evaluate_chunk` call ``run_batch`` makes) and gathers
+in submission order — exactly what ``run_batch`` did before the
+fault-tolerance layer — so the measured delta is the recovery loop itself,
+not a workload change.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_faults.py``;
 pass ``--benchmark-disable`` for a smoke run (CI does).
@@ -26,7 +28,7 @@ import time
 import pytest
 
 from repro.faultinject import active_plan
-from repro.parallel import ParallelExecutor
+from repro.parallel import ParallelExecutor, evaluate_chunk
 from repro.session import XPathSession
 from repro.workloads.documents import doc_flat_text
 
@@ -78,12 +80,16 @@ def _bare_batch(executor, collection, plan, session):
     """The pre-fault-tolerance gather: submit every chunk, await in order,
     no retry bookkeeping, no deadline arithmetic, no failure report."""
     documents = collection.documents
+
+    def run_chunk(chunk, attempt):
+        return evaluate_chunk(
+            session.engine(plan.engine_name), plan, documents, chunk, None, None,
+            select_nodes=True, attempt=attempt,
+        )
+
     pool = executor._ensure_pool()
     futures = [
-        pool.submit(
-            ParallelExecutor._thread_chunk,
-            session, plan, documents, chunk, None, None, True,
-        )
+        pool.submit(ParallelExecutor._thread_chunk, run_chunk, chunk, 0)
         for chunk in executor._chunks(len(documents))
     ]
     outcomes = []
@@ -106,7 +112,7 @@ def test_fault_free_overhead_within_bar(session, collection, thread_pool):
     bare = _best_of(lambda: _bare_batch(thread_pool, collection, plan, session))
     full = _best_of(
         lambda: thread_pool.run_batch(
-            collection, plan, variables=None, limits=None,
+            collection.documents, plan, variables=None, limits=None,
             select_nodes=True, session=session,
         )
     )

@@ -86,7 +86,7 @@ from .session import (
     XPathSession,
     render_explanation,
 )
-from .streaming import StreamMatch, analyze_streamability, stream_by_default
+from .streaming import StreamMatch, analyze_streamability
 from .xmlmodel.document import Document
 from .xmlmodel.nodes import Node
 from .xmlmodel.parser import parse_xml
@@ -226,8 +226,7 @@ def stream_collection(
 
     Unlike :func:`parse_collection`, nothing is parsed here: each batch
     holds at most one tree per worker — and zero trees when the plan is
-    streamable and streaming is on (``stream=True`` per batch, or the
-    ``REPRO_STREAM_DEFAULT`` environment default).
+    streamable and a batch asks for ``stream=True``.
     """
     return SourceCollection(sources, names=names, strip_whitespace=strip_whitespace)
 
@@ -474,6 +473,5 @@ __all__ = [
     "serve",
     "session",
     "stream",
-    "stream_by_default",
     "stream_collection",
 ]

@@ -236,8 +236,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="stream streamable queries in a single pass per file (zero "
-        "trees in memory); non-streamable queries parse one file at a time "
-        "(REPRO_STREAM_DEFAULT=1 makes this the default)",
+        "trees in memory); non-streamable queries parse one file at a time",
     )
     parser.add_argument(
         "--max-ops", type=int, default=None, metavar="N",
@@ -612,15 +611,14 @@ def _run_batch(argv: Sequence[str]) -> int:
     degraded = False
     if sources:
         collection = session.stream_collection(sources, names=names)
-        # --jobs/--backend imply parallel; with neither, REPRO_PARALLEL_DEFAULT
-        # still applies (resolve_executor's parallel=None semantics).
-        # --stream prefers the single-pass backend for streamable queries;
-        # without it, REPRO_STREAM_DEFAULT decides (stream=None).
+        # --jobs/--backend imply parallel; with neither the batch is serial
+        # (resolve_executor's parallel=None semantics).  --stream prefers
+        # the single-pass backend for streamable queries.
         batch = collection.evaluate(
             args.query,
             engine=requested,
             limits=limits,
-            stream=True if args.stream else None,
+            stream=args.stream,
             max_workers=args.jobs,
             backend=args.backend,
             deadline=args.deadline,

@@ -44,7 +44,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -55,12 +54,10 @@ from .parallel import (
     FailureReport,
     ParallelExecutor,
     RetryPolicy,
-    _aborted_outcome,
-    evaluate_document,
-    evaluate_source,
+    evaluate_chunk,
     resolve_executor,
 )
-from .streaming import StreamMatch, stream_by_default
+from .streaming import StreamMatch
 from .xmlmodel.document import Document
 from .xmlmodel.nodes import Node
 from .xmlmodel.parser import parse_xml
@@ -237,6 +234,10 @@ class Collection:
     evaluation, and all work is folded into the session's stats.
     """
 
+    #: Whether source entries drop whitespace-only text when parsed; only a
+    #: :class:`SourceCollection` holds sources.
+    strip_whitespace = False
+
     def __init__(
         self,
         documents: Iterable[Document],
@@ -270,23 +271,7 @@ class Collection:
         names: Optional[Sequence[str]] = None,
         session=None,
     ) -> "Collection":
-        """Parse XML texts into a collection (indexes built once, here).
-
-        With ``REPRO_STORE_DEFAULT`` set (and no subclass in play), the
-        sources are routed into a temporary store file **one at a time** —
-        parse, serialise, drop, next — and a
-        :class:`~repro.store.StoredCollection` comes back instead: the
-        suite-wide switch that routes every batch through the store-backed
-        paths, without ever holding the whole corpus as live trees.
-        """
-        if cls is Collection and os.environ.get("REPRO_STORE_DEFAULT"):
-            from .store.collection import StoredCollection, store_by_default
-
-            if store_by_default():
-                return StoredCollection.from_sources(
-                    sources, strip_whitespace=strip_whitespace,
-                    names=names, session=session,
-                )
+        """Parse XML texts into a collection (indexes built once, here)."""
         documents = [
             parse_xml(source, strip_whitespace=strip_whitespace) for source in sources
         ]
@@ -354,18 +339,20 @@ class Collection:
         per-document failures and session statistics are identical to the
         serial path.
 
-        Fault tolerance: ``deadline`` (seconds, wall clock for the whole
-        batch) tightens every document's timeout to the time remaining and
-        converts hangs into per-document ``batch_deadline`` limit errors;
-        ``fail_fast=True`` stops evaluating after the first failed document
-        (the rest carry :class:`~repro.errors.BatchAborted`); ``retries``
-        — an attempt count or a :class:`~repro.parallel.RetryPolicy` —
-        overrides the executor's worker-loss recovery policy.  A batch that
-        needed recovery attaches a :class:`~repro.parallel.FailureReport`
-        as :attr:`BatchRun.failure_report`.
+        Fault tolerance: ``deadline`` (seconds for the whole batch, on the
+        monotonic clock) tightens every document's timeout to the time
+        remaining and converts hangs into per-document ``batch_deadline``
+        limit errors; ``fail_fast=True`` stops evaluating after the first
+        failed document (the rest carry :class:`~repro.errors.BatchAborted`);
+        ``retries`` — an attempt count or a
+        :class:`~repro.parallel.RetryPolicy` — overrides the executor's
+        worker-loss recovery policy.  A batch that needed recovery attaches
+        a :class:`~repro.parallel.FailureReport` as
+        :attr:`BatchRun.failure_report`.
         """
         return self._run_batch(
-            query, engine, variables, limits, select_nodes=True,
+            query, select_nodes=True,
+            engine=engine, variables=variables, limits=limits,
             parallel=parallel, max_workers=max_workers, backend=backend,
             deadline=deadline, fail_fast=fail_fast, retries=retries,
         )
@@ -387,7 +374,8 @@ class Collection:
         """Evaluate one query of any result type over every document
         (same fault-tolerance keywords as :meth:`select`)."""
         return self._run_batch(
-            query, engine, variables, limits, select_nodes=False,
+            query, select_nodes=False,
+            engine=engine, variables=variables, limits=limits,
             parallel=parallel, max_workers=max_workers, backend=backend,
             deadline=deadline, fail_fast=fail_fast, retries=retries,
         )
@@ -468,25 +456,31 @@ class Collection:
         finally:
             if ephemeral and executor is not None:
                 executor.close()
+
     def _run_batch(
         self,
         query,
-        engine: Optional[str],
-        variables,
-        limits,
         *,
         select_nodes: bool,
-        parallel: Union[None, bool, ParallelExecutor] = False,
+        stream: Optional[bool] = None,
+        engine: Optional[str] = None,
+        variables: Optional[Mapping[str, XPathValue]] = None,
+        limits=None,
+        parallel: Union[None, bool, ParallelExecutor] = None,
         max_workers: Optional[int] = None,
         backend: Optional[str] = None,
         deadline: Optional[float] = None,
         fail_fast: bool = False,
         retries: Union[None, int, RetryPolicy] = None,
     ) -> BatchRun:
+        """The one batch path of every collection kind.  ``stream`` is
+        ``None`` for document batches (nothing to stream) and the caller's
+        choice for :class:`SourceCollection` batches."""
         session = self.session
         merged = session._merged(variables)
         plan, cache_hit = session._plan(query, engine, merged)
         effective_limits = limits if limits is not None else session.limits
+        streamed = None if stream is None else bool(stream and plan.streamable)
         # Monotonic instant: immune to wall-clock steps (NTP, DST, admin).
         batch_deadline = (
             time.monotonic() + deadline if deadline is not None else None
@@ -499,90 +493,84 @@ class Collection:
         # (copy-on-write) while the batch keeps reading the pinned columns —
         # no worker can observe a half-applied edit, serial or parallel.
         pinned = self._pin_documents()
+        options = dict(
+            select_nodes=select_nodes, stream=bool(streamed),
+            strip_whitespace=self.strip_whitespace, deadline=batch_deadline,
+        )
         if executor is None:
-            runner = session.engine(plan.engine_name)
-            outcomes = []
-            aborted = False
-            for index, document in enumerate(pinned):
-                if aborted:
-                    outcomes.append(_aborted_outcome(index))
-                    continue
-                outcome = evaluate_document(
-                    runner, plan, document, index, merged or None,
-                    effective_limits, select_nodes=select_nodes,
-                    deadline=batch_deadline,
-                )
-                outcomes.append(outcome)
-                if fail_fast and outcome.error is not None:
-                    aborted = True
-            results = BatchRun(plan=plan, cache_hit=cache_hit)
+            outcomes = evaluate_chunk(
+                session.engine(plan.engine_name), plan, pinned,
+                range(len(pinned)), merged or None, effective_limits,
+                fail_fast=fail_fast, **options,
+            )
+            results = BatchRun(plan=plan, cache_hit=cache_hit, streamed=streamed)
         else:
             retry = RetryPolicy.coerce(retries) if retries is not None else None
             try:
                 outcomes, failure_report = executor.run_batch(
-                    self, plan, variables=merged or None, limits=effective_limits,
-                    select_nodes=select_nodes, session=session,
-                    retry=retry, deadline=batch_deadline,
-                    fail_fast=fail_fast, documents=pinned,
+                    pinned, plan, variables=merged or None,
+                    limits=effective_limits, session=session,
+                    retry=retry, fail_fast=fail_fast, **options,
                 )
             finally:
                 if ephemeral:
                     executor.close()
             results = BatchRun(
-                plan=plan, cache_hit=cache_hit,
+                plan=plan, cache_hit=cache_hit, streamed=streamed,
                 backend=executor.backend, workers=executor.max_workers,
                 failure_report=failure_report,
             )
             if failure_report is not None:
                 session.stats.record_faults(failure_report)
+        label = "streaming" if streamed else plan.engine_name
         for outcome in outcomes:
-            results.append(self._fold_outcome(outcome, plan, session, pinned))
+            results.append(
+                self._fold_outcome(outcome, label, session, pinned, select_nodes)
+            )
         return results
 
     def _pin_documents(self) -> tuple:
         """One evaluation view per document, each pinned at a single
         generation (:meth:`Document.snapshot`).  Non-``Document`` entries —
         store handles that materialise lazily inside the evaluation
-        isolation boundary — pass through unchanged."""
+        isolation boundary, XML sources — pass through unchanged."""
         return tuple(
             document.snapshot() if isinstance(document, Document) else document
             for document in self._documents
         )
 
     def _fold_outcome(
-        self, outcome: DocumentOutcome, plan, session, pinned=None
+        self, outcome: DocumentOutcome, label: str, session, pinned,
+        select_nodes: bool,
     ) -> BatchResult:
-        """Turn one per-document outcome into a :class:`BatchResult`,
-        folding it into the session statistics exactly like the serial path
-        always did (failures pull partial stats off the error itself).
+        """Turn one per-entry outcome into a :class:`BatchResult`,
+        folding it into the session statistics (under ``label``) exactly
+        like the serial path always did (failures pull partial stats off
+        the error itself).
 
         Result node orders are mapped back through the *pinned* view the
         outcome was evaluated against — after a mid-batch copy-on-write the
         writer's columns describe a different tree — while
         :attr:`BatchResult.document` keeps the caller's document identity.
         """
-        index = outcome.index
+        index, name = outcome.index, self._names[outcome.index]
         if outcome.error is not None:
-            session.stats.record_failure(
-                plan.engine_name, outcome.elapsed, outcome.error
+            session.stats.record_failure(label, outcome.elapsed, outcome.error)
+            return BatchResult(
+                index, name, self._failure_document(index), error=outcome.error
             )
-            return self._failure(index, outcome.error)
-        session.stats.record(plan.engine_name, outcome.stats, outcome.elapsed)
+        session.stats.record(label, outcome.stats, outcome.elapsed)
         document = self._document_at(index)
-        evaluated = document
-        if pinned is not None and isinstance(pinned[index], Document):
-            evaluated = pinned[index]
-        if outcome.orders is not None:
-            nodes = [evaluated.index.nodes[order] for order in outcome.orders]
-            return BatchResult(index, self._names[index], document, nodes=nodes)
-        if outcome.value_orders is not None:
-            value = NodeSet.from_sorted(
-                evaluated.index.nodes[order] for order in outcome.value_orders
-            ).stamp(evaluated)
-            return BatchResult(index, self._names[index], document, value=value)
-        return BatchResult(
-            index, self._names[index], document, value=outcome.value
-        )
+        if outcome.orders is None:
+            return BatchResult(
+                index, name, document, value=outcome.value, matches=outcome.matches
+            )
+        evaluated = pinned[index] if isinstance(pinned[index], Document) else document
+        nodes = [evaluated.index.nodes[order] for order in outcome.orders]
+        if select_nodes:
+            return BatchResult(index, name, document, nodes=nodes)
+        value = NodeSet.from_sorted(nodes).stamp(evaluated)
+        return BatchResult(index, name, document, value=value)
 
     def _document_at(self, index: int) -> Document:
         """The evaluable document at ``index``.  Overridden by store-backed
@@ -595,16 +583,11 @@ class Collection:
         materialised, possibly ``None``)."""
         return self._documents[index]
 
-    def _failure(self, index: int, error: ReproError) -> BatchResult:
-        return BatchResult(
-            index, self._names[index], self._failure_document(index), error=error
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Collection of {len(self)} documents>"
 
 
-class SourceCollection:
+class SourceCollection(Collection):
     """An ordered set of XML *sources* evaluated without retaining trees.
 
     Where :class:`Collection` parses everything up front and keeps the
@@ -613,9 +596,8 @@ class SourceCollection:
     the working set" shape.  Each batch evaluates every source with bounded
     memory per worker:
 
-    * plan streamable and streaming on (``stream=True``, or the
-      :data:`~repro.streaming.STREAM_DEFAULT_ENV` environment default) —
-      the source is scanned in one pass, **zero** trees are built;
+    * plan streamable and ``stream=True`` — the source is scanned in one
+      pass, **zero** trees are built;
     * otherwise each source is parsed, evaluated with the session's pooled
       engine, and the tree is dropped before the next source — at most
       **one** tree per worker at any time.
@@ -623,10 +605,11 @@ class SourceCollection:
     Node-set results come back as :class:`~repro.streaming.StreamMatch`
     records (there is no tree left for ``Node`` objects to live in), with
     identical shape from both backends.  Per-source isolation covers
-    parsing too: a malformed source fails only its own entry.  Parallel
-    batches fan sources (plain strings — cheap to ship across processes)
-    out over a :class:`~repro.parallel.ParallelExecutor` exactly like
-    :class:`Collection` does documents.
+    parsing too: a malformed source fails only its own entry.  Batches run
+    through the same pipeline as :class:`Collection` — the sources are the
+    entries, so parallel batches fan them (plain strings — cheap to ship
+    across processes) out over a :class:`~repro.parallel.ParallelExecutor`
+    exactly like documents.
     """
 
     def __init__(
@@ -637,196 +620,44 @@ class SourceCollection:
         strip_whitespace: bool = False,
         session=None,
     ):
-        self._session = session
-        self._sources: tuple[str, ...] = tuple(sources)
+        super().__init__(sources, names=names, session=session)
         self.strip_whitespace = strip_whitespace
-        if names is None:
-            self._names: tuple[str, ...] = tuple(
-                f"doc[{index}]" for index in range(len(self._sources))
-            )
-        else:
-            names = tuple(names)
-            if len(names) != len(self._sources):
-                raise ValueError(
-                    f"{len(names)} names given for {len(self._sources)} sources"
-                )
-            self._names = names
 
-    @property
-    def session(self):
-        """The session this collection is bound to (default session if none)."""
-        if self._session is not None:
-            return self._session
-        from .api import default_session  # local import to avoid a cycle
-
-        return default_session()
-
-    # ------------------------------------------------------------------
-    # Container protocol
-    # ------------------------------------------------------------------
     @property
     def sources(self) -> tuple[str, ...]:
-        return self._sources
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
-
-    def __len__(self) -> int:
-        return len(self._sources)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sources)
-
-    def __getitem__(self, index: int) -> str:
-        return self._sources[index]
+        return self._documents
 
     # ------------------------------------------------------------------
     # Batch evaluation
     # ------------------------------------------------------------------
-    def select(
-        self,
-        query,
-        *,
-        engine: Optional[str] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        limits=None,
-        stream: Optional[bool] = None,
-        parallel: Union[None, bool, ParallelExecutor] = None,
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        deadline: Optional[float] = None,
-        fail_fast: bool = False,
-        retries: Union[None, int, RetryPolicy] = None,
-    ) -> BatchRun:
+    def select(self, query, *, stream: bool = False, **options) -> BatchRun:
         """Evaluate one node-set query over every source.
 
-        ``stream=None`` (the default) consults
-        :data:`~repro.streaming.STREAM_DEFAULT_ENV`; ``stream=True``
-        prefers the single-pass backend for streamable plans (with
-        automatic tree fallback otherwise); ``stream=False`` forces the
-        parse-evaluate-drop path.  Results carry
-        :attr:`BatchResult.matches` in collection order.  ``deadline``,
-        ``fail_fast`` and ``retries`` behave exactly as on
-        :meth:`Collection.select` — the deadline also bounds the streaming
-        token loop.
+        ``stream=True`` prefers the single-pass backend for streamable
+        plans (with automatic tree fallback otherwise); ``stream=False``
+        (the default) forces the parse-evaluate-drop path.  Results carry
+        :attr:`BatchResult.matches` in collection order.  ``options`` are
+        :meth:`Collection.select`'s keywords (``engine``, ``variables``,
+        ``limits``, ``parallel``, ``max_workers``, ``backend``,
+        ``deadline``, ``fail_fast``, ``retries``) and behave exactly as
+        there — the deadline also bounds the streaming token loop.
         """
-        return self._run_batch(
-            query, engine, variables, limits, select_nodes=True, stream=stream,
-            parallel=parallel, max_workers=max_workers, backend=backend,
-            deadline=deadline, fail_fast=fail_fast, retries=retries,
-        )
+        return self._run_batch(query, select_nodes=True, stream=stream, **options)
 
-    def evaluate(
-        self,
-        query,
-        *,
-        engine: Optional[str] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        limits=None,
-        stream: Optional[bool] = None,
-        parallel: Union[None, bool, ParallelExecutor] = None,
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        deadline: Optional[float] = None,
-        fail_fast: bool = False,
-        retries: Union[None, int, RetryPolicy] = None,
-    ) -> BatchRun:
+    def evaluate(self, query, *, stream: bool = False, **options) -> BatchRun:
         """Evaluate one query of any result type over every source
-        (node-set results arrive as matches, scalars as values)."""
-        return self._run_batch(
-            query, engine, variables, limits, select_nodes=False, stream=stream,
-            parallel=parallel, max_workers=max_workers, backend=backend,
-            deadline=deadline, fail_fast=fail_fast, retries=retries,
-        )
+        (node-set results arrive as matches, scalars as values; same
+        keywords as :meth:`select`)."""
+        return self._run_batch(query, select_nodes=False, stream=stream, **options)
 
     # ------------------------------------------------------------------
-    # Helpers
+    # Collection internals: no tree outlives its entry
     # ------------------------------------------------------------------
-    def _run_batch(
-        self,
-        query,
-        engine: Optional[str],
-        variables,
-        limits,
-        *,
-        select_nodes: bool,
-        stream: Optional[bool],
-        parallel: Union[None, bool, ParallelExecutor],
-        max_workers: Optional[int],
-        backend: Optional[str],
-        deadline: Optional[float] = None,
-        fail_fast: bool = False,
-        retries: Union[None, int, RetryPolicy] = None,
-    ) -> BatchRun:
-        session = self.session
-        merged = session._merged(variables)
-        plan, cache_hit = session._plan(query, engine, merged)
-        effective_limits = limits if limits is not None else session.limits
-        use_stream = stream if stream is not None else stream_by_default()
-        streamed = bool(use_stream and plan.streamable)
-        # Monotonic instant: immune to wall-clock steps (NTP, DST, admin).
-        batch_deadline = (
-            time.monotonic() + deadline if deadline is not None else None
-        )
-        executor, ephemeral = resolve_executor(
-            parallel, max_workers=max_workers, backend=backend
-        )
-        if executor is None:
-            outcomes = []
-            aborted = False
-            for index, source in enumerate(self._sources):
-                if aborted:
-                    outcomes.append(_aborted_outcome(index))
-                    continue
-                outcome = evaluate_source(
-                    lambda: session.engine(plan.engine_name),
-                    plan, source, index, merged or None, effective_limits,
-                    select_nodes=select_nodes, use_stream=use_stream,
-                    strip_whitespace=self.strip_whitespace,
-                    deadline=batch_deadline,
-                )
-                outcomes.append(outcome)
-                if fail_fast and outcome.error is not None:
-                    aborted = True
-            results = BatchRun(plan=plan, cache_hit=cache_hit, streamed=streamed)
-        else:
-            retry = RetryPolicy.coerce(retries) if retries is not None else None
-            try:
-                outcomes, failure_report = executor.run_source_batch(
-                    self, plan, variables=merged or None, limits=effective_limits,
-                    select_nodes=select_nodes, use_stream=use_stream,
-                    session=session,
-                    retry=retry, deadline=batch_deadline,
-                    fail_fast=fail_fast,
-                )
-            finally:
-                if ephemeral:
-                    executor.close()
-            results = BatchRun(
-                plan=plan, cache_hit=cache_hit, streamed=streamed,
-                backend=executor.backend, workers=executor.max_workers,
-                failure_report=failure_report,
-            )
-            if failure_report is not None:
-                session.stats.record_faults(failure_report)
-        engine_label = "streaming" if streamed else plan.engine_name
-        for outcome in outcomes:
-            results.append(self._fold_outcome(outcome, engine_label, session))
-        return results
+    def _document_at(self, index: int) -> None:
+        return None
 
-    def _fold_outcome(
-        self, outcome: DocumentOutcome, engine_label: str, session
-    ) -> BatchResult:
-        index = outcome.index
-        name = self._names[index]
-        if outcome.error is not None:
-            session.stats.record_failure(engine_label, outcome.elapsed, outcome.error)
-            return BatchResult(index, name, None, error=outcome.error)
-        session.stats.record(engine_label, outcome.stats, outcome.elapsed)
-        if outcome.matches is not None:
-            return BatchResult(index, name, None, matches=outcome.matches)
-        return BatchResult(index, name, None, value=outcome.value)
+    def _failure_document(self, index: int) -> None:
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SourceCollection of {len(self)} sources>"

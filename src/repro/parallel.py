@@ -3,10 +3,17 @@
 A :class:`~repro.collection.Collection` guarantees per-document isolation —
 every document is evaluated independently, failures included — which makes
 its batches embarrassingly parallel.  :class:`ParallelExecutor` exploits
-that: it partitions a collection's documents into contiguous chunks, runs
+that: it partitions a collection's entries into contiguous chunks, runs
 the chunks on a pool of workers, and merges the outcomes back in stable
 collection order, indistinguishable from the serial path (asserted
 node-for-node by the differential fuzz suite).
+
+One pipeline serves every kind of batch entry — a pinned
+:class:`~repro.xmlmodel.document.Document` snapshot, a stored-document
+handle, or an XML source ``str`` — because the entry's type alone decides
+how :func:`evaluate_entry` obtains its input.  :func:`evaluate_chunk` is the
+one loop over entries that the collections' serial path, both worker
+backends and the executor's degrade-to-serial fallback all run.
 
 Two backends:
 
@@ -15,11 +22,9 @@ Two backends:
   cache and draw per-thread engine instances from its pool, so the only
   extra cost is thread scheduling.  Because the engines are pure Python,
   the GIL serialises their CPU work; this backend is for overlap with
-  GIL-releasing work, for exercising the concurrent paths, and as the
-  cheap default when ``REPRO_PARALLEL_DEFAULT`` flips batches parallel
-  suite-wide.
+  GIL-releasing work and for exercising the concurrent paths.
 * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Chunks of parsed documents are shipped to worker processes; each worker
+  Chunks of entries are shipped to worker processes; each worker
   compiles the query once through a **worker-local plan cache**, evaluates
   its chunk on a private engine instance, and sends back per-document
   outcomes: result *node orders* (every node's dense document-order id),
@@ -97,22 +102,10 @@ from .xmlmodel.parser import parse_xml
 from .xpath.values import NodeSet, XPathValue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .collection import Collection, SourceCollection
     from .session import XPathSession
 
 #: Supported worker-pool backends.
 BACKENDS = ("thread", "process")
-
-#: Environment variable that makes collection batch entry points default to
-#: ``parallel=True`` (thread backend) when the caller does not say — used to
-#: run the whole test suite through the parallel paths.
-PARALLEL_DEFAULT_ENV = "REPRO_PARALLEL_DEFAULT"
-
-
-def parallel_by_default() -> bool:
-    """True when :data:`PARALLEL_DEFAULT_ENV` asks for parallel batches."""
-    value = os.environ.get(PARALLEL_DEFAULT_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
 
 
 def default_max_workers() -> int:
@@ -140,14 +133,13 @@ class DocumentOutcome:
 
     #: Position of the document in the collection.
     index: int
-    #: Node orders of a ``select`` result (``None`` on error / for values).
+    #: Node orders of a node-set result over a document entry (``None`` on
+    #: error / for scalars / for source entries).
     orders: Optional[list[int]] = None
     #: Scalar result of an ``evaluate`` call (``None`` for node sets/errors).
     value: Optional[XPathValue] = None
-    #: Node orders of a node-set ``evaluate`` result.
-    value_orders: Optional[list[int]] = None
-    #: Match records of a *source* batch (streamed, or tree-fallback results
-    #: converted — either way the worker's tree, if any, died with it).
+    #: Node-set result of a *source* entry as match records (streamed, or
+    #: tree results converted — either way the tree, if any, died with it).
     matches: Optional[list[StreamMatch]] = None
     #: The per-document failure, when evaluation raised.
     error: Optional[ReproError] = None
@@ -207,121 +199,61 @@ def _rebase_deadline(remaining: Optional[float]) -> Optional[float]:
     return time.monotonic() + remaining
 
 
-def evaluate_document(
+def evaluate_entry(
     runner,
     plan: CompiledQuery,
-    document: Document,
+    entry: Union[Document, str],
     index: int,
     variables: Optional[Mapping[str, XPathValue]],
     limits: Optional[EvalLimits],
     *,
     select_nodes: bool,
+    stream: bool = False,
+    strip_whitespace: bool = False,
     deadline: Optional[float] = None,
     attempt: int = 0,
 ) -> DocumentOutcome:
-    """Evaluate one document and capture the outcome, never raising.
+    """Evaluate one batch entry and capture the outcome, never raising.
 
-    The single evaluation step both the serial batch loop and every worker
-    backend share, so their per-document semantics (error isolation, limit
-    enforcement, stats capture) cannot drift apart.  That includes
-    *unexpected* exceptions: anything that is not a :class:`ReproError` is
-    wrapped into :class:`~repro.errors.UnexpectedEvaluationError` — the
-    serial, thread and process paths all report the identical error.
+    The single evaluation step every batch path shares, so per-entry
+    semantics (error isolation, limit enforcement, stats capture) cannot
+    drift apart.  The entry's type decides how the input is obtained:
 
-    ``deadline`` (a ``time.monotonic()`` instant) tightens the limits to
-    the time remaining; a document whose turn comes after the deadline
-    fails immediately with a ``batch_deadline`` limit error instead of
-    running.
+    * a :class:`Document` (the batch's pinned snapshot) is evaluated as is;
+    * a stored-document handle materialises here, inside the isolation
+      boundary, so a corrupt store block fails this entry only;
+    * an XML source ``str`` is scanned single-pass when ``stream`` is set
+      and the plan is streamable — no tree is ever built; otherwise it is
+      parsed (``strip_whitespace`` applies), evaluated, and the tree is
+      dropped before the outcome returns, so a worker holds at most one
+      tree at a time.  Node-set results of source entries travel as
+      :class:`StreamMatch` records either way (there is no parent-side
+      tree to map node orders back onto).
+
+    Fault hooks fire first (``parse`` for sources, then ``document``), then
+    the deadline is checked: ``deadline`` (a ``time.monotonic()`` instant)
+    tightens the limits to the time remaining, and an entry whose turn
+    comes after it fails with a ``batch_deadline`` limit error *before* its
+    input is obtained — an expired source batch parses nothing.  Anything
+    that is not a :class:`ReproError` is wrapped into
+    :class:`~repro.errors.UnexpectedEvaluationError`, so the serial, thread
+    and process paths all report the identical error.
     """
     started = time.perf_counter()
+    source = entry if isinstance(entry, str) else None
+    stats = None
     try:
         faults = active_plan()
         if faults is not None:
+            if source is not None:
+                faults.fire("parse", indices=(index,), attempt=attempt)
             faults.fire("document", indices=(index,), attempt=attempt)
         limits, expired = _tighten_for_deadline(limits, deadline)
         if expired:
-            return DocumentOutcome(
-                index, error=_deadline_error(), elapsed=time.perf_counter() - started
-            )
-        # Stored-document handles materialise here, inside the isolation
-        # boundary: a corrupt store block fails this document only.
-        document = as_document(document)
-        value = runner.evaluate(plan, document, None, variables, limits=limits)
-    except ReproError as error:
-        return DocumentOutcome(
-            index,
-            error=error,
-            stats=getattr(error, "stats", None),
-            elapsed=time.perf_counter() - started,
-        )
-    except Exception as error:
-        return DocumentOutcome(
-            index,
-            error=UnexpectedEvaluationError.wrap(error),
-            elapsed=time.perf_counter() - started,
-        )
-    elapsed = time.perf_counter() - started
-    outcome = DocumentOutcome(index, stats=runner.last_stats, elapsed=elapsed)
-    if select_nodes:
-        if not isinstance(value, NodeSet):
-            # Same failure the serial path reports through engine.select().
-            outcome.error = XPathEvaluationError(
-                f"query does not produce a node set (got {type(value).__name__})"
-            )
-            return outcome
-        outcome.orders = [node.order for node in value.in_document_order()]
-    elif isinstance(value, NodeSet):
-        outcome.value_orders = [node.order for node in value.in_document_order()]
-    else:
-        outcome.value = value
-    return outcome
-
-
-def evaluate_source(
-    engine_factory,
-    plan: CompiledQuery,
-    source: str,
-    index: int,
-    variables: Optional[Mapping[str, XPathValue]],
-    limits: Optional[EvalLimits],
-    *,
-    select_nodes: bool,
-    use_stream: bool,
-    strip_whitespace: bool,
-    deadline: Optional[float] = None,
-    attempt: int = 0,
-) -> DocumentOutcome:
-    """Evaluate one XML *source* and capture the outcome, never raising.
-
-    The source-batch twin of :func:`evaluate_document`, shared by the serial
-    :class:`~repro.collection.SourceCollection` loop and both worker
-    backends.  With ``use_stream`` and a streamable plan the source is
-    scanned single-pass — no tree is ever built; otherwise it is parsed,
-    evaluated on ``engine_factory()``'s engine, and the tree is dropped
-    before the outcome returns, so a worker holds at most one tree at a
-    time.  Node-set results travel as :class:`StreamMatch` records either
-    way (there is no parent-side tree to map node orders back onto).
-
-    Deadline propagation and unexpected-exception isolation behave exactly
-    like :func:`evaluate_document`; parse failures (including injected
-    ones) already fail only their own entry.
-    """
-    started = time.perf_counter()
-    faults = active_plan()
-    if use_stream and plan.streamable:
-        stats = EvaluationStats()
-        try:
-            if faults is not None:
-                faults.fire("parse", indices=(index,), attempt=attempt)
-                faults.fire("document", indices=(index,), attempt=attempt)
-            limits, expired = _tighten_for_deadline(limits, deadline)
-            if expired:
-                return DocumentOutcome(
-                    index,
-                    error=_deadline_error(),
-                    elapsed=time.perf_counter() - started,
-                )
-            matched = list(
+            raise _deadline_error()
+        if source is not None and stream and plan.streamable:
+            stats = EvaluationStats()
+            matches = list(
                 stream_matches(
                     plan,
                     source,
@@ -330,73 +262,85 @@ def evaluate_source(
                     strip_whitespace=strip_whitespace,
                 )
             )
-        except ReproError as error:
             return DocumentOutcome(
-                index,
-                error=error,
-                stats=getattr(error, "stats", None) or stats,
+                index, matches=matches, stats=stats,
                 elapsed=time.perf_counter() - started,
             )
-        except Exception as error:
-            return DocumentOutcome(
-                index,
-                error=UnexpectedEvaluationError.wrap(error),
-                stats=stats,
-                elapsed=time.perf_counter() - started,
-            )
-        return DocumentOutcome(
-            index, matches=matched, stats=stats, elapsed=time.perf_counter() - started
-        )
-    try:
-        if faults is not None:
-            faults.fire("parse", indices=(index,), attempt=attempt)
-        document = parse_xml(source, strip_whitespace=strip_whitespace)
-    except ReproError as error:
-        return DocumentOutcome(
-            index, error=error, elapsed=time.perf_counter() - started
-        )
-    except Exception as error:
-        return DocumentOutcome(
-            index,
-            error=UnexpectedEvaluationError.wrap(error),
-            elapsed=time.perf_counter() - started,
-        )
-    runner = engine_factory()
-    try:
-        if faults is not None:
-            faults.fire("document", indices=(index,), attempt=attempt)
-        limits, expired = _tighten_for_deadline(limits, deadline)
-        if expired:
-            return DocumentOutcome(
-                index, error=_deadline_error(), elapsed=time.perf_counter() - started
-            )
+        if source is not None:
+            document = parse_xml(source, strip_whitespace=strip_whitespace)
+        else:
+            document = as_document(entry)
         value = runner.evaluate(plan, document, None, variables, limits=limits)
     except ReproError as error:
         return DocumentOutcome(
             index,
             error=error,
-            stats=getattr(error, "stats", None),
+            stats=getattr(error, "stats", None) or stats,
             elapsed=time.perf_counter() - started,
         )
     except Exception as error:
         return DocumentOutcome(
             index,
             error=UnexpectedEvaluationError.wrap(error),
+            stats=stats,
             elapsed=time.perf_counter() - started,
         )
     elapsed = time.perf_counter() - started
     outcome = DocumentOutcome(index, stats=runner.last_stats, elapsed=elapsed)
     if isinstance(value, NodeSet):
-        outcome.matches = [
-            StreamMatch.from_node(node) for node in value.in_document_order()
-        ]
+        nodes = value.in_document_order()
+        if source is None:
+            outcome.orders = [node.order for node in nodes]
+        else:
+            outcome.matches = [StreamMatch.from_node(node) for node in nodes]
     elif select_nodes:
+        # Same failure the serial path reports through engine.select().
         outcome.error = XPathEvaluationError(
             f"query does not produce a node set (got {type(value).__name__})"
         )
     else:
         outcome.value = value
     return outcome
+
+
+def evaluate_chunk(
+    runner,
+    plan: CompiledQuery,
+    entries: Union[Sequence, Mapping[int, object]],
+    chunk: Sequence[int],
+    variables: Optional[Mapping[str, XPathValue]],
+    limits: Optional[EvalLimits],
+    *,
+    select_nodes: bool,
+    stream: bool = False,
+    strip_whitespace: bool = False,
+    deadline: Optional[float] = None,
+    attempt: int = 0,
+    fail_fast: bool = False,
+) -> list[DocumentOutcome]:
+    """Evaluate ``entries[index]`` for every ``index`` of ``chunk``, in order.
+
+    The one chunk loop behind the collections' serial path, both worker
+    backends and the executor's degrade-to-serial fallback — each entry
+    goes through :func:`evaluate_entry` on ``runner``.  ``fail_fast`` (the
+    serial path's) stops evaluating after the first failed entry; the rest
+    carry :class:`~repro.errors.BatchAborted`.
+    """
+    outcomes = []
+    failed = False
+    for index in chunk:
+        if failed:
+            outcomes.append(_aborted_outcome(index))
+            continue
+        outcome = evaluate_entry(
+            runner, plan, entries[index], index, variables, limits,
+            select_nodes=select_nodes, stream=stream,
+            strip_whitespace=strip_whitespace,
+            deadline=deadline, attempt=attempt,
+        )
+        outcomes.append(outcome)
+        failed = fail_fast and outcome.error is not None
+    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -588,15 +532,22 @@ def _worker_plan(
 
 def _process_chunk(
     spec: _PlanSpec,
-    chunk: Sequence[tuple[int, Document]],
+    entries: Mapping[int, object],
+    chunk: range,
     variables: Optional[Mapping[str, XPathValue]],
     limits: Optional[EvalLimits],
     select_nodes: bool,
+    stream: bool = False,
+    strip_whitespace: bool = False,
     deadline_remaining: Optional[float] = None,
     attempt: int = 0,
     fault_plan=None,
 ) -> list[DocumentOutcome]:
     """Worker-process entry point: evaluate one chunk on a private engine.
+
+    ``entries`` maps each index of ``chunk`` to its entry — documents,
+    store handles (O(1) ``(path, position)`` pickles) or XML sources (plain
+    strings, far cheaper on the wire than pickled trees).
 
     ``fault_plan`` is the parent's active :class:`~repro.faultinject.FaultPlan`
     (injected plans do not cross process boundaries by themselves); it is
@@ -607,75 +558,24 @@ def _process_chunk(
     with inject(fault_plan):
         deadline = _rebase_deadline(deadline_remaining)
         faults = active_plan()
-        indices = tuple(index for index, _ in chunk)
+        indices = tuple(chunk)
         if faults is not None:
             faults.fire(
                 "chunk", indices=indices, attempt=attempt, process_worker=True
             )
         plan = _worker_plan(spec, variables)
-        runner = ENGINE_CLASSES[plan.engine_name]()
-        outcomes = [
-            evaluate_document(
-                runner, plan, document, index, variables, limits,
-                select_nodes=select_nodes,
-                deadline=deadline, attempt=attempt,
-            )
-            for index, document in chunk
-        ]
+        outcomes = evaluate_chunk(
+            ENGINE_CLASSES[plan.engine_name](), plan, entries, chunk,
+            variables, limits,
+            select_nodes=select_nodes, stream=stream,
+            strip_whitespace=strip_whitespace,
+            deadline=deadline, attempt=attempt,
+        )
         if faults is not None and faults.match(
             "chunk", action="corrupt", indices=indices, attempt=attempt
         ):
             # Deliberately unpicklable: the result send fails, the parent
             # sees the chunk as lost, and the retry machinery takes over.
-            return lambda: outcomes  # type: ignore[return-value]
-        return outcomes
-
-
-def _process_source_chunk(
-    spec: _PlanSpec,
-    chunk: Sequence[tuple[int, str]],
-    variables: Optional[Mapping[str, XPathValue]],
-    limits: Optional[EvalLimits],
-    select_nodes: bool,
-    use_stream: bool,
-    strip_whitespace: bool,
-    deadline_remaining: Optional[float] = None,
-    attempt: int = 0,
-    fault_plan=None,
-) -> list[DocumentOutcome]:
-    """Worker-process entry point for source batches: sources travel as
-    plain strings (far cheaper on the wire than pickled trees), and the
-    worker never holds more than one tree — or zero, when streaming."""
-    from .session import ENGINE_CLASSES  # deferred: workers import lazily
-
-    with inject(fault_plan):
-        deadline = _rebase_deadline(deadline_remaining)
-        faults = active_plan()
-        indices = tuple(index for index, _ in chunk)
-        if faults is not None:
-            faults.fire(
-                "chunk", indices=indices, attempt=attempt, process_worker=True
-            )
-        plan = _worker_plan(spec, variables)
-        runner_slot: list = []
-
-        def engine_factory():
-            if not runner_slot:
-                runner_slot.append(ENGINE_CLASSES[plan.engine_name]())
-            return runner_slot[0]
-
-        outcomes = [
-            evaluate_source(
-                engine_factory, plan, source, index, variables, limits,
-                select_nodes=select_nodes, use_stream=use_stream,
-                strip_whitespace=strip_whitespace,
-                deadline=deadline, attempt=attempt,
-            )
-            for index, source in chunk
-        ]
-        if faults is not None and faults.match(
-            "chunk", action="corrupt", indices=indices, attempt=attempt
-        ):
             return lambda: outcomes  # type: ignore[return-value]
         return outcomes
 
@@ -801,23 +701,31 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     def run_batch(
         self,
-        collection: "Collection",
+        entries: Sequence[Union[Document, str]],
         plan: CompiledQuery,
         *,
         variables: Optional[Mapping[str, XPathValue]],
         limits: Optional[EvalLimits],
         select_nodes: bool,
         session: "XPathSession",
+        stream: bool = False,
+        strip_whitespace: bool = False,
         retry: Optional[RetryPolicy] = None,
         deadline: Optional[float] = None,
         fail_fast: bool = False,
-        documents: Optional[Sequence[Document]] = None,
     ) -> tuple[list[DocumentOutcome], Optional[FailureReport]]:
-        """Evaluate ``plan`` over every document, in parallel, in order.
+        """Evaluate ``plan`` over every entry, in parallel, in order.
+
+        ``entries`` are what :func:`evaluate_entry` takes: the caller's
+        generation-pinned document snapshots (so a writer mutating
+        mid-batch can never tear a worker's read), stored-document handles,
+        or XML sources — each worker then streams its sources single-pass
+        (``stream`` and a streamable plan) or parses-evaluates-drops one
+        tree at a time, so peak memory per worker is one tree at most.
 
         Returns ``(outcomes, failure_report)``: one
-        :class:`DocumentOutcome` per document, in collection order, with
-        per-document failures captured exactly like the serial path, plus a
+        :class:`DocumentOutcome` per entry, in collection order, with
+        per-entry failures captured exactly like the serial path, plus a
         :class:`FailureReport` when the batch needed fault recovery
         (``None`` for a clean run).  The caller
         (:meth:`Collection._run_batch`) folds the outcomes into
@@ -827,8 +735,8 @@ class ParallelExecutor:
         Fault semantics: a lost chunk (dead worker, unpicklable result) is
         split and resubmitted per ``retry`` (default :attr:`retry`) on a
         fresh pool, degrading to in-parent serial evaluation when pool
-        attempts run out — successful documents stay byte-identical to the
-        serial path because every backend shares :func:`evaluate_document`.
+        attempts run out — successful entries stay byte-identical to the
+        serial path because every backend runs :func:`evaluate_chunk`.
         ``deadline`` (a ``time.monotonic()`` instant) bounds the whole
         batch: per-document limits are tightened to the remaining time,
         future waits time out shortly after the deadline, and a worker
@@ -845,22 +753,26 @@ class ParallelExecutor:
         caching would need a miss-and-retry protocol (chunk→worker
         assignment is nondeterministic); per-batch shipping is the simple
         correct trade-off for the CPU-bound workloads this backend targets.
-
-        ``documents`` overrides the evaluation views (the caller passes the
-        per-document generation-pinned snapshots so a writer mutating
-        mid-batch can never tear a worker's read); positions must align
-        with ``collection.documents``.
         """
-        if documents is None:
-            documents = collection.documents
-        if not documents:
+        if not entries:
             return [], None
+
+        def run_chunk(chunk: range, attempt: int) -> list[DocumentOutcome]:
+            # session.engine() pools per (name, thread): each worker thread
+            # gets its own instance, so concurrent chunks never share
+            # last_stats.
+            return evaluate_chunk(
+                session.engine(plan.engine_name), plan, entries, chunk,
+                variables, limits,
+                select_nodes=select_nodes, stream=stream,
+                strip_whitespace=strip_whitespace,
+                deadline=deadline, attempt=attempt,
+            )
+
         if self.backend == "thread":
             def submit(chunk: range, attempt: int):
                 return self._ensure_pool().submit(
-                    self._thread_chunk,
-                    session, plan, documents, chunk, variables, limits,
-                    select_nodes, deadline, attempt,
+                    self._thread_chunk, run_chunk, chunk, attempt
                 )
         else:
             _ensure_process_portable(variables)
@@ -874,94 +786,14 @@ class ParallelExecutor:
             def submit(chunk: range, attempt: int):
                 return self._ensure_pool().submit(
                     _process_chunk,
-                    spec,
-                    [(index, documents[index]) for index in chunk],
-                    variables, limits, select_nodes,
+                    spec, {index: entries[index] for index in chunk}, chunk,
+                    variables, limits, select_nodes, stream, strip_whitespace,
                     _remaining_seconds(deadline), attempt, fault_plan,
                 )
 
-        def fallback(chunk: range, attempt: int) -> list[DocumentOutcome]:
-            runner = session.engine(plan.engine_name)
-            return [
-                evaluate_document(
-                    runner, plan, documents[index], index, variables, limits,
-                    select_nodes=select_nodes,
-                    deadline=deadline, attempt=attempt,
-                )
-                for index in chunk
-            ]
-
+        # run_chunk doubles as the in-parent degrade-to-serial fallback.
         return self._execute(
-            self._chunks(len(documents)), submit, fallback,
-            retry=retry if retry is not None else self.retry,
-            deadline=deadline, fail_fast=fail_fast,
-        )
-
-    def run_source_batch(
-        self,
-        collection: "SourceCollection",
-        plan: CompiledQuery,
-        *,
-        variables: Optional[Mapping[str, XPathValue]],
-        limits: Optional[EvalLimits],
-        select_nodes: bool,
-        use_stream: bool,
-        session: "XPathSession",
-        retry: Optional[RetryPolicy] = None,
-        deadline: Optional[float] = None,
-        fail_fast: bool = False,
-    ) -> tuple[list[DocumentOutcome], Optional[FailureReport]]:
-        """Evaluate ``plan`` over every XML source, in parallel, in order.
-
-        The source-batch twin of :meth:`run_batch` — identical fault,
-        retry, deadline and ``fail_fast`` semantics: each worker either
-        streams its sources single-pass (streamable plan + ``use_stream``)
-        or parses-evaluates-drops one tree at a time, so peak memory per
-        worker is one tree at most — never the whole corpus.
-        """
-        sources = collection.sources
-        if not sources:
-            return [], None
-        strip = collection.strip_whitespace
-        if self.backend == "thread":
-            def submit(chunk: range, attempt: int):
-                return self._ensure_pool().submit(
-                    self._thread_source_chunk,
-                    session, plan, sources, chunk, variables, limits,
-                    select_nodes, use_stream, strip, deadline, attempt,
-                )
-        else:
-            _ensure_process_portable(variables)
-            spec = _PlanSpec(
-                source=plan.source,
-                engine_name=plan.engine_name,
-                plan=plan if plan.source is None else None,
-            )
-            fault_plan = active_plan()
-
-            def submit(chunk: range, attempt: int):
-                return self._ensure_pool().submit(
-                    _process_source_chunk,
-                    spec,
-                    [(index, sources[index]) for index in chunk],
-                    variables, limits, select_nodes, use_stream, strip,
-                    _remaining_seconds(deadline), attempt, fault_plan,
-                )
-
-        def fallback(chunk: range, attempt: int) -> list[DocumentOutcome]:
-            return [
-                evaluate_source(
-                    lambda: session.engine(plan.engine_name),
-                    plan, sources[index], index, variables, limits,
-                    select_nodes=select_nodes, use_stream=use_stream,
-                    strip_whitespace=strip,
-                    deadline=deadline, attempt=attempt,
-                )
-                for index in chunk
-            ]
-
-        return self._execute(
-            self._chunks(len(sources)), submit, fallback,
+            self._chunks(len(entries)), submit, run_chunk,
             retry=retry if retry is not None else self.retry,
             deadline=deadline, fail_fast=fail_fast,
         )
@@ -981,7 +813,7 @@ class ParallelExecutor:
     ) -> tuple[list[DocumentOutcome], Optional[FailureReport]]:
         """Submit chunks, gather outcomes, recover from lost/hung workers.
 
-        The engine room behind both batch methods.  ``submit(chunk,
+        The engine room behind :meth:`run_batch`.  ``submit(chunk,
         attempt)`` returns a future resolving to the chunk's outcomes;
         ``fallback(chunk, attempt)`` evaluates a chunk in-parent (the
         degradation path, which cannot lose a worker).  Chunks are
@@ -1115,61 +947,14 @@ class ParallelExecutor:
         return ordered, (report if abnormal else None)
 
     @staticmethod
-    def _thread_source_chunk(
-        session: "XPathSession",
-        plan: CompiledQuery,
-        sources: Sequence[str],
-        chunk: range,
-        variables: Optional[Mapping[str, XPathValue]],
-        limits: Optional[EvalLimits],
-        select_nodes: bool,
-        use_stream: bool,
-        strip_whitespace: bool,
-        deadline: Optional[float] = None,
-        attempt: int = 0,
-    ) -> list[DocumentOutcome]:
+    def _thread_chunk(run_chunk, chunk: range, attempt: int) -> list[DocumentOutcome]:
+        """Thread-worker entry point: fire the chunk-site faults, then
+        ``run_chunk(chunk, attempt)`` (the batch's :func:`evaluate_chunk`
+        call, which the in-parent fallback runs without the faults)."""
         faults = active_plan()
         if faults is not None:
             faults.fire("chunk", indices=tuple(chunk), attempt=attempt)
-        # The fallback engine comes from the session pool (per-thread), and
-        # only materialises when some source actually needs the tree path.
-        return [
-            evaluate_source(
-                lambda: session.engine(plan.engine_name),
-                plan, sources[index], index, variables, limits,
-                select_nodes=select_nodes, use_stream=use_stream,
-                strip_whitespace=strip_whitespace,
-                deadline=deadline, attempt=attempt,
-            )
-            for index in chunk
-        ]
-
-    @staticmethod
-    def _thread_chunk(
-        session: "XPathSession",
-        plan: CompiledQuery,
-        documents: Sequence[Document],
-        chunk: range,
-        variables: Optional[Mapping[str, XPathValue]],
-        limits: Optional[EvalLimits],
-        select_nodes: bool,
-        deadline: Optional[float] = None,
-        attempt: int = 0,
-    ) -> list[DocumentOutcome]:
-        faults = active_plan()
-        if faults is not None:
-            faults.fire("chunk", indices=tuple(chunk), attempt=attempt)
-        # session.engine() pools per (name, thread): each worker thread gets
-        # its own instance, so concurrent chunks never share last_stats.
-        runner = session.engine(plan.engine_name)
-        return [
-            evaluate_document(
-                runner, plan, documents[index], index, variables, limits,
-                select_nodes=select_nodes,
-                deadline=deadline, attempt=attempt,
-            )
-            for index in chunk
-        ]
+        return run_chunk(chunk, attempt)
 
     def _chunks(self, count: int) -> list[range]:
         size = self.chunk_size
@@ -1200,9 +985,9 @@ def resolve_executor(
     serial path; ``ephemeral`` tells the caller to close the pool after the
     batch (true only when this call created it).
 
-    * ``parallel=None`` (the default) goes parallel when ``max_workers`` or
-      ``backend`` is given explicitly (they imply the intent), otherwise
-      consults :data:`PARALLEL_DEFAULT_ENV`;
+    * ``parallel=None`` (the default) goes parallel only when
+      ``max_workers`` or ``backend`` is given explicitly (they imply the
+      intent), otherwise serial;
     * ``parallel=False`` forces the serial path (and rejects the parallel
       tuning arguments as contradictory);
     * ``parallel=True`` builds an ephemeral executor from ``backend`` /
@@ -1217,13 +1002,7 @@ def resolve_executor(
             )
         return parallel, False
     if parallel is None:
-        # An explicit tuning argument implies parallel intent, so behaviour
-        # does not flip with the REPRO_PARALLEL_DEFAULT environment.
-        parallel = (
-            max_workers is not None
-            or backend is not None
-            or parallel_by_default()
-        )
+        parallel = max_workers is not None or backend is not None
     if not parallel:
         if max_workers is not None or backend is not None:
             raise ValueError("max_workers/backend require parallel=True")

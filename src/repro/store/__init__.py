@@ -17,7 +17,7 @@ Quickstart::
 """
 
 from ..errors import StoreCorruptError
-from .collection import STORE_DEFAULT_ENV, StoredCollection, store_by_default
+from .collection import StoredCollection
 from .format import MAGIC, VERSION
 from .reader import (
     DocumentStore,
@@ -31,7 +31,6 @@ from .writer import build_store, write_store
 __all__ = [
     "MAGIC",
     "VERSION",
-    "STORE_DEFAULT_ENV",
     "DocumentStore",
     "StoreCorruptError",
     "StoredCollection",
@@ -40,6 +39,5 @@ __all__ = [
     "build_store",
     "invalidate",
     "open_cached",
-    "store_by_default",
     "write_store",
 ]

@@ -8,11 +8,6 @@ error-isolation boundary, so a corrupt document fails alone — and the
 parallel process backend ships those handles as ``(path, position)`` pickles
 instead of whole trees: every worker reopens the store once (one mmap,
 shared OS page cache) and serves all its chunks from it.
-
-``REPRO_STORE_DEFAULT=1`` flips :meth:`Collection.from_sources` to route
-parsed documents through a temporary store file and return a
-:class:`StoredCollection` — the suite-wide switch the CI re-run uses to
-exercise store-backed batches end to end.
 """
 
 from __future__ import annotations
@@ -26,18 +21,6 @@ from ..collection import Collection
 from ..xmlmodel.document import Document
 from .reader import DocumentStore
 from .writer import build_store
-
-#: Environment variable that makes ``Collection.from_sources`` build a
-#: temporary store and return a :class:`StoredCollection` — used to run the
-#: whole test suite through the store-backed paths.
-STORE_DEFAULT_ENV = "REPRO_STORE_DEFAULT"
-
-
-def store_by_default() -> bool:
-    """True when :data:`STORE_DEFAULT_ENV` asks for store-backed collections."""
-    value = os.environ.get(STORE_DEFAULT_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
 
 #: Temporary store files created by :func:`_temp_store_path`, removed at
 #: process exit.  They cannot be unlinked earlier: process workers reopen

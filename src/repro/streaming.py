@@ -58,7 +58,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -92,19 +91,6 @@ from .xpath.values import NodeSet, XPathValue, predicate_truth
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .plan import CompiledQuery
     from .xmlmodel.nodes import Node
-
-#: Environment variable that makes streaming-capable surfaces (source
-#: collections, the CLI batch subcommand) prefer the streaming backend for
-#: streamable plans — used to re-run the test suite through the single-pass
-#: paths suite-wide.
-STREAM_DEFAULT_ENV = "REPRO_STREAM_DEFAULT"
-
-
-def stream_by_default() -> bool:
-    """True when :data:`STREAM_DEFAULT_ENV` asks for streaming batches."""
-    value = os.environ.get(STREAM_DEFAULT_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
 
 #: Axes a streaming automaton can follow: forward and downward only.
 STREAMABLE_AXES = frozenset(

@@ -103,13 +103,13 @@ class TestCliStream:
         )
         assert "limit exceeded" in capsys.readouterr().err
 
-    def test_batch_stream_flag(self, tmp_path, capsys):
+    def test_batch_stream_flag(self, tmp_path, capsys, cli_batch_mode):
         paths = []
         for index, source in enumerate(["<a><b/><b/></a>", "<a/>"]):
             path = tmp_path / f"s{index}.xml"
             path.write_text(source, encoding="utf-8")
             paths.append(str(path))
-        assert run(["batch", "//b", *paths, "--stream"]) == 0
+        assert run(["batch", "//b", *paths, "--stream", *cli_batch_mode.cli]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].endswith("2 node(s)")
         assert lines[1].endswith("0 node(s)")
@@ -175,6 +175,9 @@ class TestCliExplain:
 
 
 class TestCliBatch:
+    """``repro batch`` under each CLI-spelled batch mode (serial, --jobs
+    on both backends, --stream)."""
+
     @pytest.fixture
     def files(self, tmp_path):
         sources = ["<a><b/><b/></a>", "<a/>", "<a><b>x</b></a>"]
@@ -185,59 +188,62 @@ class TestCliBatch:
             paths.append(str(path))
         return paths
 
-    def test_batch_serial(self, files, capsys):
-        assert run(["batch", "//b", *files]) == 0
+    @pytest.fixture
+    def flags(self, cli_batch_mode):
+        return list(cli_batch_mode.cli)
+
+    def test_batch_serial(self, files, flags, capsys):
+        assert run(["batch", "//b", *files, *flags]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[0].endswith("2 node(s)")
         assert lines[1].endswith("0 node(s)")
         assert lines[2].endswith("1 node(s)")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_batch_jobs_matches_serial(self, files, capsys, backend):
+    def test_batch_mode_matches_serial(self, files, flags, capsys):
         assert run(["batch", "//b", *files]) == 0
         serial = capsys.readouterr().out
-        assert run(["batch", "//b", *files, "--jobs", "2", "--backend", backend]) == 0
+        assert run(["batch", "//b", *files, *flags]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_batch_scalar_query(self, files, capsys):
-        assert run(["batch", "count(//b)", *files, "--jobs", "2"]) == 0
+    def test_batch_scalar_query(self, files, flags, capsys):
+        assert run(["batch", "count(//b)", *files, *flags]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split("\t")[1] for line in lines] == ["2", "0", "1"]
 
-    def test_batch_isolates_parse_failure(self, files, tmp_path, capsys):
+    def test_batch_isolates_parse_failure(self, files, flags, tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         bad.write_text("<a><b>", encoding="utf-8")
-        assert run(["batch", "//b", files[0], str(bad), files[2], "--jobs", "2"]) == 1
+        assert run(["batch", "//b", files[0], str(bad), files[2], *flags]) == 1
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 2  # the good files
         assert "parse error" in captured.err
 
-    def test_batch_limit_breach_exits_3_and_isolates(self, files, capsys):
+    def test_batch_limit_breach_exits_3_and_isolates(self, files, flags, capsys):
         big = files[0]
-        assert run(["batch", "//b", *files, "--max-ops", "4", "--jobs", "2"]) in (1, 3)
+        assert run(["batch", "//b", *files, "--max-ops", "4", *flags]) in (1, 3)
         # Deterministic split whichever backend runs: the two-b file costs 12
         # tree ops (7 streamed), the empty one 6 (2 streamed) — a budget of 6
         # breaches exactly the first under both accountings.
         capsys.readouterr()
-        code = run(["batch", "//b", big, files[1], "--max-ops", "6"])
+        code = run(["batch", "//b", big, files[1], "--max-ops", "6", *flags])
         captured = capsys.readouterr()
         assert code == 3
         assert "operation budget" in captured.err
         assert captured.out.strip().splitlines()  # sibling still reported
 
-    def test_batch_missing_file_is_isolated(self, files, capsys):
-        assert run(["batch", "//b", files[0], "/nonexistent.xml"]) == 1
+    def test_batch_missing_file_is_isolated(self, files, flags, capsys):
+        assert run(["batch", "//b", files[0], "/nonexistent.xml", *flags]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert len(captured.out.strip().splitlines()) == 1
 
-    def test_batch_engine_flag(self, files, capsys):
-        assert run(["batch", "//b", *files, "--engine", "corexpath"]) == 0
+    def test_batch_engine_flag(self, files, flags, capsys):
+        assert run(["batch", "//b", *files, "--engine", "corexpath", *flags]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
-    def test_batch_compiled_engine(self, files, capsys):
-        assert run(["batch", "//b", *files, "--engine", "compiled"]) == 0
+    def test_batch_compiled_engine(self, files, flags, capsys):
+        assert run(["batch", "//b", *files, "--engine", "compiled", *flags]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     @pytest.mark.parametrize(
@@ -246,25 +252,25 @@ class TestCliBatch:
         ids=["malformed", "out-of-range", "illegal-in-attr"],
     )
     def test_batch_isolates_character_reference_failures(
-        self, payload, files, tmp_path, capsys
+        self, payload, files, flags, tmp_path, capsys
     ):
         # ISSUE-7 regression: these used to escape as raw ValueError,
         # crashing the whole batch instead of isolating one file (exit 1).
         bad = tmp_path / "bad-ref.xml"
         bad.write_text(payload, encoding="utf-8")
-        assert run(["batch", "//b", files[0], str(bad), files[2], "--jobs", "2"]) == 1
+        assert run(["batch", "//b", files[0], str(bad), files[2], *flags]) == 1
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 2  # the good files
         assert "error" in captured.err
 
-    def test_batch_resolves_internal_subset_entities(self, tmp_path, capsys):
+    def test_batch_resolves_internal_subset_entities(self, flags, tmp_path, capsys):
         path = tmp_path / "dblp.xml"
         path.write_text(
             "<!DOCTYPE dblp [<!ENTITY uuml '&#252;'>]>"
             "<dblp><article>M&uuml;ller</article></dblp>",
             encoding="utf-8",
         )
-        assert run(["batch", "//article", str(path)]) == 0
+        assert run(["batch", "//article", str(path), *flags]) == 0
         assert capsys.readouterr().out.strip()
 
 
@@ -334,9 +340,6 @@ class TestCliBatchFaults:
 
     def test_fail_fast_reports_cancelled_files(self, files, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "raise@document:index=0")
-        # Pin the serial path: parallel fail_fast lets in-flight chunks
-        # finish, so under REPRO_PARALLEL_DEFAULT=1 nothing gets cancelled.
-        monkeypatch.delenv("REPRO_PARALLEL_DEFAULT", raising=False)
         code = run(["batch", "//b", *files, "--fail-fast"])
         captured = capsys.readouterr()
         assert code == 1

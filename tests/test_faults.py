@@ -20,6 +20,11 @@ Five fronts, all driven by the deterministic fault-injection harness of
 * **chaos differential** — random seeded fault plans over a small corpus:
   every document that reports success must match the fault-free serial
   run exactly, and recoverable-only plans must heal to full equality.
+
+Tests that bring their own executor run once per batch surface of the
+mode registry (``surface_batch_mode``: in-memory, store-backed, source and
+streamed-source collections), so recovery and deadlines are checked on
+every kind of batch entry.
 """
 
 from __future__ import annotations
@@ -172,13 +177,13 @@ class TestUnifiedIsolation:
     QUERY = "//b"
     PLAN = FaultPlan.parse("raise@document:index=2")
 
-    def _run(self, **kwargs):
-        collection = XPathSession().parse_collection(SOURCES)
+    def _run(self, mode, **kwargs):
+        collection = mode.build(SOURCES, session=XPathSession())
         with inject(self.PLAN):
-            return collection.select(self.QUERY, **kwargs)
+            return collection.select(self.QUERY, **mode.options, **kwargs)
 
-    def test_serial_wraps_instead_of_raising(self):
-        batch = self._run()
+    def test_serial_wraps_instead_of_raising(self, surface_batch_mode):
+        batch = self._run(surface_batch_mode)
         assert not batch.ok
         error = batch[2].error
         assert isinstance(error, UnexpectedEvaluationError)
@@ -186,9 +191,11 @@ class TestUnifiedIsolation:
         assert all(batch[i].ok for i in (0, 1, 3, 4, 5))
 
     @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_wraps_identically_to_serial(self, backend):
-        serial = self._run()
-        parallel = self._run(parallel=True, backend=backend, max_workers=2)
+    def test_parallel_wraps_identically_to_serial(self, surface_batch_mode, backend):
+        serial = self._run(surface_batch_mode)
+        parallel = self._run(
+            surface_batch_mode, parallel=True, backend=backend, max_workers=2
+        )
         # Value equality across the pickle boundary: same type, args, attrs.
         assert parallel[2].error == serial[2].error
         assert _shape(parallel) == _shape(serial)
@@ -206,18 +213,20 @@ class TestWorkerRecovery:
     def session(self):
         return XPathSession()
 
-    def _serial_shape(self, session):
-        return _shape(session.parse_collection(SOURCES).select(self.QUERY))
+    def _serial_shape(self, session, mode):
+        collection = mode.build(SOURCES, session=session)
+        return _shape(collection.select(self.QUERY, **mode.options))
 
-    def test_process_kill_recovered_by_retry(self, session):
-        collection = session.parse_collection(SOURCES)
+    def test_process_kill_recovered_by_retry(self, session, surface_batch_mode):
+        mode = surface_batch_mode
+        collection = mode.build(SOURCES, session=session)
         with inject(FaultPlan.parse("kill@chunk:index=0,max_attempt=1")):
             with ParallelExecutor(backend="process", max_workers=2) as ex:
                 batch = collection.select(
-                    self.QUERY, parallel=ex, retries=FAST_RETRY
+                    self.QUERY, parallel=ex, retries=FAST_RETRY, **mode.options
                 )
         assert batch.ok
-        assert _shape(batch) == self._serial_shape(session)
+        assert _shape(batch) == self._serial_shape(session, mode)
         report = batch.failure_report
         assert report is not None
         assert report.worker_failures >= 1
@@ -229,52 +238,59 @@ class TestWorkerRecovery:
         assert session.stats.worker_failures >= 1
         assert session.stats.retries >= 1
 
-    def test_process_kill_every_attempt_degrades_to_serial(self, session):
-        collection = session.parse_collection(SOURCES)
+    def test_process_kill_every_attempt_degrades_to_serial(
+        self, session, surface_batch_mode
+    ):
+        mode = surface_batch_mode
+        collection = mode.build(SOURCES, session=session)
         with inject(FaultPlan.parse("kill@chunk:index=0")):
             with ParallelExecutor(backend="process", max_workers=2) as ex:
                 batch = collection.select(
                     self.QUERY, parallel=ex,
                     retries=RetryPolicy(max_attempts=2, backoff_base=0.01),
+                    **mode.options,
                 )
         assert batch.ok  # degradation is invisible in the results
-        assert _shape(batch) == self._serial_shape(session)
+        assert _shape(batch) == self._serial_shape(session, mode)
         report = batch.failure_report
         assert "process->serial" in report.backend_transitions
         assert report.degraded_chunks >= 1
         assert session.stats.degraded_chunks >= 1
 
-    def test_corrupt_result_wire_recovered(self, session):
-        collection = session.parse_collection(SOURCES)
+    def test_corrupt_result_wire_recovered(self, session, surface_batch_mode):
+        mode = surface_batch_mode
+        collection = mode.build(SOURCES, session=session)
         with inject(FaultPlan.parse("corrupt@chunk:index=0,max_attempt=1")):
             with ParallelExecutor(backend="process", max_workers=2) as ex:
                 batch = collection.select(
-                    self.QUERY, parallel=ex, retries=FAST_RETRY
+                    self.QUERY, parallel=ex, retries=FAST_RETRY, **mode.options
                 )
         assert batch.ok
-        assert _shape(batch) == self._serial_shape(session)
+        assert _shape(batch) == self._serial_shape(session, mode)
         assert batch.failure_report.worker_failures >= 1
 
-    def test_thread_chunk_raise_recovered(self, session):
-        collection = session.parse_collection(SOURCES)
+    def test_thread_chunk_raise_recovered(self, session, surface_batch_mode):
+        mode = surface_batch_mode
+        collection = mode.build(SOURCES, session=session)
         with inject(FaultPlan.parse("raise@chunk:index=0,max_attempt=1")):
             batch = collection.select(
                 self.QUERY, parallel=True, backend="thread", max_workers=2,
-                retries=FAST_RETRY,
+                retries=FAST_RETRY, **mode.options,
             )
         assert batch.ok
-        assert _shape(batch) == self._serial_shape(session)
+        assert _shape(batch) == self._serial_shape(session, mode)
         assert batch.failure_report.worker_failures >= 1
         assert batch.degraded
 
-    def test_chunks_are_split_on_retry(self, session):
-        collection = session.parse_collection(SOURCES)
+    def test_chunks_are_split_on_retry(self, session, surface_batch_mode):
+        mode = surface_batch_mode
+        collection = mode.build(SOURCES, session=session)
         with inject(FaultPlan.parse("raise@chunk:index=0,max_attempt=1")):
             with ParallelExecutor(
                 backend="thread", max_workers=2, chunk_size=len(SOURCES)
             ) as ex:
                 batch = collection.select(
-                    self.QUERY, parallel=ex, retries=FAST_RETRY
+                    self.QUERY, parallel=ex, retries=FAST_RETRY, **mode.options
                 )
         assert batch.ok
         retried = [f for f in batch.failure_report.fates if f.attempt > 0]
@@ -282,14 +298,16 @@ class TestWorkerRecovery:
         lost = [f for f in batch.failure_report.fates if f.outcome == "lost"]
         assert len(lost[0].indices) == len(SOURCES)
 
-    def test_fail_fast_abandons_instead_of_retrying(self, session):
-        collection = session.parse_collection(SOURCES)
+    def test_fail_fast_abandons_instead_of_retrying(self, session, surface_batch_mode):
+        mode = surface_batch_mode
+        collection = mode.build(SOURCES, session=session)
         with inject(FaultPlan.parse("kill@chunk:index=0,max_attempt=1")):
             with ParallelExecutor(
                 backend="process", max_workers=1, chunk_size=2
             ) as ex:
                 batch = collection.select(
                     self.QUERY, parallel=ex, retries=FAST_RETRY, fail_fast=True,
+                    **mode.options,
                 )
         assert not batch.ok
         assert isinstance(batch[0].error, WorkerLostError)
@@ -319,20 +337,23 @@ class TestWorkerRecovery:
 class TestDeadline:
     QUERY = "//b"
 
-    def test_hung_worker_converts_to_limit_error_within_deadline(self):
+    def test_hung_worker_converts_to_limit_error_within_deadline(
+        self, surface_batch_mode
+    ):
         """The ISSUE-6 acceptance scenario: an injected per-document hang
         converts to ``ResourceLimitExceeded`` within the batch deadline
         instead of stalling the batch."""
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
-        serial = collection.select(self.QUERY)
+        options = surface_batch_mode.options
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
+        serial = collection.select(self.QUERY, **options)
         started = time.monotonic()
         with inject(FaultPlan.parse("hang@document:index=1,seconds=2.5")):
             with ParallelExecutor(
                 backend="process", max_workers=2, chunk_size=1
             ) as ex:
                 batch = collection.select(
-                    self.QUERY, parallel=ex, deadline=0.5, retries=FAST_RETRY
+                    self.QUERY, parallel=ex, deadline=0.5, retries=FAST_RETRY,
+                    **options,
                 )
         elapsed = time.monotonic() - started
         assert elapsed < 2.0  # the 2.5 s hang did not stall the batch
@@ -346,20 +367,21 @@ class TestDeadline:
             if result.ok:
                 assert _shape(batch)[index] == _shape(serial)[index]
 
-    def test_hung_process_workers_are_terminated(self):
+    def test_hung_process_workers_are_terminated(self, surface_batch_mode):
         """``_abandon_pool`` must kill hung process workers outright:
         ``concurrent.futures`` joins surviving workers at interpreter
         exit, so a leaked hung worker would hold the whole program
         hostage until the hang ended — long after the batch returned."""
         before = set(p.pid for p in multiprocessing.active_children())
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
+        options = surface_batch_mode.options
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
         with inject(FaultPlan.parse("hang@document:index=1,seconds=5.0")):
             with ParallelExecutor(
                 backend="process", max_workers=2, chunk_size=1
             ) as ex:
                 batch = collection.select(
-                    self.QUERY, parallel=ex, deadline=0.4, retries=FAST_RETRY
+                    self.QUERY, parallel=ex, deadline=0.4, retries=FAST_RETRY,
+                    **options,
                 )
         assert batch.failure_report is not None
         assert batch.failure_report.hung_chunks >= 1
@@ -375,7 +397,7 @@ class TestDeadline:
             time.sleep(0.05)
         assert not leaked, f"hung workers survived _abandon_pool: {leaked}"
 
-    def test_deadline_survives_wall_clock_jump(self, monkeypatch):
+    def test_deadline_survives_wall_clock_jump(self, monkeypatch, surface_batch_mode):
         """Regression (ISSUE 9): batch deadlines were computed on
         ``time.time()`` while ``LimitGuard`` measures on
         ``time.monotonic()``, so a wall-clock step (NTP correction, DST,
@@ -383,9 +405,9 @@ class TestDeadline:
         per-document budget.  Deadlines now live entirely on the
         monotonic clock: a one-hour forward jump right after the deadline
         is set must not fail a batch with 30 s of budget."""
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
-        serial = collection.select(self.QUERY)
+        options = surface_batch_mode.options
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
+        serial = collection.select(self.QUERY, **options)
         base = time.time()
         calls = [0]
 
@@ -394,19 +416,21 @@ class TestDeadline:
             return base if calls[0] == 1 else base + 3600.0
 
         monkeypatch.setattr(time, "time", jumping_time)
-        batch = collection.select(self.QUERY, deadline=30.0)
+        batch = collection.select(self.QUERY, deadline=30.0, **options)
         assert batch.ok, (
             "a wall-clock jump collapsed the monotonic batch deadline"
         )
         assert _shape(batch) == _shape(serial)
 
-    def test_deadline_survives_wall_clock_jump_threaded(self, monkeypatch):
+    def test_deadline_survives_wall_clock_jump_threaded(
+        self, monkeypatch, surface_batch_mode
+    ):
         """Same regression through the thread backend: the executor's
         future-wait timeout and retry backoff clamp must also ignore the
         wall clock."""
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
-        serial = collection.select(self.QUERY)
+        options = surface_batch_mode.options
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
+        serial = collection.select(self.QUERY, **options)
         base = time.time()
         calls = [0]
 
@@ -416,21 +440,47 @@ class TestDeadline:
 
         monkeypatch.setattr(time, "time", jumping_time)
         with ParallelExecutor(backend="thread", max_workers=2) as ex:
-            batch = collection.select(self.QUERY, parallel=ex, deadline=30.0)
+            batch = collection.select(
+                self.QUERY, parallel=ex, deadline=30.0, **options
+            )
         assert batch.ok
         assert _shape(batch) == _shape(serial)
 
-    def test_serial_deadline_bounds_the_batch(self):
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
+    def test_serial_deadline_bounds_the_batch(self, surface_batch_mode):
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
         started = time.monotonic()
         with inject(FaultPlan.parse("hang@document:index=0,seconds=0.4")):
-            batch = collection.select(self.QUERY, deadline=0.2)
+            batch = collection.select(
+                self.QUERY, deadline=0.2, **surface_batch_mode.options
+            )
         assert time.monotonic() - started < 2.0
         # The hang consumed the whole budget: doc 0 (and the rest, whose
         # remaining budget is 0) fail with the batch_deadline limit error.
         assert isinstance(batch[0].error, ResourceLimitExceeded)
         assert batch[0].error.limit == "batch_deadline"
+
+    def test_expired_source_batch_parses_nothing(self, monkeypatch):
+        """Regression: a source batch checked its deadline only after
+        parsing each source, so an expired batch still parsed every
+        remaining source before failing it.  The deadline is now checked
+        before an entry's input is obtained."""
+        from repro import parallel
+
+        parsed = []
+        real_parse = parallel.parse_xml
+
+        def counting_parse(source, **kwargs):
+            parsed.append(source)
+            return real_parse(source, **kwargs)
+
+        monkeypatch.setattr(parallel, "parse_xml", counting_parse)
+        collection = XPathSession().stream_collection(
+            ["<a>" + "<b/>" * 2000 + "</a>"] * 20
+        )
+        with inject(FaultPlan.parse("hang@document:index=0,seconds=0.4")):
+            batch = collection.select(self.QUERY, stream=False, deadline=0.2)
+        assert all(result.error.limit == "batch_deadline" for result in batch)
+        assert parsed == []
 
     def test_streaming_token_delay_hits_timeout(self):
         session = XPathSession()
@@ -442,26 +492,26 @@ class TestDeadline:
                 )
         assert info.value.limit == "timeout_seconds"
 
-    def test_source_collection_stream_deadline(self):
+    def test_source_collection_stream_deadline(self, backend_batch_mode):
         session = XPathSession()
         collection = session.stream_collection(
             ["<a>" + "<b/>" * 50 + "</a>"] * 3
         )
         with inject(FaultPlan.parse("delay@stream.token:index=10,seconds=0.3")):
-            batch = collection.select("//b", stream=True, deadline=0.2)
+            batch = collection.select(
+                "//b", stream=True, deadline=0.2, **backend_batch_mode.options
+            )
         assert not batch.ok
         assert any(
             isinstance(r.error, ResourceLimitExceeded) for r in batch
         )
 
-    def test_serial_fail_fast_cancels_remaining(self):
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
-        # parallel=False pins the serial path even under
-        # REPRO_PARALLEL_DEFAULT=1 — this test asserts *serial* fail_fast
-        # ordering (parallel fail_fast lets in-flight chunks finish).
+    def test_serial_fail_fast_cancels_remaining(self, surface_batch_mode):
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
         with inject(FaultPlan.parse("raise@document:index=1")):
-            batch = collection.select(self.QUERY, fail_fast=True, parallel=False)
+            batch = collection.select(
+                self.QUERY, fail_fast=True, **surface_batch_mode.options
+            )
         assert batch[0].ok
         assert isinstance(batch[1].error, UnexpectedEvaluationError)
         for result in list(batch)[2:]:
@@ -519,18 +569,19 @@ class TestChaosDifferential:
     SEEDS = seeds_from_env(default=(11, 23, 37))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_successful_documents_match_serial(self, seed):
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
+    def test_successful_documents_match_serial(self, seed, surface_batch_mode):
+        options = surface_batch_mode.options
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
         plan = FaultPlan.random(seed, documents=len(SOURCES))
         for query in self.QUERIES:
-            baseline = _shape(collection.evaluate(query))
+            baseline = _shape(collection.evaluate(query, **options))
             with inject(plan):
                 with ParallelExecutor(
                     backend="process", max_workers=2, chunk_size=2
                 ) as ex:
                     chaotic = collection.evaluate(
-                        query, parallel=ex, retries=FAST_RETRY, deadline=10.0
+                        query, parallel=ex, retries=FAST_RETRY, deadline=10.0,
+                        **options,
                     )
             for index, result in enumerate(chaotic):
                 if result.ok:
@@ -539,21 +590,21 @@ class TestChaosDifferential:
                     )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_recoverable_faults_heal_completely(self, seed):
-        session = XPathSession()
-        collection = session.parse_collection(SOURCES)
+    def test_recoverable_faults_heal_completely(self, seed, surface_batch_mode):
+        options = surface_batch_mode.options
+        collection = surface_batch_mode.build(SOURCES, session=XPathSession())
         plan = FaultPlan.random(
             seed, documents=len(SOURCES), recoverable_only=True
         )
         retry = RetryPolicy(max_attempts=4, backoff_base=0.01, backoff_cap=0.05)
         for query in self.QUERIES:
-            baseline = _shape(collection.evaluate(query))
+            baseline = _shape(collection.evaluate(query, **options))
             with inject(plan):
                 with ParallelExecutor(
                     backend="process", max_workers=2, chunk_size=2
                 ) as ex:
                     healed = collection.evaluate(
-                        query, parallel=ex, retries=retry
+                        query, parallel=ex, retries=retry, **options
                     )
             assert healed.ok, (seed, query, plan.to_spec())
             assert _shape(healed) == baseline

@@ -31,7 +31,6 @@ from repro.errors import (
 from repro.parallel import (
     ParallelExecutor,
     default_max_workers,
-    parallel_by_default,
     resolve_executor,
 )
 from repro.plan import PlanCache
@@ -73,6 +72,14 @@ def executor(request):
         yield ex
 
 
+@pytest.fixture(params=["serial", "store"])
+def parse_collection(request, batch_modes):
+    """``parse_collection(sources, session)`` on the in-memory and on the
+    store-backed surface of the batch-mode registry."""
+    build = batch_modes[request.param].build
+    return lambda sources, session: build(sources, session=session)
+
+
 # ----------------------------------------------------------------------
 # Serial ≡ parallel over the batch entry points
 # ----------------------------------------------------------------------
@@ -88,9 +95,9 @@ class TestSerialParallelEquivalence:
         "count(//b) > 1",
     ]
 
-    @pytest.fixture(scope="class")
-    def collection(self):
-        return XPathSession().parse_collection(SOURCES)
+    @pytest.fixture
+    def collection(self, parse_collection):
+        return parse_collection(SOURCES, XPathSession())
 
     def test_select_matches_serial(self, collection, executor):
         for query in self.QUERIES[:6]:
@@ -142,14 +149,14 @@ class TestSerialParallelEquivalence:
             parallel = collection.select("//b", engine=engine, parallel=executor)
             assert _shape(parallel) == _shape(serial), (executor.backend, engine)
 
-    def test_session_stats_match_serial_accounting(self, executor):
+    def test_session_stats_match_serial_accounting(self, executor, parse_collection):
         serial_session = XPathSession()
         parallel_session = XPathSession()
         for session, parallel in (
             (serial_session, False),
             (parallel_session, executor),
         ):
-            docs = session.parse_collection(SOURCES)
+            docs = parse_collection(SOURCES, session)
             docs.select("//b", parallel=parallel)
             docs.select("//b[$missing]", parallel=parallel)
         serial, parallel = serial_session.stats, parallel_session.stats
@@ -159,8 +166,8 @@ class TestSerialParallelEquivalence:
         assert parallel.total_work == serial.total_work
         assert parallel.engine_use == serial.engine_use
 
-    def test_empty_collection(self, executor):
-        docs = XPathSession().parse_collection([])
+    def test_empty_collection(self, executor, parse_collection):
+        docs = parse_collection([], XPathSession())
         batch = docs.select("//b", parallel=executor)
         assert list(batch) == []
         assert batch.backend == executor.backend
@@ -169,7 +176,6 @@ class TestSerialParallelEquivalence:
         batch = collection.select("//b", parallel=executor)
         assert batch.backend == executor.backend
         assert batch.workers == 2
-        # parallel=False forces serial even under REPRO_PARALLEL_DEFAULT=1.
         serial = collection.select("//b", parallel=False)
         assert serial.backend is None and serial.workers is None
 
@@ -364,9 +370,9 @@ class TestLimitsUnderParallelism:
                 for node in api.select("//b", result.document)
             ]
 
-    def test_per_call_limits_override_session_limits(self, executor):
+    def test_per_call_limits_override_session_limits(self, executor, parse_collection):
         session = XPathSession(limits=EvalLimits(max_operations=1))
-        docs = session.parse_collection(["<a><b/></a>"])
+        docs = parse_collection(["<a><b/></a>"], session)
         assert not docs.select("//b", parallel=executor).ok
         assert docs.select(
             "//b", limits=EvalLimits(max_operations=10_000), parallel=executor
@@ -387,7 +393,7 @@ class TestExecutorMechanics:
             range(0, 2), range(2, 4), range(4, 6), range(6, 7),
         ]
 
-    def test_invalid_configuration_rejected(self):
+    def test_invalid_configuration_rejected(self, parse_collection):
         with pytest.raises(ValueError, match="backend"):
             ParallelExecutor(backend="fibers")
         with pytest.raises(ValueError, match="max_workers"):
@@ -395,7 +401,7 @@ class TestExecutorMechanics:
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelExecutor(chunk_size=0)
         with pytest.raises(ValueError, match="require parallel"):
-            XPathSession().parse_collection(["<a/>"]).select(
+            parse_collection(["<a/>"], XPathSession()).select(
                 "//b", parallel=False, max_workers=2
             )
         with pytest.raises(ValueError, match="not alongside"):
@@ -404,57 +410,45 @@ class TestExecutorMechanics:
     def test_default_worker_count_is_positive(self):
         assert 1 <= default_max_workers() <= 4
 
-    def test_ephemeral_true_builds_and_reports_a_pool(self):
-        docs = XPathSession().parse_collection(SOURCES)
+    def test_ephemeral_true_builds_and_reports_a_pool(self, parse_collection):
+        docs = parse_collection(SOURCES, XPathSession())
         batch = docs.select("//b", parallel=True, max_workers=2)
         assert batch.backend == "thread" and batch.workers == 2
         assert _shape(batch) == _shape(docs.select("//b"))
 
-    def test_explicit_tuning_arguments_imply_parallel(self, monkeypatch):
-        """max_workers/backend mean parallel regardless of the env default,
-        so behaviour cannot flip between CI's parallel leg and production."""
-        monkeypatch.delenv("REPRO_PARALLEL_DEFAULT", raising=False)
-        docs = XPathSession().parse_collection(SOURCES)
+    def test_explicit_tuning_arguments_imply_parallel(self, parse_collection):
+        """max_workers/backend mean parallel; with neither, parallel=None
+        stays serial."""
+        docs = parse_collection(SOURCES, XPathSession())
+        assert docs.select("//b").backend is None
         assert docs.select("//b", max_workers=2).backend == "thread"
         assert docs.select("//b", backend="thread").workers >= 1
         assert docs.select_many(["//b"], max_workers=2)[0].backend == "thread"
 
-    def test_executor_reusable_after_close(self):
+    def test_executor_reusable_after_close(self, parse_collection):
         executor = ParallelExecutor(max_workers=2)
-        docs = XPathSession().parse_collection(SOURCES)
+        docs = parse_collection(SOURCES, XPathSession())
         first = docs.select("//b", parallel=executor)
         executor.close()
         second = docs.select("//b", parallel=executor)  # pool rebuilt lazily
         assert _shape(first) == _shape(second)
         executor.close()
 
-    def test_process_backend_rejects_node_set_variables(self):
-        session = XPathSession()
-        docs = session.parse_collection(["<a><b/></a>"])
+    def test_process_backend_rejects_node_set_variables(self, parse_collection):
+        docs = parse_collection(["<a><b/></a>"], XPathSession())
         nodes = NodeSet(api.select("//b", api.parse("<a><b/></a>")))
         with ParallelExecutor(backend="process", max_workers=2) as executor:
             with pytest.raises(XPathEvaluationError, match="node set"):
                 docs.select("//b", variables={"v": nodes}, parallel=executor)
 
-    def test_env_flips_batches_parallel_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_DEFAULT", "1")
-        assert parallel_by_default()
-        docs = XPathSession().parse_collection(SOURCES)
-        batch = docs.select("//b")
-        assert batch.backend == "thread"
-        assert _shape(batch) == _shape(docs.select("//b", parallel=False))
-        monkeypatch.setenv("REPRO_PARALLEL_DEFAULT", "0")
-        assert not parallel_by_default()
-        assert docs.select("//b").backend is None
-
-    def test_compiled_plan_travels_to_process_workers(self, executor):
+    def test_compiled_plan_travels_to_process_workers(self, executor, parse_collection):
         """Plans without source text (built from ASTs) ship as pickles."""
         from repro.xpath.parser import parse_xpath
 
         ast = parse_xpath("//b")
         plan = api.compile_query(ast)
         assert plan.source is None
-        docs = XPathSession().parse_collection(SOURCES)
+        docs = parse_collection(SOURCES, XPathSession())
         serial = docs.select(plan)
         parallel = docs.select(plan, parallel=executor)
         assert _shape(parallel) == _shape(serial)

@@ -318,31 +318,39 @@ class TestApiDelegation:
 class TestSessionCollections:
     SOURCES = ["<a><b/></a>", "<a><b/><b/></a>", "<a/>"]
 
-    def test_collection_bound_to_session(self):
+    @staticmethod
+    def _counts(batch):
+        """Result sizes, whether the mode returns nodes or matches."""
+        return [
+            len(r.nodes if r.nodes is not None else r.matches) for r in batch
+        ]
+
+    def test_collection_bound_to_session(self, batch_mode):
         session = XPathSession()
-        docs = session.parse_collection(self.SOURCES)
+        assert session.parse_collection(self.SOURCES).session is session
+        docs = batch_mode.build(self.SOURCES, session=session)
         assert docs.session is session
-        results = docs.select("//b")
-        assert [len(r.nodes) for r in results] == [1, 2, 0]
+        results = docs.select("//b", **batch_mode.options)
+        assert self._counts(results) == [1, 2, 0]
         # Work is recorded on the owning session: one query per document.
         assert session.stats.queries == 3
         assert len(session.cache) == 1
 
-    def test_batch_run_reports_cache_provenance(self):
+    def test_batch_run_reports_cache_provenance(self, batch_mode):
         session = XPathSession()
-        docs = session.parse_collection(self.SOURCES)
-        first = docs.select("//b")
+        docs = batch_mode.build(self.SOURCES, session=session)
+        first = docs.select("//b", **batch_mode.options)
         assert first.cache_hit is False
-        again = docs.select("//b")
+        again = docs.select("//b", **batch_mode.options)
         assert again.cache_hit is True
         assert first.report.engine_name == "topdown"
         assert first.report.query == "//b"
 
-    def test_select_many_reports_hits_vs_compiled(self):
+    def test_select_many_reports_hits_vs_compiled(self, tree_batch_mode):
         session = XPathSession()
-        docs = session.parse_collection(self.SOURCES)
-        docs.select("//b")  # prime one of the two plans
-        runs = docs.select_many(["//b", "//a"])
+        docs = tree_batch_mode.build(self.SOURCES, session=session)
+        docs.select("//b", **tree_batch_mode.options)  # prime one of the two plans
+        runs = docs.select_many(["//b", "//a"], **tree_batch_mode.options)
         hits = {report.query: report.cache_hit for report in runs.plan_reports}
         assert hits == {"//b": True, "//a": False}
         assert runs.cache_hits == 1
@@ -350,23 +358,24 @@ class TestSessionCollections:
         # The list shape is unchanged for pre-existing consumers.
         assert [len(r.nodes) for r in runs[0]] == [1, 2, 0]
 
-    def test_session_limits_apply_per_document(self):
+    def test_session_limits_apply_per_document(self, batch_mode):
         session = XPathSession(limits=EvalLimits(max_result_nodes=1))
-        docs = session.parse_collection(self.SOURCES)
-        results = docs.select("//b")
+        docs = batch_mode.build(self.SOURCES, session=session)
+        results = docs.select("//b", **batch_mode.options)
         # doc[1] has two result nodes → breached; others fine.
         assert [r.ok for r in results] == [True, False, True]
         assert isinstance(results[1].error, ResourceLimitExceeded)
         assert session.stats.limit_breaches == 1
         assert not results.ok
 
-    def test_default_collection_uses_default_session(self):
-        docs = api.parse_collection(self.SOURCES)
+    def test_default_collection_uses_default_session(self, batch_mode):
+        assert api.parse_collection(self.SOURCES).session is api.default_session()
+        docs = batch_mode.build(self.SOURCES)
         assert docs.session is api.default_session()
 
-    def test_collection_constructor_session_binding(self):
+    def test_collection_constructor_session_binding(self, backend_batch_mode):
         session = XPathSession()
         docs = session.collection([api.parse(s) for s in self.SOURCES])
         assert isinstance(docs, Collection)
-        docs.evaluate("count(//b)")
+        docs.evaluate("count(//b)", **backend_batch_mode.options)
         assert session.stats.queries == 3

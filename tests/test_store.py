@@ -21,8 +21,8 @@ Five fronts:
   the store file behind a materialised document silently falls back to the
   flat-preorder payload;
 * **integration** — ``api.build_store`` / ``api.open_store``, session
-  coercion of handles, ``REPRO_STORE_DEFAULT`` collection routing, and the
-  ``store build`` / ``store info`` / ``store query`` CLI subcommands.
+  coercion of handles, one-at-a-time ``StoredCollection.from_sources``, and
+  the ``store build`` / ``store info`` / ``store query`` CLI subcommands.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import pytest
 
 from repro import api
 from repro.cli import run as cli_run
-from repro.collection import Collection
 from repro.errors import ReproError, StoreCorruptError
 from repro.faultinject import FaultPlan, inject
 from repro.plan import plan_for
@@ -262,7 +261,7 @@ class TestCorruption:
         with pytest.raises(StoreCorruptError):
             DocumentStore.open(path)
 
-    def test_block_damage_is_isolated_per_document(self, tmp_path):
+    def test_block_damage_is_isolated_per_document(self, tmp_path, backend_batch_mode):
         path = self._built(tmp_path)
         with DocumentStore.open(path) as probe:
             target = probe._entries[1]
@@ -270,7 +269,9 @@ class TestCorruption:
         self._flip(path, damage_at)
         store = DocumentStore.open(path)  # open-time checks still pass
         try:
-            batch = StoredCollection(store).select("//b | //*")
+            batch = StoredCollection(store).select(
+                "//b | //*", **backend_batch_mode.options
+            )
             assert not batch.ok
             failed = [r for r in batch if not r.ok]
             assert [r.index for r in failed] == [1]
@@ -282,12 +283,12 @@ class TestCorruption:
         finally:
             store.close()
 
-    def test_fault_site_simulates_block_damage(self, tmp_path):
+    def test_fault_site_simulates_block_damage(self, tmp_path, backend_batch_mode):
         path = self._built(tmp_path)
         with DocumentStore.open(path) as store:
             collection = StoredCollection(store)
             with inject(FaultPlan.parse("corrupt@store:index=2")):
-                batch = collection.select("//*")
+                batch = collection.select("//*", **backend_batch_mode.options)
             failed = [r for r in batch if not r.ok]
             assert [r.index for r in failed] == [2]
             assert isinstance(failed[0].error, StoreCorruptError)
@@ -451,14 +452,14 @@ class TestStoreCacheLifetime:
 
 
 class TestIntegration:
-    def test_api_build_and_open_store(self, tmp_path):
+    def test_api_build_and_open_store(self, tmp_path, backend_batch_mode):
         path = str(tmp_path / "api.reproxs")
         documents = [parse_xml(s) for s in RICH_SOURCES[:2]]
         assert api.build_store(path, documents, names=["x", "y"]) == path
         collection = api.open_store(path)
         try:
             assert collection.names == ("x", "y")
-            batch = collection.select("//b")
+            batch = collection.select("//b", **backend_batch_mode.options)
             assert batch.ok
             assert [len(r.nodes) for r in batch] == [2, 0]
         finally:
@@ -483,25 +484,13 @@ class TestIntegration:
         expected = [n.order for n in plan.select(documents[0])]
         assert [n.order for n in plan.select(store.document_at(0))] == expected
 
-    def test_store_default_env_routes_from_sources(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DEFAULT", "1")
-        collection = Collection.from_sources(RICH_SOURCES[:2])
-        assert isinstance(collection, StoredCollection)
-        batch = collection.select("//b")
-        assert batch.ok and [len(r.nodes) for r in batch] == [2, 0]
-
-    def test_store_default_env_off_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DEFAULT", "0")
-        collection = Collection.from_sources(RICH_SOURCES[:2])
-        assert not isinstance(collection, StoredCollection)
-
-    def test_store_default_routes_sources_one_at_a_time(self, monkeypatch):
+    def test_stored_from_sources_routes_sources_one_at_a_time(self, monkeypatch):
         """Regression (ISSUE 9): all sources used to be parsed into live
-        trees *before* the store-routing decision, so store-backed
-        collections paid peak memory for N simultaneous trees.  Sources
-        now stream into the store build one at a time — at most two trees
-        are ever alive at once (the one being serialised plus the one the
-        generator just parsed)."""
+        trees *before* the store build, so store-backed collections paid
+        peak memory for N simultaneous trees.  Sources now stream into the
+        store build one at a time — at most two trees are ever alive at
+        once (the one being serialised plus the one the generator just
+        parsed)."""
         from repro.xmlmodel import parser as parser_mod
 
         real_parse = parser_mod.parse_xml
@@ -517,10 +506,8 @@ class TestIntegration:
             return document
 
         monkeypatch.setattr(parser_mod, "parse_xml", tracking_parse)
-        monkeypatch.setenv("REPRO_STORE_DEFAULT", "1")
         sources = [f"<r><x n='{i}'/></r>" for i in range(6)]
-        collection = Collection.from_sources(sources)
-        assert isinstance(collection, StoredCollection)
+        collection = StoredCollection.from_sources(sources)
         assert len(refs) == 6
         assert peak[0] <= 2, (
             f"{peak[0]} trees were alive at once; store routing is eager"
@@ -540,7 +527,7 @@ def xml_files(tmp_path):
 
 
 class TestCli:
-    def test_build_info_query(self, xml_files, tmp_path, capsys):
+    def test_build_info_query(self, xml_files, tmp_path, capsys, backend_batch_mode):
         store_path = str(tmp_path / "cli.reproxs")
         assert cli_run(["store", "build", store_path] + xml_files) == 0
         assert "3 document(s)" in capsys.readouterr().out
@@ -549,7 +536,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "checksums: ok" in out and "documents: 3" in out
 
-        assert cli_run(["store", "query", "//b", store_path]) == 0
+        flags = list(backend_batch_mode.cli or ())
+        assert cli_run(["store", "query", "//b", store_path, *flags]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[0].endswith("2 node(s)")
@@ -588,7 +576,9 @@ class TestCli:
         assert cli_run(["store", "query", "//b", store_path]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_block_damage_isolates_in_query(self, xml_files, tmp_path, capsys):
+    def test_block_damage_isolates_in_query(
+        self, xml_files, tmp_path, capsys, backend_batch_mode
+    ):
         store_path = str(tmp_path / "iso.reproxs")
         assert cli_run(["store", "build", store_path] + xml_files) == 0
         capsys.readouterr()
@@ -597,7 +587,8 @@ class TestCli:
         with open(store_path, "r+b") as handle:
             handle.seek(damage_at)
             handle.write(b"\xff")
-        assert cli_run(["store", "query", "//*", store_path]) == 1
+        flags = list(backend_batch_mode.cli or ())
+        assert cli_run(["store", "query", "//*", store_path, *flags]) == 1
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 2  # two still answer
         assert "document 1" in captured.err

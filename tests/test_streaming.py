@@ -24,7 +24,6 @@ from repro.streaming import (
     StreamMatch,
     analyze_streamability,
     compile_stream,
-    stream_by_default,
     stream_matches,
     stream_select,
 )
@@ -412,11 +411,17 @@ SOURCES = [
 
 
 class TestSourceCollection:
-    def test_streamed_and_tree_batches_agree(self):
+    """Source batches under every backend mode of the registry: the
+    surface is a source collection (one source is malformed), and the mode
+    contributes its backend keywords."""
+
+    def test_streamed_and_tree_batches_agree(self, backend_batch_mode):
+        options = backend_batch_mode.options
         collection = api.stream_collection(SOURCES)
-        streamed = collection.select("//b", stream=True)
-        fallback = collection.select("//b", stream=False)
+        streamed = collection.select("//b", stream=True, **options)
+        fallback = collection.select("//b", stream=False, **options)
         assert streamed.streamed is True and fallback.streamed is False
+        assert collection.select("//b", **options).streamed is False  # default
         for left, right in zip(streamed, fallback):
             assert left.ok == right.ok
             if left.ok:
@@ -424,9 +429,9 @@ class TestSourceCollection:
             else:
                 assert type(left.error) is type(right.error)
 
-    def test_parse_failure_is_isolated(self):
+    def test_parse_failure_is_isolated(self, backend_batch_mode):
         collection = api.stream_collection(SOURCES, names=list("wxyz"))
-        batch = collection.select("//b", stream=True)
+        batch = collection.select("//b", stream=True, **backend_batch_mode.options)
         assert [result.ok for result in batch] == [True, True, False, True]
         assert isinstance(batch[2].error, XMLSyntaxError)
         assert batch[2].name == "y"
@@ -442,41 +447,37 @@ class TestSourceCollection:
         ]
         assert parallel.backend == backend
 
-    def test_scalar_evaluate(self):
+    def test_scalar_evaluate(self, backend_batch_mode):
         collection = api.stream_collection(["<a><b/><b/></a>", "<a/>"])
-        batch = collection.evaluate("count(//b)", stream=True)
+        batch = collection.evaluate(
+            "count(//b)", stream=True, **backend_batch_mode.options
+        )
         assert batch.streamed is False  # scalar queries cannot stream
         assert [result.value for result in batch] == [2.0, 0.0]
 
-    def test_select_rejects_scalar_queries(self):
+    def test_select_rejects_scalar_queries(self, backend_batch_mode):
         collection = api.stream_collection(["<a/>"])
-        batch = collection.select("count(//a)", stream=False)
+        batch = collection.select(
+            "count(//a)", stream=False, **backend_batch_mode.options
+        )
         assert not batch[0].ok
         assert isinstance(batch[0].error, XPathEvaluationError)
 
-    def test_session_bound_collection_records_stats(self):
+    def test_session_bound_collection_records_stats(self, backend_batch_mode):
         session = XPathSession()
         collection = session.stream_collection(["<a><b/></a>", "<a/>"])
-        collection.select("//b", stream=True)
+        collection.select("//b", stream=True, **backend_batch_mode.options)
         assert session.stats.engine_use.get("streaming") == 2
 
-    def test_env_default_controls_streaming(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_DEFAULT", "1")
-        assert stream_by_default()
-        collection = api.stream_collection(["<a><b/></a>"])
-        assert collection.select("//b").streamed is True
-        monkeypatch.delenv("REPRO_STREAM_DEFAULT")
-        assert not stream_by_default()
-        assert collection.select("//b").streamed is False
-
-    def test_limit_breach_pattern_matches_tree_backend(self):
+    def test_limit_breach_pattern_matches_tree_backend(self, backend_batch_mode):
         # max_result_nodes is backend-independent: the breach pattern of a
         # streamed batch must equal the tree batch's exactly.
         sources = ["<a><b/><b/><b/></a>", "<a><b/></a>", "<a/>"]
         collection = api.stream_collection(sources)
         limits = EvalLimits(max_result_nodes=2)
-        streamed = collection.select("//b", stream=True, limits=limits)
-        fallback = collection.select("//b", stream=False, limits=limits)
+        options = backend_batch_mode.options
+        streamed = collection.select("//b", stream=True, limits=limits, **options)
+        fallback = collection.select("//b", stream=False, limits=limits, **options)
         pattern = [
             type(r.error).__name__ if not r.ok else len(r.matches) for r in streamed
         ]
