@@ -2,7 +2,7 @@
 
 The claim: once a document is loaded and indexed, answering a query after
 an edit via the mutation API — in-place edit, incremental index repair,
-lazy array re-stamp — is ≥REPRO_MUTATION_SPEEDUP_BAR× faster than the
+re-query on the same columns — is ≥REPRO_MUTATION_SPEEDUP_BAR× faster than the
 only pre-ISSUE-10 alternative, rebuilding the world: serialize the tree,
 re-parse the text, re-index from scratch, then query.
 

@@ -7,12 +7,10 @@ efficient typed axis functions used by the engines.
 
 from .algorithm32 import eval_axis, eval_expression
 from .functions import (
-    NavigationIndex,
     axis_nodes,
     axis_set,
     axis_test_set,
     inverse_axis_set,
-    navigation_index,
     proximity_order,
     proximity_sorted,
     step_candidates,
@@ -57,7 +55,6 @@ __all__ = [
     "COMMENT_TEST",
     "KindTest",
     "NameTest",
-    "NavigationIndex",
     "NodeTest",
     "Primitive",
     "REVERSE_AXES",
@@ -74,7 +71,6 @@ __all__ = [
     "inverse_axis",
     "inverse_axis_set",
     "is_reverse_axis",
-    "navigation_index",
     "nextsibling",
     "nextsibling_inverse",
     "node_test_function",

@@ -48,19 +48,6 @@ from .regex import Axis, inverse_axis, is_reverse_axis
 
 _ORDER = attrgetter("order")
 
-#: Backwards-compatible name: the navigation index *is* the document index.
-NavigationIndex = DocumentIndex
-
-
-def navigation_index(document: Document) -> DocumentIndex:
-    """Deprecated shim: use ``document.index`` directly.
-
-    The index now lives on the :class:`Document` itself (built lazily at
-    first use), which removes the old module-level ``id(document)``-keyed
-    cache and its unbounded growth / recycled-id hazards.
-    """
-    return document.index
-
 
 # ----------------------------------------------------------------------
 # Node-at-a-time axis application

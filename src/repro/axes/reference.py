@@ -27,7 +27,7 @@ from .regex import Axis
 
 
 def _subtree_ends(document: Document) -> dict[Node, int]:
-    """Per-call post-order accumulation of subtree extents (old NavigationIndex)."""
+    """Per-call post-order accumulation of subtree extents."""
     ends: dict[Node, int] = {}
     for node in reversed(document.dom):
         end = node.order

@@ -7,8 +7,9 @@ further: the memoised set-algebra plan of a :class:`CompiledQuery` is
 *lowered* into a short linear :class:`ArrayProgram` — a register machine
 whose every instruction is an array operation over the flat
 :class:`~repro.xmlmodel.index.DocumentIndex` columns (interval slices over
-``subtree_end``, posting-list intersections, sorted merge-unions) exposed
-through :class:`~repro.xmlmodel.index.IndexArrays`.  Registers hold sorted
+``subtree_end``, parent-chain walks, posting-list intersections, sorted
+merge-unions) — the very columns the tree engines read, or their zero-copy
+mmap twin :class:`~repro.store.StoredIndexArrays`.  Registers hold sorted
 arrays of document orders; no ``Node`` object is touched until the final
 result set is materialised.
 
@@ -51,7 +52,7 @@ from typing import Optional, Sequence
 from ..axes.nodetests import KindTest, NameTest, NodeTest, principal_node_type
 from ..axes.regex import Axis, inverse_axis
 from ..errors import FragmentError
-from ..xmlmodel.index import IndexArrays
+from ..xmlmodel.index import DocumentIndex
 from ..xmlmodel.nodes import NodeType
 from ..xpath.ast import Expression, FunctionCall
 from ..xpath.context import Context, StaticContext
@@ -130,7 +131,7 @@ class Instruction:
 
 @dataclass(frozen=True)
 class ArrayProgram:
-    """A linear register program over :class:`IndexArrays` columns."""
+    """A linear register program over :class:`DocumentIndex` columns."""
 
     instructions: tuple[Instruction, ...] = field(default_factory=tuple)
     register_count: int = 0
@@ -323,14 +324,14 @@ def _complement(size: int, s: Orders) -> Orders:
 # ----------------------------------------------------------------------
 # Node-test candidate selection (posting-list columns)
 # ----------------------------------------------------------------------
-def _select_orders(view: IndexArrays, test: NodeTest, axis: Axis) -> Orders:
+def _select_orders(view: DocumentIndex, test: NodeTest, axis: Axis) -> Orders:
     """Standalone ``T(t)``: mirrors ``NodeTest.select`` (node() = dom)."""
     if isinstance(test, KindTest) and test.kind == "node":
         return range(view.size)
     return _candidate_orders(view, test, axis)
 
 
-def _candidate_orders(view: IndexArrays, test: NodeTest, axis: Axis) -> Orders:
+def _candidate_orders(view: DocumentIndex, test: NodeTest, axis: Axis) -> Orders:
     """Fused-step candidates: the posting list the axis result is drawn from.
 
     For ``node()`` this is the *regular* order array (the Section 4 typing
@@ -359,7 +360,7 @@ def _candidate_orders(view: IndexArrays, test: NodeTest, axis: Axis) -> Orders:
 # ----------------------------------------------------------------------
 # Array axis application: χ(S) ∩ candidates, entirely over order arrays
 # ----------------------------------------------------------------------
-def _default_candidates(view: IndexArrays, axis: Axis) -> Orders:
+def _default_candidates(view: DocumentIndex, axis: Axis) -> Orders:
     if axis is Axis.ATTRIBUTE:
         return view.type_orders(NodeType.ATTRIBUTE)
     if axis is Axis.NAMESPACE:
@@ -367,7 +368,7 @@ def _default_candidates(view: IndexArrays, axis: Axis) -> Orders:
     return view.regular
 
 
-def _strict_ancestor_orders(view: IndexArrays, order: int) -> set[int]:
+def _strict_ancestor_orders(view: DocumentIndex, order: int) -> set[int]:
     ancestors: set[int] = set()
     parent = view.parent
     current = parent[order]
@@ -377,7 +378,7 @@ def _strict_ancestor_orders(view: IndexArrays, order: int) -> set[int]:
     return ancestors
 
 
-def _axis_result(view: IndexArrays, axis: Axis, source: Orders, cand: Orders) -> Orders:
+def _axis_result(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
     """``χ(source) ∩ cand`` where both operands are sorted order arrays.
 
     Implements the same semantics as :func:`repro.axes.functions.axis_set`
@@ -487,12 +488,14 @@ def _axis_result(view: IndexArrays, axis: Axis, source: Orders, cand: Orders) ->
 # ----------------------------------------------------------------------
 def execute_program(
     program: ArrayProgram,
-    view: IndexArrays,
+    view: DocumentIndex,
     context_orders: Orders,
     stats: Optional[EvaluationStats] = None,
 ) -> Orders:
     """Run the program; returns the result register (sorted orders).
 
+    ``view`` is a document's :class:`DocumentIndex` or a store's
+    :class:`~repro.store.StoredIndexArrays` (the same columns over a mmap).
     Per instruction the executor bumps ``compiled_instructions`` and
     ``array_cells`` (cells written) and checkpoints the evaluation guard,
     so operation budgets and timeouts abort mid-program exactly like the
@@ -583,7 +586,7 @@ class CompiledEngine(XPathEngine):
             fallback = self._fallback_engine(plan)
             return fallback._evaluate(plan, static_context, context, stats)
         index = static_context.document.index
-        orders = execute_program(program, index.arrays(), (context.node.order,), stats)
+        orders = execute_program(program, index, (context.node.order,), stats)
         nodes = index.nodes
         return NodeSet.from_sorted(nodes[order] for order in orders)
 

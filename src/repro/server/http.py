@@ -129,24 +129,28 @@ class QueryServer:
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        request_line = await reader.readline()
-        if not request_line:
-            return False
         try:
+            request_line = await reader.readline()
+            if not request_line:
+                return False
             method, target, _version = request_line.decode("latin-1").split()
+            headers = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
         except ValueError:
+            # A malformed request line, or a line past the StreamReader
+            # limit (64 KiB), which readline() reports as ValueError.
             await self._respond(writer, 400, {"error": {
-                "code": "bad_request", "message": "malformed request line"}})
+                "code": "bad_request", "message": "malformed request head"}})
             return False
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0"))
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
             await self._respond(writer, 400, {"error": {
                 "code": "bad_request", "message": "bad Content-Length"}})

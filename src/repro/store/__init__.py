@@ -1,8 +1,8 @@
 """Persistent on-disk document store: parse once, serve forever (ISSUE 8).
 
 The columnar, mmap-able document format of :mod:`repro.store.format` —
-the DMR-XPath pre/post accelerator schema flattened into the exact arrays
-:class:`~repro.xmlmodel.index.IndexArrays` already serves to the compiled
+the DMR-XPath pre/post accelerator schema flattened into the exact columns
+:class:`~repro.xmlmodel.index.DocumentIndex` already serves to the compiled
 engine.  See :mod:`repro.store.writer` (build), :mod:`repro.store.reader`
 (open/query) and :mod:`repro.store.collection` (batch integration).
 

@@ -2,7 +2,7 @@
 
 A store file is the pre/post "XPath accelerator" encoding of the DMR-XPath
 accel/content/attribute schema flattened into columnar arrays — exactly the
-columns :class:`~repro.xmlmodel.index.IndexArrays` serves to the compiled
+columns :class:`~repro.xmlmodel.index.DocumentIndex` serves to the compiled
 engine, persisted so that loading a corpus is an ``mmap`` instead of a parse.
 
 Layout (all integers little-endian; every section 8-byte aligned)::

@@ -6,14 +6,15 @@ a corpus-scale store thousands of times faster than re-parsing it.  Each
 :class:`StoredDocument` is a lazy handle over one document's columnar block:
 
 * :meth:`StoredDocument.arrays` exposes the block *zero-copy* as a
-  :class:`StoredIndexArrays` — the same column contract as
-  :class:`~repro.xmlmodel.index.IndexArrays`, backed by ``memoryview`` casts
-  over the mmap — so the compiled engine's array programs run against the
-  file directly;
+  :class:`StoredIndexArrays` — the column contract of
+  :class:`~repro.xmlmodel.index.DocumentIndex`, backed by ``memoryview``
+  casts over the mmap — so :meth:`StoredDocument.orders` runs the compiled
+  engine's array programs against the file directly;
 * :meth:`StoredDocument.materialize` rebuilds the full ``Node`` tree (once,
-  cached) for the interpreting engines, stamping the resulting
+  cached), stamping the resulting
   :class:`~repro.xmlmodel.document.Document` with its store origin so
-  pickling it ships ``(path, position)`` instead of the whole tree.
+  pickling it ships ``(path, position)`` instead of the whole tree.  The
+  tree's own in-memory index serves every engine that evaluates it.
 
 Integrity: every document block carries a CRC32 checked once on first
 access, so on-disk damage surfaces as a positioned
@@ -42,7 +43,8 @@ _EMPTY_ORDERS: tuple[int, ...] = ()
 
 
 class StoredIndexArrays:
-    """Zero-copy :class:`~repro.xmlmodel.index.IndexArrays` twin over a mmap.
+    """Zero-copy twin of the :class:`~repro.xmlmodel.index.DocumentIndex`
+    columns over a mmap.
 
     Satisfies the exact column contract the compiled engine's
     :func:`~repro.engines.compiled.execute_program` consumes — ``size``,
@@ -118,7 +120,7 @@ class StoredIndexArrays:
         Computed purely from the columns: value-carrying nodes read their
         interned string, element/root nodes join the text posting list over
         their subtree interval — no ``Node`` is ever materialised.  One
-        linear scan per document, cached like the in-memory view's.
+        linear scan per document, cached like the in-memory index's.
         """
         key = (value, negated)
         cached = self._string_match_cache.get(key)
@@ -315,10 +317,8 @@ class StoredDocument:
         The reconstruction is the disk twin of ``Document._rebuild_document``:
         one linear pass over the parent/type/name/value columns — parents
         always precede children in preorder — then ``freeze()`` reassigns
-        the identical document orders.  The resulting document's index is
-        wired to this handle's :class:`StoredIndexArrays`, so compiled
-        evaluation over the materialised tree still reads the mapped file,
-        and its pickle ships the store path instead of the tree.
+        the identical document orders.  The resulting document's pickle
+        ships the store path instead of the tree.
         """
         document = self._document
         if document is not None:
@@ -378,7 +378,6 @@ class StoredDocument:
                 offset=entry.block_off,
             ) from error
         document._store_origin = (store.path, self.position)
-        document.index._arrays = self.arrays()
         self._document = document
         return document
 
@@ -387,21 +386,17 @@ class StoredDocument:
         """Divorce any live materialised tree from the store mapping.
 
         Called by :meth:`DocumentStore.close` before the mmap is released:
-        the tree's index drops its zero-copy :class:`StoredIndexArrays`
-        (the next compiled evaluation rebuilds flat columns from the tree,
-        in memory) and the document loses its store origin so pickling it
-        never points a receiving process at a closed/rewritten file.  The
-        handle itself stays cached but forgets the tree — it describes a
-        mapping that is going away.
+        the document loses its store origin so pickling it never points a
+        receiving process at a closed/rewritten file (its index is in
+        memory and needs nothing from the mapping).  The handle itself
+        stays cached but forgets the tree — it describes a mapping that is
+        going away.
         """
         document = self._document
         self._document = None
         self._arrays = None
         if document is None:
             return
-        index = document._index
-        if index is not None and isinstance(index._arrays, StoredIndexArrays):
-            index._arrays = None
         document._store_origin = None
         document.store_detached = True
 
@@ -690,12 +685,12 @@ class DocumentStore:
         """Unmap the file, or defer to GC if column views are still live.
 
         Live materialised trees are detached first
-        (:meth:`StoredDocument.detach`): their indexes drop the zero-copy
-        store columns, so evaluating against a tree that outlives its store
-        rebuilds in-memory columns instead of reading a released mapping.
+        (:meth:`StoredDocument.detach`): they lose their store origin, so a
+        tree that outlives its store never pickles as a pointer into a
+        released mapping.
 
         The store's own internal view (the string-offsets column) is
-        released first, so a store nobody has materialised documents from
+        released first, so a store whose column views nobody else holds
         unmaps deterministically — before this, every ``close()`` deferred
         to garbage collection because of that one internal export.
         """

@@ -93,21 +93,19 @@ def _document_columns(document: Document, strings: _StringTable):
     index = document.index
     nodes = index.nodes
     n = len(nodes)
-    parent = array("q", [0] * n)
+    parent = array("q", index.parent)
     depth = array("q", [0] * n)
     name_id = array("q", [0] * n)
     value_id = array("q", [0] * n)
     type_col = bytearray(n)
     for k, node in enumerate(nodes):
-        parent_node = node.parent
-        p = parent_node.order if parent_node is not None else -1
-        parent[k] = p
+        p = parent[k]
         depth[k] = depth[p] + 1 if p >= 0 else 0
         type_col[k] = fmt.TYPE_CODES[node.node_type]
         name_id[k] = strings.intern(node.name)
         value_id[k] = strings.intern(node.value)
     subtree_end = array("q", index.subtree_end)
-    regular = array("q", index.regular_orders)
+    regular = array("q", index.regular)
     type_postings = [
         array("q", index._by_type_orders[node_type])
         for node_type in fmt.TYPE_CODE_ORDER
@@ -256,18 +254,29 @@ def build_store(
 ) -> str:
     """Write ``documents`` to a new store file at ``path``.
 
-    The file is written to a sibling temporary name and moved into place, so
-    readers never observe a half-written store.  ``documents`` may be a
-    generator — it is streamed straight into :func:`write_store` without
-    being materialised.  Returns the final path.
+    The file is written to a uniquely named sibling temporary file, synced
+    to disk and moved into place, and then the directory is synced too:
+    readers never observe a half-written store, a crash never replaces a
+    good store with a truncated one, and concurrent builds of one path
+    never share a temporary file (the last replace wins).  ``documents``
+    may be a generator — it is streamed straight into :func:`write_store`
+    without being materialised.  Returns the final path.
     """
     final = os.fspath(path)
-    tmp = f"{final}.tmp.{os.getpid()}"
+    tmp = f"{final}.tmp.{os.urandom(8).hex()}"
     try:
-        with open(tmp, "wb") as stream:
+        # "x": exclusive create, with the default permissions (mkstemp's
+        # would be owner-only).
+        with open(tmp, "xb") as stream:
             write_store(stream, documents, names)
+            os.fsync(stream.fileno())
         os.replace(tmp, final)
     finally:
         if os.path.exists(tmp):  # pragma: no cover - error cleanup
             os.unlink(tmp)
+    directory = os.open(os.path.dirname(os.path.abspath(final)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return final

@@ -289,8 +289,9 @@ class Document:
     @property
     def index(self) -> "DocumentIndex":
         """The per-document :class:`DocumentIndex` (order arrays, subtree
-        extents, label postings).  Built lazily on first use and owned by the
-        document, so the index cannot outlive or leak past its document."""
+        extents, parents, label postings).  Built lazily on first use and
+        owned by the document, so the index cannot outlive or leak past its
+        document."""
         index = self._index
         if index is None:
             self._require_frozen()
@@ -361,8 +362,6 @@ class Document:
                 pinned._store_origin = self._store_origin
             for node in self._nodes:
                 node.document = pinned
-            if self._index is not None:
-                self._index.document = pinned
             self._pinned_view = pinned
             return pinned
 
@@ -650,6 +649,9 @@ class Document:
         if id_rescan:
             self._build_indexes()
         self._ref_relation = None
+        if self._index is not None:
+            # Edits change string-values or shift orders: cached matches go stale.
+            self._index._string_match_cache.clear()
         self.generation += 1
         self.mutation_stats.edits += 1
         if touched is not None:

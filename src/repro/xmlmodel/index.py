@@ -9,7 +9,11 @@ document order itself into the primary data structure so that it is:
   order is a preorder traversal of the child0 tree, every subtree occupies the
   *contiguous* order interval ``[node.order, subtree_end[node.order]]`` — the
   classic interval encoding of trees.
-* ``regular_orders`` / ``regular_nodes`` are parallel arrays of the
+* ``parent`` (the parent's order, -1 for the root) and ``special`` (1 for
+  attribute/namespace nodes) are flat columns indexed the same way, so the
+  compiled engine's array programs walk parent chains and apply the typing
+  rule without dereferencing a ``Node``.
+* ``regular`` / ``regular_nodes`` are parallel arrays of the
   non-attribute/non-namespace nodes sorted by document order, so the typed
   ``descendant``, ``following`` and ``preceding`` axes become
   O(log n + output) bisect-and-slice queries instead of full-document scans.
@@ -21,6 +25,7 @@ document order itself into the primary data structure so that it is:
 Invariants (established by :meth:`~repro.xmlmodel.document.Document.freeze`):
 
 * ``nodes[k].order == k`` for all ``k`` (orders are dense, preorder);
+* ``parent[k] < k`` for every non-root ``k`` (parents precede children);
 * ``subtree_end[k] >= k``, and the intervals ``[k, subtree_end[k]]`` are
   laminar: two intervals are either disjoint or one contains the other;
 * ``n.order < threshold and subtree_end[n.order] >= threshold`` holds exactly
@@ -42,11 +47,10 @@ build (lazy, once per document)        O(n)
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .nodes import Node, NodeType
+from .nodes import SPECIAL_CHILD_TYPES, Node, NodeType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .document import Document
@@ -56,8 +60,8 @@ _EMPTY_ORDERS: tuple[int, ...] = ()
 
 def _shift_orders(orders: list[int], threshold: int, delta: int) -> None:
     """Add ``delta`` to every entry of a sorted order list ≥ ``threshold``."""
-    for i in range(bisect_left(orders, threshold), len(orders)):
-        orders[i] += delta
+    start = bisect_left(orders, threshold)
+    orders[start:] = [order + delta for order in orders[start:]]
 
 
 def _posting_insert(bucket: list[Node], orders: list[int], node: Node) -> None:
@@ -74,83 +78,14 @@ def _posting_remove(bucket: list[Node], orders: list[int], node: Node) -> None:
     del bucket[i]
 
 
-class IndexArrays:
-    """Flat numeric view over a :class:`DocumentIndex` for the compiled engine.
-
-    Everything the array-program executor touches is a plain ``array('q')``
-    of document orders (or ``bytes`` for the special-child flags) — no
-    ``Node`` objects are dereferenced until result materialisation.  The
-    posting lists are shared with the index (already plain int lists); the
-    structural columns (``parent``, ``special``) are extracted once, lazily,
-    on the first compiled evaluation of the document.  NumPy would slot in
-    here transparently (same column layout) but the stdlib ``array`` module
-    keeps the backend dependency-free.
-    """
-
-    __slots__ = (
-        "size",
-        "generation",
-        "parent",
-        "special",
-        "subtree_end",
-        "regular",
-        "_type_orders",
-        "_label_orders",
-        "_nodes",
-        "_string_match_cache",
-    )
-
-    def __init__(self, index: "DocumentIndex"):
-        nodes = index.nodes
-        self.size = len(nodes)
-        #: document generation this view was built against; the index
-        #: rebuilds the view lazily when the document moves past it.
-        self.generation = index.document.generation
-        #: parent order per node (-1 for the root), indexed by order.
-        self.parent = array(
-            "q",
-            (node.parent.order if node.parent is not None else -1 for node in nodes),
-        )
-        #: 1 for attribute/namespace nodes, 0 otherwise, indexed by order.
-        self.special = bytes(1 if node.is_special_child else 0 for node in nodes)
-        self.subtree_end = array("q", index.subtree_end)
-        self.regular = array("q", index.regular_orders)
-        self._type_orders = index._by_type_orders
-        self._label_orders = index._by_label_orders
-        self._nodes = nodes
-        self._string_match_cache: dict[tuple[str, bool], tuple[int, ...]] = {}
-
-    def type_orders(self, node_type: NodeType) -> Sequence[int]:
-        return self._type_orders[node_type]
-
-    def label_orders(self, node_type: NodeType, name: str) -> Sequence[int]:
-        return self._label_orders.get((node_type, name), _EMPTY_ORDERS)
-
-    def string_match(self, value: str, negated: bool) -> Sequence[int]:
-        """Orders of nodes whose string-value equals (or differs from) ``value``.
-
-        One linear pre-scan per distinct literal, cached for the lifetime of
-        the document — the same memoisation the set-algebra interpreter uses
-        for ``StringMatchSet``, hoisted here so repeated compiled evaluations
-        pay O(1).
-        """
-        key = (value, negated)
-        cached = self._string_match_cache.get(key)
-        if cached is None:
-            if negated:
-                cached = tuple(
-                    node.order for node in self._nodes if node.string_value() != value
-                )
-            else:
-                cached = tuple(
-                    node.order for node in self._nodes if node.string_value() == value
-                )
-            self._string_match_cache[key] = cached
-        return cached
-
-
 class DocumentIndex:
     """Per-document navigation index over document order.
+
+    The one in-memory column set: the interpreting engines' axis functions
+    read it through ``Node`` slices, and the compiled engine's array
+    programs (:func:`~repro.engines.compiled.execute_program`) read the
+    same columns as plain order arrays.  ``nodes`` is the document's own
+    node table, not a copy.
 
     Built lazily by :attr:`Document.index`; the document must be frozen.
     The arrays are read-only from the query side; the document's edit API
@@ -161,21 +96,21 @@ class DocumentIndex:
     """
 
     __slots__ = (
-        "document",
         "nodes",
+        "parent",
+        "special",
         "subtree_end",
-        "regular_orders",
+        "regular",
         "regular_nodes",
         "by_type",
         "by_label",
         "_by_type_orders",
         "_by_label_orders",
-        "_arrays",
+        "_string_match_cache",
     )
 
     def __init__(self, document: "Document"):
-        self.document = document
-        nodes: list[Node] = document.dom
+        nodes: list[Node] = document._nodes
         self.nodes = nodes
         size = len(nodes)
 
@@ -183,27 +118,37 @@ class DocumentIndex:
         # node's extent is its last child0 child's extent (children appear in
         # order, hence the last one reaches furthest) or its own order.
         subtree_end = [0] * size
+        parent = [-1] * size
         for k in range(size - 1, -1, -1):
             node = nodes[k]
             last = node.last_child0()
             subtree_end[k] = k if last is None else subtree_end[last.order]
+            up = node.parent
+            if up is not None:
+                parent[k] = up.order
         self.subtree_end = subtree_end
+        self.parent = parent
 
         # Parallel order/node arrays of the non-special nodes, and the
         # inverted label index (sorted posting lists, one bucket per type and
         # per (type, name) pair).
-        regular_orders: list[int] = []
+        special = bytearray(size)
+        regular: list[int] = []
         regular_nodes: list[Node] = []
         by_type: dict[NodeType, list[Node]] = {t: [] for t in NodeType}
         by_label: dict[tuple[NodeType, str], list[Node]] = {}
         for node in nodes:
-            if not node.is_special_child:
-                regular_orders.append(node.order)
+            node_type = node.node_type
+            if node_type in SPECIAL_CHILD_TYPES:
+                special[node.order] = 1
+            else:
+                regular.append(node.order)
                 regular_nodes.append(node)
-            by_type[node.node_type].append(node)
+            by_type[node_type].append(node)
             if node.name is not None:
-                by_label.setdefault((node.node_type, node.name), []).append(node)
-        self.regular_orders = regular_orders
+                by_label.setdefault((node_type, node.name), []).append(node)
+        self.special = special
+        self.regular = regular
         self.regular_nodes = regular_nodes
         self.by_type = by_type
         self.by_label = by_label
@@ -214,32 +159,44 @@ class DocumentIndex:
         self._by_label_orders: dict[tuple[NodeType, str], list[int]] = {
             label: [node.order for node in bucket] for label, bucket in by_label.items()
         }
-        self._arrays: IndexArrays | None = None
+        #: ``string_match`` results; ``Document._finish_edit`` clears it.
+        self._string_match_cache: dict[tuple[str, bool], tuple[int, ...]] = {}
 
-    def arrays(self) -> IndexArrays:
-        """Lazily-built :class:`IndexArrays` view for the compiled engine.
+    # ------------------------------------------------------------------
+    # The compiled engine's column contract (also served, zero-copy over a
+    # mmap, by repro.store.StoredIndexArrays)
+    # ------------------------------------------------------------------
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
 
-        The view is generation-stamped: after an edit repairs this index in
-        place, the next call discards the stale flat columns and rebuilds
-        them from the repaired state.  The rebuild runs under the owning
-        document's edit lock so it can never flatten a half-applied edit
-        (and then cache the corrupt columns under a pre-edit generation).
+    def type_orders(self, node_type: NodeType) -> Sequence[int]:
+        return self._by_type_orders[node_type]
+
+    def label_orders(self, node_type: NodeType, name: str) -> Sequence[int]:
+        return self._by_label_orders.get((node_type, name), _EMPTY_ORDERS)
+
+    def string_match(self, value: str, negated: bool) -> Sequence[int]:
+        """Orders of nodes whose string-value equals (or differs from) ``value``.
+
+        One linear pre-scan per distinct literal, cached until the next
+        edit — the same memoisation the set-algebra interpreter uses for
+        ``StringMatchSet``, hoisted here so repeated compiled evaluations
+        pay O(1).
         """
-        arrays_view = self._arrays
-        # Store-backed views (StoredIndexArrays) carry no generation stamp;
-        # they describe the on-disk columns, i.e. generation 0 — any edit
-        # makes them stale and the flat columns rebuild from this index.
-        if arrays_view is None or getattr(
-            arrays_view, "generation", 0
-        ) != self.document.generation:
-            with self.document._edit_lock:
-                arrays_view = self._arrays
-                if arrays_view is None or getattr(
-                    arrays_view, "generation", 0
-                ) != self.document.generation:
-                    arrays_view = IndexArrays(self)
-                    self._arrays = arrays_view
-        return arrays_view
+        key = (value, negated)
+        cached = self._string_match_cache.get(key)
+        if cached is None:
+            if negated:
+                cached = tuple(
+                    node.order for node in self.nodes if node.string_value() != value
+                )
+            else:
+                cached = tuple(
+                    node.order for node in self.nodes if node.string_value() == value
+                )
+            self._string_match_cache[key] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Incremental repair (document edit API)
@@ -248,10 +205,11 @@ class DocumentIndex:
         """Splice an inserted subtree into every column of this index.
 
         ``inserted`` is the new subtree in child0 preorder; the document has
-        already renumbered itself, so ``inserted[0].order`` is the insertion
-        point ``p`` and the inserted nodes carry orders ``p..p+k-1`` while the
-        old nodes keep consistent (shifted) orders.  Cost: O(k + tail + depth)
-        where tail is the number of postings/extents at or after ``p``.
+        already renumbered itself and spliced its node table (``nodes``), so
+        ``inserted[0].order`` is the insertion point ``p`` and the inserted
+        nodes carry orders ``p..p+k-1`` while the old nodes keep consistent
+        (shifted) orders.  Cost: O(k + tail + depth) where tail is the number
+        of postings/extents at or after ``p``.
         """
         position = inserted[0].order
         count = len(inserted)
@@ -269,21 +227,27 @@ class DocumentIndex:
             last = node.last_child0()
             new_ends[i] = node.order if last is None else new_ends[last.order - position]
         subtree_end = self.subtree_end
-        for k in range(position, len(subtree_end)):
-            subtree_end[k] += count
-        subtree_end[position:position] = new_ends
+        subtree_end[position:] = new_ends + [end + count for end in subtree_end[position:]]
         for ancestor in inserted[0].iter_ancestors():
             subtree_end[ancestor.order] += count
 
-        self.nodes[position:position] = inserted
+        # Parents: only tail entries can point at/after the splice point
+        # (parents precede children); the new nodes' parents are renumbered.
+        parent = self.parent
+        parent[position:] = [node.parent.order for node in inserted] + [
+            p + count if p >= position else p for p in parent[position:]
+        ]
+        self.special[position:position] = bytes(
+            node.is_special_child for node in inserted
+        )
 
         # Regular parallel arrays: shift the tail, splice the new regulars.
-        regular_orders = self.regular_orders
-        idx = bisect_left(regular_orders, position)
-        for i in range(idx, len(regular_orders)):
-            regular_orders[i] += count
+        regular = self.regular
+        idx = bisect_left(regular, position)
         new_regular = [node for node in inserted if not node.is_special_child]
-        regular_orders[idx:idx] = [node.order for node in new_regular]
+        regular[idx:] = [node.order for node in new_regular] + [
+            order + count for order in regular[idx:]
+        ]
         self.regular_nodes[idx:idx] = new_regular
 
         # Posting lists: shift every order array past the splice point, then
@@ -304,10 +268,10 @@ class DocumentIndex:
     def repair_remove(self, removed: list[Node]) -> None:
         """Remove a subtree from every column of this index.
 
-        Called *before* the document renumbers: ``removed`` is the detached
-        subtree in child0 preorder still carrying its old orders
-        ``p..p+k-1``, and ``removed[0].parent`` still points at the old
-        parent.  Symmetric to :meth:`repair_insert`.
+        Called *before* the document renumbers and splices its node table:
+        ``removed`` is the detached subtree in child0 preorder still carrying
+        its old orders ``p..p+k-1``, and ``removed[0].parent`` still points
+        at the old parent.  Symmetric to :meth:`repair_insert`.
         """
         position = removed[0].order
         count = len(removed)
@@ -335,19 +299,20 @@ class DocumentIndex:
         subtree_end = self.subtree_end
         for ancestor in removed[0].iter_ancestors():
             subtree_end[ancestor.order] -= count
-        del subtree_end[position : position + count]
-        for k in range(position, len(subtree_end)):
-            subtree_end[k] -= count
+        subtree_end[position:] = [end - count for end in subtree_end[position + count :]]
 
-        del self.nodes[position : position + count]
+        # No tail parent lies inside the removed (closed) subtree.
+        parent = self.parent
+        parent[position:] = [
+            p - count if p >= position else p for p in parent[position + count :]
+        ]
+        del self.special[position : position + count]
 
-        regular_orders = self.regular_orders
-        low = bisect_left(regular_orders, position)
-        high = bisect_left(regular_orders, position + count)
-        del regular_orders[low:high]
+        regular = self.regular
+        low = bisect_left(regular, position)
+        high = bisect_left(regular, position + count)
+        regular[low:] = [order - count for order in regular[high:]]
         del self.regular_nodes[low:high]
-        for i in range(low, len(regular_orders)):
-            regular_orders[i] -= count
 
     def repair_rename(self, node: Node, old_name: str) -> None:
         """Move one node between label buckets after a rename.
@@ -370,7 +335,7 @@ class DocumentIndex:
     # ------------------------------------------------------------------
     def regular_interval(self, low: int, high: int) -> list[Node]:
         """Regular nodes with ``low <= order <= high``, in document order."""
-        orders = self.regular_orders
+        orders = self.regular
         return self.regular_nodes[bisect_left(orders, low) : bisect_right(orders, high)]
 
     def descendants(self, node: Node, include_self: bool = False) -> list[Node]:
@@ -380,7 +345,7 @@ class DocumentIndex:
 
     def nodes_after(self, order: int) -> list[Node]:
         """All regular nodes with document order strictly greater than ``order``."""
-        return self.regular_nodes[bisect_right(self.regular_orders, order) :]
+        return self.regular_nodes[bisect_right(self.regular, order) :]
 
     def nodes_with_subtree_before(self, order: int) -> list[Node]:
         """All regular nodes whose whole subtree precedes ``order``.
@@ -390,7 +355,7 @@ class DocumentIndex:
         the strict ancestors of ``nodes[order]``, so they are subtracted in
         O(depth) instead of testing ``subtree_end`` for every candidate.
         """
-        prefix = self.regular_nodes[: bisect_left(self.regular_orders, order)]
+        prefix = self.regular_nodes[: bisect_left(self.regular, order)]
         if order >= len(self.nodes):
             return prefix
         ancestors = set(self.nodes[order].iter_ancestors())

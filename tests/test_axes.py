@@ -10,7 +10,6 @@ from repro.axes.functions import (
     axis_nodes,
     axis_set,
     inverse_axis_set,
-    navigation_index,
     proximity_sorted,
     step_candidates,
 )
@@ -220,17 +219,16 @@ class TestSetAtATimeAxes:
         result = inverse_axis_set(tree, {d}, Axis.CHILD)
         assert {n.name for n in result} == {"b"}
 
-    def test_navigation_index_subtree_end(self, tree):
-        index = navigation_index(tree)
+    def test_document_index_subtree_end(self, tree):
+        index = tree.index
         a = element(tree, "a")
         assert index.subtree_end[a.order] == max(n.order for n in tree.dom)
         d = element(tree, "d")
         assert index.subtree_end[d.order] == d.order
 
-    def test_navigation_index_cached(self, tree):
-        assert navigation_index(tree) is navigation_index(tree)
+    def test_document_index_cached(self, tree):
         # The index lives on the document itself, not in a module-level cache.
-        assert navigation_index(tree) is tree.index
+        assert tree.index is tree.index
 
     def test_following_set_matches_definition(self, tree):
         d = element(tree, "d")

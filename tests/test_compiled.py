@@ -4,7 +4,7 @@ The differential fuzz suite (tests/test_fuzz_differential.py) gates the
 engine against the eight tree engines and the streaming evaluator; the
 tests here pin down the pieces individually: compilability analysis,
 lowering, the instruction set, the per-axis array routines, the
-IndexArrays column view, fallback behaviour and the explain() wiring.
+DocumentIndex column contract, fallback behaviour and the explain() wiring.
 """
 
 import pytest
@@ -134,14 +134,14 @@ class TestLowering:
     def test_dom_if_nonempty_lowering_and_execution(self):
         # Only id-starts emit DomIfNonempty and those never compile, so this
         # opcode is exercised through the algebra directly.
-        view = DOC.index.arrays()
+        view = DOC.index
         program = lower_algebra(DomIfNonempty(RootSet()))
         assert list(execute_program(program, view, (0,))) == list(range(view.size))
         program = lower_algebra(DomIfNonempty(UnionOp(ContextSet(), ContextSet())))
         assert list(execute_program(program, view, ())) == []
 
     def test_dom_set_and_dom_if_root_execution(self):
-        view = DOC.index.arrays()
+        view = DOC.index
         assert list(execute_program(lower_algebra(DomSet()), view, (0,))) == list(
             range(view.size)
         )
@@ -232,29 +232,28 @@ def test_empty_results_on_missing_names():
 
 
 # ----------------------------------------------------------------------
-# IndexArrays
+# The DocumentIndex column contract
 # ----------------------------------------------------------------------
-class TestIndexArrays:
+class TestIndexColumns:
     def test_columns_mirror_the_node_table(self):
         index = DOC.index
-        view = index.arrays()
-        assert view.size == len(index.nodes)
+        assert index.size == len(index.nodes)
         for node in index.nodes:
             expected = node.parent.order if node.parent is not None else -1
-            assert view.parent[node.order] == expected
-            assert view.special[node.order] == (1 if node.is_special_child else 0)
-        assert list(view.regular) == index.regular_orders
-        assert list(view.subtree_end) == index.subtree_end
-
-    def test_view_is_memoised(self):
-        index = api.parse("<a><b/></a>").index
-        assert index.arrays() is index.arrays()
+            assert index.parent[node.order] == expected
+            assert index.special[node.order] == (1 if node.is_special_child else 0)
+            assert index.subtree_end[node.order] == max(
+                n.order for n in node.iter_self_and_descendants(include_special=True)
+            )
+        assert list(index.regular) == [
+            node.order for node in index.nodes if not node.is_special_child
+        ]
 
     def test_string_match_scan_is_cached(self):
-        view = api.parse("<a><b>x</b><b>y</b></a>").index.arrays()
-        first = view.string_match("x", False)
-        assert view.string_match("x", False) is first
-        assert first != view.string_match("x", True)
+        index = api.parse("<a><b>x</b><b>y</b></a>").index
+        first = index.string_match("x", False)
+        assert index.string_match("x", False) is first
+        assert first != index.string_match("x", True)
 
 
 # ----------------------------------------------------------------------

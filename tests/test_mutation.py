@@ -18,7 +18,7 @@ from repro import api
 from repro.errors import StaleResultError
 from repro.parallel import ParallelExecutor
 from repro.session import XPathSession
-from repro.store import DocumentStore, StoredIndexArrays, invalidate, open_cached
+from repro.store import DocumentStore, invalidate, open_cached
 from repro.workloads import (
     EditOp,
     apply_script,
@@ -47,7 +47,9 @@ def _index_columns(index: DocumentIndex) -> dict:
             (node.node_type, node.name, node.value) for node in index.nodes
         ],
         "subtree_end": list(index.subtree_end),
-        "regular_orders": list(index.regular_orders),
+        "parent": list(index.parent),
+        "special": bytes(index.special),
+        "regular": list(index.regular),
         "by_type": {key: list(value) for key, value in index._by_type_orders.items()},
         "by_label": {key: list(value) for key, value in index._by_label_orders.items()},
     }
@@ -57,6 +59,8 @@ def _assert_index_consistent(document: Document) -> None:
     """The (possibly repaired) index equals a from-scratch rebuild."""
     rebuilt = DocumentIndex(document)
     assert _index_columns(document.index) == _index_columns(rebuilt)
+    # One node table: the index reads the document's own list.
+    assert document.index.nodes is document._nodes
     # Dense preorder invariant: nodes[k].order == k.
     assert all(node.order == k for k, node in enumerate(document.index.nodes))
 
@@ -271,17 +275,31 @@ class TestRepairAccounting:
         assert document.mutation_stats.rebuilds >= 1
         _assert_index_consistent(document)
 
-    def test_index_arrays_are_generation_stamped(self):
+    def test_compiled_engine_sees_the_repaired_index(self):
         document = doc("<r><a/><a/></r>")
-        arrays = document.index.arrays()
-        assert arrays.generation == 0
-        assert document.index.arrays() is arrays  # cached while unedited
+        assert len(api.select("//a", document, engine="compiled")) == 2
         document.insert_child(document.document_element, build_fragment("a"))
-        fresh = document.index.arrays()
-        assert fresh is not arrays
-        assert fresh.generation == document.generation
-        # The compiled engine (sole arrays consumer) sees the new tree.
+        # The compiled engine reads the repaired columns directly.
         assert len(api.select("//a", document, engine="compiled")) == 3
+
+    def test_string_match_cache_follows_edits(self):
+        document = doc("<r><b>x</b><b>y</b></r>")
+        query = "//b[. = 'x']"
+
+        def assert_matches_reparse():
+            compiled = api.select(query, document, engine="compiled")
+            reparsed = parse_xml(serialize(document))
+            expected = api.select(query, reparsed, engine="topdown")
+            assert [node.order for node in compiled] == [
+                node.order for node in expected
+            ]
+
+        assert_matches_reparse()
+        second = document.document_element.children[1]
+        document.set_text(second.children[0], "x")
+        assert_matches_reparse()
+        document.insert_child(document.document_element, build_fragment("b"), 0)
+        assert_matches_reparse()
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +530,6 @@ class TestStoreLifecycle:
         path = self._build(tmp_path)
         store = DocumentStore.open(path)
         document = store.document_at(0).materialize()
-        assert isinstance(document.index._arrays, StoredIndexArrays)
         store.close()
         assert document.store_detached
         assert document._store_origin is None

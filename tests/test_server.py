@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -367,6 +368,24 @@ async def http_request(host, port, method, path, body=None, *,
     return status, payload, reader, writer
 
 
+def raw_exchange(host, port, request: bytes) -> bytes:
+    """Send raw bytes on a fresh blocking socket and return everything the
+    server sends back before it closes (a reset after the reply — the
+    server closed with unread request bytes — still ends the read)."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def run_with_server(store_path, test_coro, **config_overrides):
     """Start a QueryServer on an ephemeral port, run the coroutine, drain."""
 
@@ -416,6 +435,33 @@ class TestHTTPServer:
             raw = await asyncio.wait_for(reader.read(), 30)
             assert b" 400 " in raw.split(b"\r\n", 1)[0]
             writer.close()
+
+        run_with_server(store_path, scenario)
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n",
+            # One header line past the 64 KiB StreamReader limit.
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["negative-content-length", "oversized-header-line"],
+    )
+    def test_malformed_framing_gets_400_and_server_keeps_serving(
+        self, store_path, request_bytes
+    ):
+        # Regression: both requests used to raise ValueError out of the
+        # request handler, so the client read zero bytes.
+        async def scenario(service, server, host, port):
+            raw = await asyncio.to_thread(raw_exchange, host, port, request_bytes)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n", 1)[0].split(b" ", 2)[1] == b"400"
+            assert b"Connection: close" in head
+            assert json.loads(body)["error"]["code"] == "bad_request"
+            status, payload, _, _ = await http_request(
+                host, port, "GET", "/healthz"
+            )
+            assert (status, payload) == (200, {"status": "ok"})
 
         run_with_server(store_path, scenario)
 

@@ -30,7 +30,9 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import stat
 import threading
+import time
 import weakref
 
 import pytest
@@ -307,6 +309,56 @@ class TestCorruption:
         clone = pickle.loads(pickle.dumps(error))
         assert isinstance(clone, StoreCorruptError)
         assert clone.position == 3 and clone.offset == 64
+
+
+class TestAtomicBuild:
+    def test_concurrent_builds_of_one_path(self, tmp_path):
+        # Regression: the temp file was named by PID alone, so two threads
+        # building one path wrote the same temp file and one of them failed
+        # its os.replace with FileNotFoundError.
+        path = str(tmp_path / "shared.reproxs")
+        start = threading.Barrier(2)
+        errors: list[Exception] = []
+
+        def slow_documents():
+            for size in range(1, 6):
+                time.sleep(0.01)  # keep both builds in flight at once
+                yield parse_xml("<r>" + "<a/>" * size + "</r>")
+
+        def build():
+            try:
+                start.wait(timeout=30)
+                build_store(path, slow_documents())
+            except Exception as error:  # pragma: no cover - the bug
+                errors.append(error)
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        with DocumentStore.open(path) as store:
+            assert store.verify()
+            assert len(store) == 5
+        assert os.listdir(tmp_path) == ["shared.reproxs"]  # no temp files left
+
+    def test_build_syncs_the_file_before_the_replace_then_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "synced.reproxs")
+        synced: list[tuple[bool, bool]] = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            # (is a directory, final path already in place)
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), os.path.exists(path)))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        build_store(path, [parse_xml("<r><a/></r>")])
+        assert synced == [(False, False), (True, True)]
 
 
 class TestShipping:
