@@ -12,7 +12,7 @@ limits and aggregated statistics, and every call returns a
 
     result = session.run("//b[. = '2']", doc)
     result.nodes                       # → [<element 'b' …>]
-    result.engine_name                 # 'corexpath' — picked by fragment
+    result.engine_name                 # 'compiled' — picked by classification
     result.cache_hit                   # False, then True on repeats
     result.stats.total_work()          # deterministic operation counters
     print(result.explain())            # plan / fragment / engine report
@@ -49,8 +49,9 @@ parallelisable across worker threads or processes::
 
 The default engine is :class:`~repro.engines.topdown.TopDownEngine`, the
 paper's practical polynomial algorithm; ``engine="auto"`` resolves — once,
-at plan-compile time — to the engine with the best known complexity bound
-for the query's fragment.
+at plan-compile time — to the compiled array engine for compilable plans,
+else to the engine with the best known complexity bound for the query's
+fragment.
 """
 
 from __future__ import annotations
@@ -152,10 +153,13 @@ def get_engine(name: str = DEFAULT_ENGINE) -> XPathEngine:
 
 
 def engine_for_query(query: Union[str, object]) -> XPathEngine:
-    """The engine with the best known bounds for the query's fragment.
+    """The engine ``engine="auto"`` picks for the query.
 
-    Served from the default session's engine pool — repeated calls for the
-    same fragment return the same instance.
+    That is the classification's recommendation: ``compiled`` for
+    compilable plans, ``xpatterns`` for ``id()`` plans and
+    ``optmincontext`` outside XPatterns.  Served from the default
+    session's engine pool — repeated calls that resolve to the same engine
+    return the same instance.
     """
     classification = classify(query)
     return _DEFAULT_SESSION.engine(classification.recommended_engine)

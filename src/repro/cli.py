@@ -103,6 +103,12 @@ from .xmlmodel.serializer import serialize_node
 from .xpath.values import NodeSet, ValueType, to_string
 
 
+_ENGINE_HELP = (
+    f"evaluation engine (default: {DEFAULT_ENGINE}; 'auto' picks 'compiled' "
+    "for compilable queries, else by fragment)"
+)
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("query", help="the XPath query")
     parser.add_argument(
@@ -114,7 +120,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         choices=sorted(engine_names()) + ["auto"],
-        help=f"evaluation engine (default: {DEFAULT_ENGINE}; 'auto' picks by fragment)",
+        help=_ENGINE_HELP,
     )
     parser.add_argument(
         "--max-ops",
@@ -216,7 +222,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         choices=sorted(engine_names()) + ["auto"],
-        help=f"evaluation engine (default: {DEFAULT_ENGINE}; 'auto' picks by fragment)",
+        help=_ENGINE_HELP,
     )
     parser.add_argument(
         "--jobs",
@@ -313,7 +319,7 @@ def build_store_query_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         choices=sorted(engine_names()) + ["auto"],
-        help=f"evaluation engine (default: {DEFAULT_ENGINE}; 'auto' picks by fragment)",
+        help=_ENGINE_HELP,
     )
     parser.add_argument(
         "--jobs",

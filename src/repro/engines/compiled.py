@@ -34,10 +34,12 @@ algebra expression                      instruction
 ``dom·[E ≠ ∅]``                         ``dom-if-nonempty``
 =====================================  ==================================
 
-``id(…)`` (the XPatterns id axis) needs the identifier relation and stays
-on the tree engines — :func:`analyze_compilability` reports it as a
-violation and :class:`CompiledEngine` falls back transparently to the
-classification's recommended engine, so ``engine="compiled"`` is always
+``engine="auto"`` resolves to this engine for every compilable plan (see
+:mod:`repro.fragments.classify`).  ``id(…)`` (the XPatterns id axis) needs
+the identifier relation and stays on the tree engines —
+:func:`analyze_compilability` reports it as a violation, the classification
+recommends ``xpatterns`` for it, and :class:`CompiledEngine` falls back
+transparently to that recommendation, so ``engine="compiled"`` is always
 safe to request.  Every program preserves the interpreter's semantics
 node-for-node (the differential fuzz suite gates this against all eight
 tree engines and the streaming evaluator).
@@ -52,7 +54,7 @@ from typing import Optional, Sequence
 from ..axes.nodetests import KindTest, NameTest, NodeTest, principal_node_type
 from ..axes.regex import Axis, inverse_axis
 from ..errors import FragmentError
-from ..xmlmodel.index import DocumentIndex
+from ..xmlmodel.index import DocumentIndex, complement_orders
 from ..xmlmodel.nodes import NodeType
 from ..xpath.ast import Expression, FunctionCall
 from ..xpath.context import Context, StaticContext
@@ -309,18 +311,6 @@ def _union(a: Orders, b: Orders) -> list[int]:
     return out
 
 
-def _complement(size: int, s: Orders) -> Orders:
-    if not len(s):
-        return range(size)
-    out: list[int] = []
-    cursor = 0
-    for value in s:
-        out.extend(range(cursor, value))
-        cursor = value + 1
-    out.extend(range(cursor, size))
-    return out
-
-
 # ----------------------------------------------------------------------
 # Node-test candidate selection (posting-list columns)
 # ----------------------------------------------------------------------
@@ -538,7 +528,7 @@ def execute_program(
         elif op == "strmatch":
             result = view.string_match(instruction.value, instruction.negated)
         elif op == "complement":
-            result = _complement(size, registers[srcs[0]])
+            result = complement_orders(size, registers[srcs[0]])
         elif op == "dom-if-root":
             operand = registers[srcs[0]]
             result = range(size) if len(operand) and operand[0] == 0 else _EMPTY
@@ -560,10 +550,12 @@ def execute_program(
 class CompiledEngine(XPathEngine):
     """Array-program evaluation of compilable plans, tree fallback otherwise.
 
+    ``engine="auto"`` picks this engine for every compilable plan.
     Requesting ``engine="compiled"`` is always safe: plans outside the
     compiled fragment (id(), arithmetic, positions, …) are delegated to the
-    classification's recommended engine (bumping ``compiled_fallbacks`` in
-    the stats) so batch traffic can pin the compiled backend without
+    classification's recommended engine — ``xpatterns`` for id() plans,
+    ``optmincontext`` outside XPatterns — bumping ``compiled_fallbacks`` in
+    the stats, so batch traffic can pin the compiled backend without
     pre-sorting its queries.
     """
 
@@ -591,9 +583,9 @@ class CompiledEngine(XPathEngine):
         return NodeSet.from_sorted(nodes[order] for order in orders)
 
     def _fallback_engine(self, plan) -> XPathEngine:
+        # Only non-compilable plans fall back, and classify recommends this
+        # engine exactly for the compilable ones: the pick is a tree engine.
         name = plan.classification.recommended_engine
-        if name == self.name:  # pragma: no cover - classify never recommends us
-            name = "optmincontext"
         engine = self._fallbacks.get(name)
         if engine is None:
             from ..session import ENGINE_CLASSES  # deferred: registry layer above

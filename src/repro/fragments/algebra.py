@@ -66,7 +66,9 @@ class StringMatchSet:
     """The unary predicate "= s": nodes whose string value equals ``value``.
 
     Used by the XPatterns extension (Table VI); computable by a linear scan
-    of the document before query evaluation.
+    of the document before query evaluation.  The evaluator reads that scan
+    from :meth:`~repro.xmlmodel.index.DocumentIndex.string_match`, which
+    keeps it per document until the next edit.
     """
 
     value: str
@@ -209,7 +211,6 @@ class AlgebraEvaluator:
         self.document = document
         self.operations_performed = 0
         self.stats = stats
-        self._string_match_cache: dict[tuple[str, bool], frozenset[Node]] = {}
 
     def evaluate(self, expression: AlgebraExpr, context_set: frozenset[Node]) -> set[Node]:
         self.operations_performed += 1
@@ -229,7 +230,11 @@ class AlgebraEvaluator:
         if isinstance(expression, TestSet):
             return expression.test.select(self.document, expression.axis)
         if isinstance(expression, StringMatchSet):
-            return set(self._string_match(expression.value, expression.negated))
+            # The document index's per-literal scan, shared with the
+            # compiled engine and cached across queries until an edit.
+            index = self.document.index
+            orders = index.string_match(expression.value, expression.negated)
+            return set(map(index.nodes.__getitem__, orders))
         if isinstance(expression, AxisApply):
             return axis_set(self.document, self.evaluate(expression.operand, context_set), expression.axis)
         if isinstance(expression, InverseAxisApply):
@@ -290,21 +295,6 @@ class AlgebraEvaluator:
             self.stats.checkpoint()
         operand = self.evaluate(apply_expr.operand, context_set)
         return axis_test_set(self.document, operand, apply_expr.axis, test_expr.test)
-
-    def _string_match(self, value: str, negated: bool) -> frozenset[Node]:
-        key = (value, negated)
-        cached = self._string_match_cache.get(key)
-        if cached is None:
-            if negated:
-                cached = frozenset(
-                    node for node in self.document.dom if node.string_value() != value
-                )
-            else:
-                cached = frozenset(
-                    node for node in self.document.dom if node.string_value() == value
-                )
-            self._string_match_cache[key] = cached
-        return cached
 
 
 # ----------------------------------------------------------------------

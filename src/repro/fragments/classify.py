@@ -6,9 +6,17 @@ Given a query, determine the smallest fragment of Figure 1 that contains it:
     Core XPath  ⊂  Extended Wadler      (O(|D|) space, O(|D|²) time)
     everything  ⊂  Full XPath           (polynomial combined complexity)
 
-and recommend the engine with the best known bounds (OptMinContext adheres to
-the per-fragment bounds by construction; the dedicated Core XPath / XPatterns
-engines are exposed for the linear-time algebra).
+and recommend an engine for it (what ``engine="auto"`` resolves to):
+
+* ``compiled`` whenever the query is compilable — the linear-time fragment
+  minus ``id()``, whose set-algebra plan lowers to an array program over
+  the document index (the same O(|D|·|Q|) algebra, run over flat columns);
+* ``xpatterns`` for the rest of XPatterns (plans that use ``id()``);
+* ``optmincontext`` outside XPatterns (it adheres to the per-fragment
+  bounds by construction).
+
+The recommendation is orthogonal to ``fragment`` and ``complexity``, which
+always report the Figure-1 lattice.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ class Classification:
     in_xpatterns: bool
     in_extended_wadler: bool
     complexity: str
+    #: What ``engine="auto"`` resolves to: ``compiled`` when ``compilable``,
+    #: else ``xpatterns`` inside XPatterns, else ``optmincontext``.
     recommended_engine: str
     wadler_violations: tuple[str, ...]
     #: Whether the streaming backend can evaluate the query in one pass over
@@ -98,9 +108,11 @@ def classify_normalized(expression: Expression) -> Classification:
     streamability = analyze_streamability(expression)
     # Deferred: the engines package imports this module's siblings at load
     # time, so a module-level import here would be a cycle.
-    from ..engines.compiled import analyze_compilability
+    from ..engines.compiled import CompiledEngine, analyze_compilability
 
     compilability = analyze_compilability(expression)
+    if compilability.compilable:
+        engine = CompiledEngine.name
     return Classification(
         fragment=fragment,
         in_core_xpath=core,

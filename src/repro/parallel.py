@@ -78,6 +78,7 @@ import threading
 import time
 from concurrent.futures import (
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
@@ -486,6 +487,13 @@ def _deadline_outcome(index: int) -> DocumentOutcome:
     return DocumentOutcome(index, error=_deadline_error())
 
 
+def _failed_future(error: BaseException) -> Future:
+    """A future already resolved to ``error``: a chunk lost before it ran."""
+    future: Future = Future()
+    future.set_exception(error)
+    return future
+
+
 def _aborted_outcome(index: int) -> DocumentOutcome:
     return DocumentOutcome(
         index,
@@ -834,7 +842,20 @@ class ParallelExecutor:
         pending = list(chunks)
         attempt = 0
         while pending:
-            futures = [(chunk, submit(chunk, attempt)) for chunk in pending]
+            futures = []
+            for position, chunk in enumerate(pending):
+                try:
+                    futures.append((chunk, submit(chunk, attempt)))
+                except BrokenExecutor as error:
+                    # A worker died while the round was still being
+                    # submitted.  This chunk and the unsubmitted rest are
+                    # lost like a chunk whose worker died, so the gather
+                    # loop below retries or aborts them the same way.
+                    self._abandon_pool()
+                    futures.extend(
+                        (lost, _failed_future(error)) for lost in pending[position:]
+                    )
+                    break
             failed: list[range] = []
             aborting = False      # fail_fast tripped: cancel the rest
             deadline_over = False  # a worker hung: resolve the rest now

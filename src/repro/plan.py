@@ -27,7 +27,7 @@ Typical usage::
     from repro import api
 
     plan = api.compile_query("//a/b[position() = last()]", engine="auto")
-    plan.engine_name            # resolved once, e.g. 'corexpath'
+    plan.engine_name            # resolved once, here 'optmincontext'
     plan.select(document)       # reuse across many documents
 """
 

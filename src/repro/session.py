@@ -9,7 +9,8 @@ for one client / tenant of the library: it owns
 * a pool of engine instances, created once per engine name and reused for
   every call (the pre-session API instantiated a fresh engine per query);
 * a default engine-selection policy (a concrete engine name, or ``"auto"``
-  to resolve per query from the Figure-1 fragment classification);
+  to resolve per query from the classification: ``compiled`` for
+  compilable plans, else the fragment's engine);
 * default variable bindings merged under each call's own ``variables``;
 * an :class:`~repro.engines.base.EvalLimits` applied to every evaluation
   (overridable per call), enforced cooperatively inside the engines'
@@ -32,7 +33,7 @@ Typical usage::
 
     result = session.run("//b[. = '2']", doc)
     result.nodes                  # the match, in document order
-    result.engine_name            # 'corexpath' — resolved from the fragment
+    result.engine_name            # 'compiled' — resolved from the classification
     result.cache_hit              # False on first sight, True after
     print(result.explain())       # plan / fragment / engine / stats report
 
@@ -418,7 +419,7 @@ class XPathSession:
     ----------
     engine:
         Default engine name for string queries (``"auto"`` resolves per
-        query from the fragment classification).  Defaults to
+        query from the classification's recommended engine).  Defaults to
         :data:`~repro.plan.DEFAULT_ENGINE`.
     cache:
         A :class:`~repro.plan.PlanCache` to adopt; by default the session

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 from ..errors import StoreCorruptError
 from ..faultinject import active_plan
 from ..xmlmodel.document import Document
+from ..xmlmodel.index import StringMatchCache
 from ..xmlmodel.nodes import Node, NodeType
 from . import format as fmt
 
@@ -101,7 +102,7 @@ class StoredIndexArrays:
         self._label_locations: Optional[dict[tuple[int, int], tuple[int, int]]] = None
         self._label_cache: dict[tuple[NodeType, str], Sequence[int]] = {}
         self._strvals: Optional[list[str]] = None
-        self._string_match_cache: dict[tuple[str, bool], tuple[int, ...]] = {}
+        self._string_match_cache = StringMatchCache()
 
     # -- column contract ------------------------------------------------
     def type_orders(self, node_type: NodeType) -> Sequence[int]:
@@ -120,18 +121,12 @@ class StoredIndexArrays:
         Computed purely from the columns: value-carrying nodes read their
         interned string, element/root nodes join the text posting list over
         their subtree interval — no ``Node`` is ever materialised.  One
-        linear scan per document, cached like the in-memory index's.
+        linear scan per literal, cached (and bounded) like the in-memory
+        index's.
         """
-        key = (value, negated)
-        cached = self._string_match_cache.get(key)
-        if cached is None:
-            strvals = self._string_values()
-            if negated:
-                cached = tuple(k for k, sv in enumerate(strvals) if sv != value)
-            else:
-                cached = tuple(k for k, sv in enumerate(strvals) if sv == value)
-            self._string_match_cache[key] = cached
-        return cached
+        return self._string_match_cache.match(
+            value, negated, self.size, self._string_values
+        )
 
     # -- internals ------------------------------------------------------
     def _load_label(self, node_type: NodeType, name: str) -> Sequence[int]:

@@ -47,8 +47,9 @@ build (lazy, once per document)        O(n)
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .nodes import SPECIAL_CHILD_TYPES, Node, NodeType
 
@@ -56,6 +57,72 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .document import Document
 
 _EMPTY_ORDERS: tuple[int, ...] = ()
+
+#: Most literals one document's :class:`StringMatchCache` keeps; the oldest
+#: goes first.  The same bound as :class:`~repro.plan.PlanCache`'s default.
+STRING_MATCH_CACHE_SIZE = 256
+
+
+def complement_orders(size: int, orders: Sequence[int]) -> Sequence[int]:
+    """``range(size)`` minus the sorted ``orders``, in ascending order."""
+    if not len(orders):
+        return range(size)
+    out: list[int] = []
+    cursor = 0
+    for order in orders:
+        out.extend(range(cursor, order))
+        cursor = order + 1
+    out.extend(range(cursor, size))
+    return out
+
+
+class StringMatchCache:
+    """One document's ``strval(x) = s`` results, keyed by the literal ``s``.
+
+    Both column sets (:class:`DocumentIndex` and the store's
+    ``StoredIndexArrays``) answer ``string_match`` through one of these, so
+    the compiled engine and the set-algebra interpreters share one scan per
+    literal.  Only ``=`` results are stored: entries for distinct literals
+    are disjoint, so together they hold at most ``size`` orders.  ``!=`` is
+    their complement, computed on each call.  At most
+    :data:`STRING_MATCH_CACHE_SIZE` literals are kept, oldest first out.
+    Lookups are lock-free; the lock orders inserts, evictions and clears.
+    """
+
+    __slots__ = ("_entries", "_lock")
+
+    def __init__(self) -> None:
+        self._entries: dict[str, tuple[int, ...]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def match(
+        self,
+        value: str,
+        negated: bool,
+        size: int,
+        string_values: Callable[[], Iterable[str]],
+    ) -> Sequence[int]:
+        """Orders whose string-value equals (or, negated, differs from)
+        ``value``; ``string_values()`` yields every node's string-value in
+        document order and is called only on a miss."""
+        equal = self._entries.get(value)
+        if equal is None:
+            equal = tuple(
+                order for order, text in enumerate(string_values()) if text == value
+            )
+            entries = self._entries
+            with self._lock:
+                if value not in entries and len(entries) >= STRING_MATCH_CACHE_SIZE:
+                    del entries[next(iter(entries))]
+                entries[value] = equal
+        return complement_orders(size, equal) if negated else equal
 
 
 def _shift_orders(orders: list[int], threshold: int, delta: int) -> None:
@@ -160,7 +227,7 @@ class DocumentIndex:
             label: [node.order for node in bucket] for label, bucket in by_label.items()
         }
         #: ``string_match`` results; ``Document._finish_edit`` clears it.
-        self._string_match_cache: dict[tuple[str, bool], tuple[int, ...]] = {}
+        self._string_match_cache = StringMatchCache()
 
     # ------------------------------------------------------------------
     # The compiled engine's column contract (also served, zero-copy over a
@@ -180,23 +247,14 @@ class DocumentIndex:
         """Orders of nodes whose string-value equals (or differs from) ``value``.
 
         One linear pre-scan per distinct literal, cached until the next
-        edit — the same memoisation the set-algebra interpreter uses for
-        ``StringMatchSet``, hoisted here so repeated compiled evaluations
-        pay O(1).
+        edit and shared by the compiled engine's ``strmatch`` and the
+        interpreters' ``StringMatchSet`` (see :class:`StringMatchCache`).
         """
-        key = (value, negated)
-        cached = self._string_match_cache.get(key)
-        if cached is None:
-            if negated:
-                cached = tuple(
-                    node.order for node in self.nodes if node.string_value() != value
-                )
-            else:
-                cached = tuple(
-                    node.order for node in self.nodes if node.string_value() == value
-                )
-            self._string_match_cache[key] = cached
-        return cached
+        nodes = self.nodes
+        return self._string_match_cache.match(
+            value, negated, len(nodes),
+            lambda: (node.string_value() for node in nodes),
+        )
 
     # ------------------------------------------------------------------
     # Incremental repair (document edit API)

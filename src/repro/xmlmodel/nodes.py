@@ -305,7 +305,8 @@ class Node:
 
         Called by the document's edit API: a text change anywhere inside a
         subtree changes the ``strval`` of every ancestor element and of the
-        root, but of nothing else.
+        root, but of nothing else.  So every cached element value stays
+        correct, which :meth:`string_value` relies on when it reuses them.
         """
         self._string_value = None
         for ancestor in self.iter_ancestors():
@@ -321,17 +322,28 @@ class Node:
           order;
         * text, comment, attribute, namespace, PI: the node's own value.
 
-        The value is cached after the first computation; documents are
-        treated as immutable once frozen.
+        The value is cached after the first computation, and the document's
+        edit API drops it again (:meth:`invalidate_string_cache`).  The walk
+        over an element's subtree takes a descendant element's cached value
+        instead of descending into it, so after an edit the root and the
+        document element are rebuilt from their untouched children's cached
+        values.  Only this node's value is stored.
         """
         if self._string_value is not None:
             return self._string_value
         if self.node_type in (NodeType.ELEMENT, NodeType.ROOT):
-            parts = [
-                node.value or ""
-                for node in self.iter_descendants()
-                if node.node_type is NodeType.TEXT
-            ]
+            parts: list[str] = []
+            stack = self._children[::-1]
+            while stack:
+                node = stack.pop()
+                if node.node_type is NodeType.TEXT:
+                    parts.append(node.value or "")
+                elif node.node_type is NodeType.ELEMENT:
+                    cached = node._string_value
+                    if cached is not None:
+                        parts.append(cached)
+                    else:
+                        stack.extend(node._children[::-1])
             result = "".join(parts)
         else:
             result = self.value or ""

@@ -69,7 +69,7 @@ class TestPublicApi:
         assert len(repro.select("//b", doc, engine="auto")) == 2
 
     def test_engine_for_query_prefers_fragment_engines(self):
-        assert repro.engine_for_query("//a/b").name == "corexpath"
+        assert repro.engine_for_query("//a/b").name == "compiled"
         assert repro.engine_for_query("//a[count(b) = 1]").name == "optmincontext"
 
     def test_classify_query(self):

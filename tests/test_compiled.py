@@ -7,6 +7,9 @@ lowering, the instruction set, the per-axis array routines, the
 DocumentIndex column contract, fallback behaviour and the explain() wiring.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import api
@@ -28,8 +31,11 @@ from repro.fragments.algebra import (
     RootSet,
     UnionOp,
 )
+from repro.fragments.classify import Fragment
 from repro.plan import plan_for
 from repro.session import XPathSession
+from repro.store import DocumentStore
+from repro.xmlmodel.index import STRING_MATCH_CACHE_SIZE
 from repro.xpath.normalize import compile_query as normalize_query
 
 DOC = api.parse(
@@ -257,6 +263,99 @@ class TestIndexColumns:
 
 
 # ----------------------------------------------------------------------
+# The per-document string-match cache, shared by every engine
+# ----------------------------------------------------------------------
+STRING_SOURCE = "<a><b>x</b><b>y</b><c>x<d>y</d></c><!--x--><e k='y'/></a>"
+
+
+@pytest.fixture(params=["index", "stored"])
+def string_columns(request, tmp_path):
+    """``(columns, nodes)``: a column set that answers ``string_match`` —
+    the in-memory index or the store's mmap twin — and the node table of
+    the same document."""
+    document = api.parse(STRING_SOURCE)
+    if request.param == "index":
+        yield document.index, document.index.nodes
+        return
+    path = str(tmp_path / "strings.reproxs")
+    with DocumentStore.build(path, [api.parse(STRING_SOURCE)]) as store:
+        yield store.document_at(0).arrays(), document.index.nodes
+
+
+class TestStringMatchCache:
+    def test_interpreter_shares_the_index_cache(self):
+        document = api.parse(STRING_SOURCE)
+        for _ in range(2):
+            nodes = api.select("//b[. = 'x']", document, engine="xpatterns")
+            assert [node.order for node in nodes] == [2]
+        assert len(document.index._string_match_cache) == 1
+
+    def test_interpreter_sees_edited_text(self):
+        document = api.parse(STRING_SOURCE)
+        query = "//b[. = 'x']"
+        assert len(api.select(query, document, engine="xpatterns")) == 1
+        second = document.document_element.children[1]
+        document.set_text(second.children[0], "x")
+        assert len(api.select(query, document, engine="xpatterns")) == 2
+
+    @pytest.mark.parametrize("value", ["x", "y", "xy", "", "absent"])
+    def test_matches_equal_a_full_scan(self, string_columns, value):
+        columns, nodes = string_columns
+        texts = [node.string_value() for node in nodes]
+        equal = [k for k, text in enumerate(texts) if text == value]
+        differ = [k for k, text in enumerate(texts) if text != value]
+        assert list(columns.string_match(value, False)) == equal
+        assert list(columns.string_match(value, True)) == differ
+        # Only the = result is kept; != is its complement on every call.
+        assert list(columns.string_match(value, True)) == differ
+        assert len(columns._string_match_cache) == 1
+
+    def test_entry_count_is_capped(self, string_columns):
+        columns, _nodes = string_columns
+        for k in range(10**4):
+            columns.string_match(f"v{k}", k % 2 == 1)
+        cache = columns._string_match_cache
+        assert len(cache) == STRING_MATCH_CACHE_SIZE
+        # Oldest first out: the last STRING_MATCH_CACHE_SIZE literals stay.
+        kept = list(cache._entries)
+        assert kept[0] == f"v{10**4 - STRING_MATCH_CACHE_SIZE}"
+        assert kept[-1] == "v9999"
+
+    def test_threads_share_one_cache_within_the_cap(self):
+        document = api.parse(STRING_SOURCE)
+        index = document.index
+        texts = [node.string_value() for node in index.nodes]
+        errors = []
+
+        def hammer(worker):
+            try:
+                for k in range(2 * STRING_MATCH_CACHE_SIZE):
+                    value = ("x", "y", f"w{worker}-{k}")[k % 3]
+                    got = list(index.string_match(value, k % 2 == 1))
+                    want = [
+                        order for order, text in enumerate(texts)
+                        if (text != value if k % 2 else text == value)
+                    ]
+                    assert got == want
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(index._string_match_cache) <= STRING_MATCH_CACHE_SIZE
+
+
+# ----------------------------------------------------------------------
 # Engine behaviour: stats, fallback, limits
 # ----------------------------------------------------------------------
 class TestCompiledEngine:
@@ -309,6 +408,39 @@ class TestCompiledEngine:
         # register_count 0 / empty instructions never comes out of lowering;
         # the dataclass still behaves.
         assert len(ArrayProgram()) == 0
+
+
+# ----------------------------------------------------------------------
+# engine="auto" routing: compiled for every compilable plan
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "query, fragment, engine",
+    [
+        ("//b/c", Fragment.CORE_XPATH, "compiled"),
+        ("//b[@n = '2']/c", Fragment.XPATTERNS, "compiled"),
+        ("id('r')/b", Fragment.XPATTERNS, "xpatterns"),
+        ("//b[2]", Fragment.EXTENDED_WADLER, "optmincontext"),
+    ],
+)
+def test_auto_routes_compilable_plans_to_compiled(query, fragment, engine):
+    plan = plan_for(query, engine="auto", cache=None)
+    assert plan.classification.fragment is fragment
+    assert plan.classification.recommended_engine == engine
+    assert plan.engine_name == engine
+    result = XPathSession(engine="auto").run(query, DOC)
+    assert result.engine_name == engine
+    assert [node.order for node in result.nodes] == _reference_orders(query)
+
+
+def test_compiled_request_on_an_id_plan_answers_like_xpatterns():
+    session = XPathSession(engine="compiled")
+    result = session.run("id('r')/b", DOC)
+    assert result.stats.as_dict()["compiled_fallbacks"] == 1
+    assert set(session.engine("compiled")._fallbacks) == {"xpatterns"}
+    expected = XPathSession(engine="xpatterns").run("id('r')/b", DOC)
+    assert [node.order for node in result.nodes] == [
+        node.order for node in expected.nodes
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -277,7 +277,7 @@ class TestFigure1Lattice:
     def test_classification_carries_complexity_and_engine(self):
         result = classify("//a/b")
         assert "O(|D|·|Q|)" in result.complexity
-        assert result.recommended_engine == "corexpath"
+        assert result.recommended_engine == "compiled"
         assert classify(experiment3_query(1)).recommended_engine == "optmincontext"
 
     @pytest.mark.parametrize(

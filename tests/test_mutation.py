@@ -302,6 +302,43 @@ class TestRepairAccounting:
         assert_matches_reparse()
 
 
+class TestStringValuesFollowEdits:
+    """``Node.string_value`` reuses descendant elements' cached values, so
+    every edit must leave each cached value exact, not only the edited
+    node's and its ancestors'."""
+
+    SOURCE = (
+        "<r><a>one<!--note--><b>two<c>three</c></b>four<?pi data?></a>"
+        "<d x='1'>five<e/>six</d><f>seven</f></r>"
+    )
+
+    def test_each_edit_kind_keeps_every_string_value_exact(self):
+        document = doc(self.SOURCE)
+        a, d, f = document.document_element.children
+        b = a.children[2]
+        c = b.children[1]
+        edits = [
+            lambda: document.set_text(c.children[0], "THREE"),
+            lambda: document.insert_child(b, build_fragment("g", None, ["new"]), 0),
+            # Removing <e/> merges 'five' and 'six' into one text node.
+            lambda: document.remove(d.children[1]),
+            lambda: document.rename(f, "h"),
+            lambda: document.set_attribute(d, "y", "2"),
+        ]
+        for edit in edits:
+            for node in document.index.nodes:
+                node.string_value()
+            edit()
+            reparsed = parse_xml(serialize(document))
+            assert [node.string_value() for node in document.index.nodes] == [
+                node.string_value() for node in reparsed.index.nodes
+            ]
+        assert serialize(document) == (
+            "<r><a>one<!--note--><b><g>new</g>two<c>THREE</c></b>four<?pi data?></a>"
+            "<d x=\"1\" y=\"2\">fivesix</d><h>seven</h></r>"
+        )
+
+
 # ----------------------------------------------------------------------
 # Repair ≡ rebuild (property tests over random edit scripts)
 # ----------------------------------------------------------------------

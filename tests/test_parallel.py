@@ -17,6 +17,7 @@ Three fronts:
 from __future__ import annotations
 
 import threading
+from concurrent.futures import wait
 
 import pytest
 
@@ -24,10 +25,13 @@ from repro import api
 from repro.collection import BatchRun
 from repro.engines.base import EvalLimits
 from repro.errors import (
+    BatchAborted,
     ResourceLimitExceeded,
     VariableBindingError,
+    WorkerLostError,
     XPathEvaluationError,
 )
+from repro.faultinject import FaultPlan, inject
 from repro.parallel import (
     ParallelExecutor,
     default_max_workers,
@@ -452,3 +456,70 @@ class TestExecutorMechanics:
         serial = docs.select(plan)
         parallel = docs.select(plan, parallel=executor)
         assert _shape(parallel) == _shape(serial)
+
+
+# ----------------------------------------------------------------------
+# A worker lost while a round is still being submitted
+# ----------------------------------------------------------------------
+class _SubmitAfterFirstChunk:
+    """Pool proxy whose second ``submit`` waits until the first chunk ends.
+
+    Under ``kill@chunk:index=0`` the first chunk's worker dies, so by then
+    the pool is broken and the real ``submit`` raises ``BrokenProcessPool``:
+    the race a slow submission loop loses, made deterministic.
+    """
+
+    def __init__(self, pool, submitted):
+        self._pool = pool
+        self._submitted = submitted
+
+    def submit(self, *args):
+        if len(self._submitted) == 1:
+            wait(self._submitted, timeout=30)
+        future = self._pool.submit(*args)
+        self._submitted.append(future)
+        return future
+
+
+class TestWorkerLostDuringSubmission:
+    SOURCES = SOURCES + ["<a><b/><b/><b/><b/></a>"]
+
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        executor = ParallelExecutor(backend="process", max_workers=1, chunk_size=2)
+        real_pool = executor._ensure_pool
+        submitted = []
+        monkeypatch.setattr(
+            executor,
+            "_ensure_pool",
+            lambda: _SubmitAfterFirstChunk(real_pool(), submitted),
+        )
+        with executor:
+            yield executor
+
+    def test_lost_submission_is_retried(self, executor):
+        collection = api.parse_collection(self.SOURCES)
+        serial = collection.select("//b")
+        with inject(FaultPlan.parse("kill@chunk:index=0,max_attempt=1")):
+            batch = collection.select("//b", parallel=executor, retries=3)
+        assert batch.ok
+        assert _shape(batch) == _shape(serial)
+        lost = {
+            fate.indices
+            for fate in batch.failure_report.fates
+            if fate.outcome == "lost" and fate.attempt == 0
+        }
+        # The killed chunk and the two chunks that could not be submitted.
+        assert lost == {(0, 1), (2, 3), (4, 5)}
+
+    def test_lost_submission_under_fail_fast(self, executor):
+        collection = api.parse_collection(self.SOURCES)
+        with inject(FaultPlan.parse("kill@chunk:index=0,max_attempt=1")):
+            batch = collection.select(
+                "//b", parallel=executor, retries=3, fail_fast=True
+            )
+        assert [type(result.error) for result in batch] == [
+            WorkerLostError, WorkerLostError,
+            BatchAborted, BatchAborted, BatchAborted, BatchAborted,
+        ]
+        assert all(fate.attempt == 0 for fate in batch.failure_report.fates)

@@ -44,7 +44,7 @@ class TestCompiledQuery:
         assert plan.source == "//b"
         assert plan.classification.fragment is Fragment.CORE_XPATH
         assert plan.requested_engine == "auto"
-        assert plan.engine_name == "corexpath"
+        assert plan.engine_name == "compiled"
         first = plan.select(doc)
         second = plan.select(doc)
         assert [n.order for n in first] == [n.order for n in second]
@@ -109,15 +109,15 @@ class TestCompiledQuery:
         # Regression: api.select used to retarget an auto-resolved plan to
         # the default engine when the caller omitted the engine kwarg.
         plan = api.compile_query("/descendant::b", engine="auto")
-        assert plan.engine_name == "corexpath"
+        assert plan.engine_name == "compiled"
         api.select(plan, doc)
-        # The fragment engine ran: its algebra plan was memoised on *this*
+        # The compiled engine ran: its array program was memoised on *this*
         # plan object, which only happens when the plan is used as-is.
-        assert len(plan._algebra_plans) == 1
+        assert len(plan._array_programs) == 1
         # An explicit engine still overrides — without mutating the plan.
         nodes = api.select(plan, doc, engine="naive")
         assert [n.order for n in nodes] == [n.order for n in plan.select(doc)]
-        assert plan.engine_name == "corexpath"
+        assert plan.engine_name == "compiled"
         retargeted = plan_for(plan, engine="naive")
         assert retargeted is not plan and retargeted.engine_name == "naive"
 

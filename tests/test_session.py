@@ -72,7 +72,7 @@ class TestQueryResult:
     def test_auto_engine_resolution_recorded(self, doc):
         session = XPathSession(engine="auto")
         result = session.run("//b", doc)
-        assert result.engine_name == "corexpath"
+        assert result.engine_name == "compiled"
         assert result.plan.requested_engine == "auto"
 
     def test_explain_golden_output(self, doc):
@@ -85,7 +85,7 @@ class TestQueryResult:
             fragment:   Core XPath  [time O(|D|·|Q|)]
             streaming:  yes (single-pass, O(depth) state)
             compiled:   yes (3-instruction array program)
-            engine:     topdown  (fragment recommends corexpath)
+            engine:     topdown  (fragment recommends compiled)
             cache:      miss (compiled)
             limits:     unlimited
             result:     node-set, 2 node(s)
@@ -103,11 +103,15 @@ class TestQueryResult:
             fragment:   Core XPath  [time O(|D|·|Q|)]
             streaming:  yes (single-pass, O(depth) state)
             compiled:   yes (3-instruction array program)
-            engine:     corexpath  (resolved from 'auto', recommended for this fragment)
+                          r0 = root()
+                          r1 = axis-test[descendant-or-self](r0, T(node()))
+                          r2 = axis-test[child](r1, T(b))
+                          result: r2
+            engine:     compiled  (resolved from 'auto', recommended for this fragment)
             cache:      miss (compiled)
             limits:     unlimited
             result:     node-set, 2 node(s)
-            stats:      algebra_operations=7, algebra_evaluations=7"""
+            stats:      compiled_instructions=3, array_cells=9"""
         )
         assert result.explain(include_timing=False) == expected
 
@@ -285,7 +289,7 @@ class TestApiDelegation:
 
     def test_engine_for_query_uses_default_session_pool(self):
         engine = api.engine_for_query("//a/b")
-        assert engine.name == "corexpath"
+        assert engine.name == "compiled"
         assert api.engine_for_query("//a/b") is engine
 
     def test_session_factory_accepts_config(self, doc):
@@ -294,7 +298,7 @@ class TestApiDelegation:
         )
         assert session.default_engine == "auto"
         assert session.cache.maxsize == 4
-        assert session.run("//b", doc).engine_name == "corexpath"
+        assert session.run("//b", doc).engine_name == "compiled"
 
     def test_module_explain(self, doc):
         text = api.explain("//b", doc)
