@@ -6,8 +6,9 @@ answers queries straight off the memory map:
 
 1. ``api.build_store`` — parse the corpus once, write one ``.reproxs`` file;
 2. ``api.open_store`` — reopen it instantly (O(header + TOC), no parsing)
-   and run batch queries; compiled-fragment queries never build a tree;
-3. lazy materialisation — tree engines get a real ``Document`` on demand,
+   and run batch queries; ``StoredDocument.orders`` runs a compiled plan
+   off the mapped columns without building a tree;
+3. lazy materialisation — batch queries get a real ``Document`` on demand,
    node-for-node identical to the original, pickled as ``(path, position)``
    so process workers reopen the store instead of shipping trees;
 4. integrity — a flipped byte fails its own document with a positioned

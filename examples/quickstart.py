@@ -94,8 +94,8 @@ def main() -> None:
     print()
     print("== Parse once, serve forever: the persistent store ==")
     # Persist parsed documents to a columnar, mmap-able file; reopening is
-    # O(header), not O(corpus), and compiled-fragment queries run straight
-    # off the mapped columns (full tour: examples/persistent_store.py).
+    # O(header), not O(corpus), and each document is rebuilt from the
+    # mapped columns, not re-parsed (full tour: examples/persistent_store.py).
     import tempfile
 
     store_path = tempfile.mktemp(suffix=".reproxs")

@@ -157,7 +157,7 @@ def engine_for_query(query: Union[str, object]) -> XPathEngine:
 
     That is the classification's recommendation: ``compiled`` for
     compilable plans, ``xpatterns`` for ``id()`` plans and
-    ``optmincontext`` outside XPatterns.  Served from the default
+    ``optmincontext`` for the rest.  Served from the default
     session's engine pool — repeated calls that resolve to the same engine
     return the same instance.
     """
@@ -243,8 +243,8 @@ def build_store(
     """Serialise parsed documents into a persistent store file at ``path``.
 
     The store is the columnar on-disk form of the pre/post accelerator
-    arrays: open it later with :func:`open_store` and the documents are
-    served straight off an ``mmap`` — no re-parsing, no index rebuild.
+    arrays: open it later with :func:`open_store` and each document is
+    rebuilt from an ``mmap`` on demand — no re-parsing.
     Returns the final path.
     """
     from .store import build_store as _build_store
@@ -257,9 +257,9 @@ def open_store(path):
 
     The file is mapped read-only and validated (magic, version, table-of-
     contents checksum) in O(1) with respect to corpus size.  The collection
-    is a drop-in for :func:`parse_collection` output: compiled-fragment
-    batch queries run directly over the mapped columns, and tree engines
-    materialise documents lazily, each at most once.  Bound to the default
+    is a drop-in for :func:`parse_collection` output: a batch query
+    materialises each document it reaches from the mapped columns (no
+    re-parse), at most once, whatever the engine.  Bound to the default
     session; use :meth:`XPathSession.open_store` for an isolated session.
     """
     from .store import DocumentStore, StoredCollection

@@ -55,10 +55,11 @@ The ``store`` subcommands manage persistent document stores — the on-disk
 columnar form of the pre/post accelerator arrays.  ``store build`` parses
 XML files once and serialises them into one store file; ``store info``
 prints the store's header summary and verifies every checksum; ``store
-query`` evaluates a query over the stored documents straight off the
-memory-mapped file (no re-parsing), with the same per-document isolation,
-parallelism flags, output shape and exit codes as ``batch``.  A corrupt or
-truncated store is a positioned error (exit code 1), never a crash.
+query`` evaluates a query over the stored documents, rebuilding each tree
+from the memory-mapped columns instead of re-parsing, with the same
+per-document isolation, parallelism flags, output shape and exit codes as
+``batch``.  A corrupt or truncated store is a positioned error (exit code
+1), never a crash.
 
 The ``edit`` subcommand applies a JSON edit script (an array of op
 objects — ``insert``, ``remove``, ``rename``, ``set_text``,
@@ -309,9 +310,9 @@ def build_store_query_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-xpath store query",
         description="Evaluate one XPath query over every document of a "
-        "persistent store, straight off the memory-mapped file: compiled-"
-        "fragment queries never rebuild a tree, others materialise each "
-        "document at most once.  Output shape and exit codes match 'batch'.",
+        "persistent store.  The file is memory-mapped, not parsed; each "
+        "document's tree is rebuilt from its columns at most once, when the "
+        "query first reaches it.  Output shape and exit codes match 'batch'.",
     )
     parser.add_argument("query", help="the XPath query")
     parser.add_argument("store", help="store file to query")

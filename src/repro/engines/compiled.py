@@ -3,13 +3,17 @@
 The eight tree engines interpret queries node-at-a-time over ``Node``
 objects.  This module adds a ninth engine that compiles the linear-time
 fragment (Core XPath ⊆ XPatterns, Section 10 / Table VI) one level
-further: the memoised set-algebra plan of a :class:`CompiledQuery` is
+further, and reaches past it with four array-only shapes: ``count(π)`` as
+the whole query, ``π op N`` numeric comparisons, and ``[k]`` /
+``[last()]`` on child and sibling steps of the outermost path.  The
+memoised set-algebra plan of a :class:`CompiledQuery` (built by
+:class:`ArrayCompiler`, the XPatterns compiler plus those shapes) is
 *lowered* into a short linear :class:`ArrayProgram` — a register machine
 whose every instruction is an array operation over the flat
 :class:`~repro.xmlmodel.index.DocumentIndex` columns (interval slices over
 ``subtree_end``, parent-chain walks, posting-list intersections, sorted
-merge-unions) — the very columns the tree engines read, or their zero-copy
-mmap twin :class:`~repro.store.StoredIndexArrays`.  Registers hold sorted
+merge-unions) — the very columns the tree engines read, or their
+zero-copy mmap twin :class:`~repro.store.StoredIndexArrays`.  Registers hold sorted
 arrays of document orders; no ``Node`` object is touched until the final
 result set is materialised.
 
@@ -32,15 +36,24 @@ algebra expression                      instruction
 ``dom ∖ E``                             ``complement``
 ``dom·[root ∈ E]``                      ``dom-if-root``
 ``dom·[E ≠ ∅]``                         ``dom-if-nonempty``
+``E ∩ {x | number(strval(x)) op N}``    ``numfilter`` (fused: only E's
+                                        nodes are converted; ``π op N``)
+``[k]`` / ``[last()]`` of a step        ``position[axis]`` (per parent on
+                                        child, per context node on the
+                                        sibling axes)
+``count(E)``                            ``result: count(r)``
 =====================================  ==================================
 
 ``engine="auto"`` resolves to this engine for every compilable plan (see
-:mod:`repro.fragments.classify`).  ``id(…)`` (the XPatterns id axis) needs
-the identifier relation and stays on the tree engines —
-:func:`analyze_compilability` reports it as a violation, the classification
-recommends ``xpatterns`` for it, and :class:`CompiledEngine` falls back
-transparently to that recommendation, so ``engine="compiled"`` is always
-safe to request.  Every program preserves the interpreter's semantics
+:mod:`repro.fragments.classify`); ``fragment`` and ``complexity`` keep
+reporting the Figure-1 lattice, so ``//b[2]`` is still Extended Wadler.
+Everything else — ``id(…)`` (the identifier relation is a ``Node``-level
+structure), positions on other axes or inside predicates, arithmetic,
+string functions — is refused by :class:`ArrayCompiler` with one reason
+per shape (:func:`analyze_compilability` is a dry run of that compiler, so
+the analysis and the lowering cannot disagree), and :class:`CompiledEngine`
+falls back transparently to the classification's recommendation, so
+``engine="compiled"`` is always safe to request.  Every program preserves the interpreter's semantics
 node-for-node (the differential fuzz suite gates this against all eight
 tree engines and the streaming evaluator).
 """
@@ -54,16 +67,148 @@ from typing import Optional, Sequence
 from ..axes.nodetests import KindTest, NameTest, NodeTest, principal_node_type
 from ..axes.regex import Axis, inverse_axis
 from ..errors import FragmentError
+from ..fragments.algebra import (
+    AlgebraExpr,
+    AxisApply,
+    Complement,
+    ContextSet,
+    DomIfNonempty,
+    DomIfRoot,
+    DomSet,
+    Intersect,
+    InverseAxisApply,
+    RootSet,
+    StringMatchSet,
+    TestSet,
+    UnionOp,
+)
+from ..fragments.xpatterns import XPATTERNS_AXES, XPatternsCompiler
 from ..xmlmodel.index import DocumentIndex, complement_orders
 from ..xmlmodel.nodes import NodeType
-from ..xpath.ast import Expression, FunctionCall
+from ..xpath.ast import (
+    BinaryOp,
+    ContextFunction,
+    Expression,
+    FilterExpr,
+    FunctionCall,
+    LocationPath,
+    Negate,
+    NumberLiteral,
+    PathExpr,
+    Step,
+    StringLiteral,
+    find_steps,
+)
 from ..xpath.context import Context, StaticContext
-from ..xpath.values import NodeSet, XPathValue
+from ..xpath.functions import NUMBER_COMPARISONS, _flip
+from ..xpath.values import NodeSet, XPathValue, format_number, string_to_number
 from .base import EvaluationStats, XPathEngine
 
 Orders = Sequence[int]
 
 _EMPTY: tuple[int, ...] = ()
+
+#: The rank of ``[last()]``: like a Python index, -1 is the farthest node.
+LAST = -1
+
+_POSITION_AXES = frozenset({Axis.CHILD, Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING})
+
+_ID_REFUSAL = "id() needs the identifier relation (tree engines only)"
+
+
+# ----------------------------------------------------------------------
+# The shapes past XPatterns, read off the normalised AST
+# ----------------------------------------------------------------------
+def _is_context_function(expression: Expression, name: str) -> bool:
+    return isinstance(expression, ContextFunction) and expression.name == name
+
+
+def _position_rank(predicate: Expression) -> Optional[int]:
+    """k for ``position() = k`` (an integer k ≥ 1), :data:`LAST` for
+    ``position() = last()`` (either side), else ``None``.
+
+    Normalisation already turned ``[k]`` and ``[last()]`` into these forms.
+    """
+    if not (isinstance(predicate, BinaryOp) and predicate.op == "="):
+        return None
+    left, right = predicate.left, predicate.right
+    if not _is_context_function(left, "position"):
+        left, right = right, left
+    if not _is_context_function(left, "position"):
+        return None
+    if _is_context_function(right, "last"):
+        return LAST
+    if isinstance(right, NumberLiteral) and right.value >= 1 and right.value.is_integer():
+        return int(right.value)
+    return None
+
+
+def _number_literal(expression: Expression) -> Optional[float]:
+    if isinstance(expression, NumberLiteral):
+        return expression.value
+    if isinstance(expression, Negate) and isinstance(expression.operand, NumberLiteral):
+        return -expression.operand.value
+    return None
+
+
+def _path_comparison(
+    expression: Expression,
+) -> Optional[tuple[LocationPath, str, Expression]]:
+    """``(π, op, operand)`` for ``π op operand`` or ``operand op π`` (op
+    flipped), where π is a location path; else ``None``."""
+    if not (isinstance(expression, BinaryOp) and expression.op in NUMBER_COMPARISONS):
+        return None
+    left, right, op = expression.left, expression.right, expression.op
+    if not isinstance(left, LocationPath):
+        left, right, op = right, left, _flip(op)
+    if isinstance(left, LocationPath):
+        return left, op, right
+    return None
+
+
+def _is_context_node(path: LocationPath) -> bool:
+    """``.`` — the normalised ``self::node()`` without predicates."""
+    if path.absolute or len(path.steps) != 1:
+        return False
+    step = path.steps[0]
+    return (
+        step.axis is Axis.SELF
+        and isinstance(step.node_test, KindTest)
+        and step.node_test.kind == "node"
+        and not step.predicates
+    )
+
+
+def _shown(expression: Expression) -> str:
+    """The expression as XPath, without the parentheses around an operator."""
+    text = expression.to_xpath()
+    return text[1:-1] if isinstance(expression, BinaryOp) else text
+
+
+def _calls(expression: Expression, name: str) -> bool:
+    if isinstance(expression, FunctionCall) and expression.name == name:
+        return True
+    return any(_calls(child, name) for child in expression.children())
+
+
+def _mentions_position(expression: Expression) -> bool:
+    """``position()`` / ``last()`` of this predicate's own context (nested
+    paths and filters have contexts of their own)."""
+    if isinstance(expression, ContextFunction):
+        return expression.name in ("position", "last")
+    if isinstance(expression, (LocationPath, FilterExpr, PathExpr)):
+        return False
+    return any(_mentions_position(child) for child in expression.children())
+
+
+def _refusal(expression: Expression) -> str:
+    """Why an expression that is neither a path nor a lowered predicate
+    shape has no array form."""
+    if _calls(expression, "id"):
+        return _ID_REFUSAL
+    if _calls(expression, "count"):
+        return "count() inside a larger expression: it lowers only as the whole query"
+    return f"{_shown(expression)} has no array lowering"
 
 
 # ----------------------------------------------------------------------
@@ -77,32 +222,22 @@ class CompilabilityReport:
     violations: tuple[str, ...] = ()
 
 
-def _uses_id(expression: Expression) -> bool:
-    if isinstance(expression, FunctionCall) and expression.name == "id":
-        return True
-    return any(_uses_id(child) for child in expression.children())
-
-
 def analyze_compilability(expression: Expression) -> CompilabilityReport:
     """Check whether the normalised AST lowers to an :class:`ArrayProgram`.
 
-    The compiled fragment is XPatterns minus the id axis: everything with a
-    linear set-algebra plan whose leaves are index columns.  ``id(…)``
-    needs the per-document identifier relation (a ``Node``-level structure)
-    and is left to the tree engines.
+    A dry run of :class:`ArrayCompiler`, which is the compiled fragment's
+    only grammar: XPatterns minus the id axis — everything with a linear
+    set-algebra plan whose leaves are index columns — plus four shapes
+    outside XPatterns: ``count(π)`` as the whole query, ``π op N``
+    predicates against a number literal, and ``[k]`` / ``[last()]`` on the
+    child and sibling steps of the outermost path (at most one per sibling
+    step).  A refused query gets the compiler's reason, which names its
+    shape.  The lowering accepts every plan the compiler builds.
     """
-    from ..fragments.xpatterns import is_xpatterns  # deferred: cycle-free
-
-    if not is_xpatterns(expression):
-        return CompilabilityReport(
-            compilable=False,
-            violations=("outside XPatterns: no linear set-algebra plan to lower",),
-        )
-    if _uses_id(expression):
-        return CompilabilityReport(
-            compilable=False,
-            violations=("id() needs the identifier relation (tree engines only)",),
-        )
+    try:
+        ArrayCompiler().compile_query(expression)
+    except FragmentError as refusal:
+        return CompilabilityReport(compilable=False, violations=(str(refusal),))
     return CompilabilityReport(compilable=True)
 
 
@@ -120,6 +255,11 @@ class Instruction:
     test: Optional[NodeTest] = None
     value: Optional[str] = None
     negated: bool = False
+    #: ``numfilter``: the comparison operator and its number literal.
+    comparison: Optional[str] = None
+    number: Optional[float] = None
+    #: ``position``: k ≥ 1 counted from the nearest node, or :data:`LAST`.
+    rank: Optional[int] = None
 
     def render(self) -> str:
         args = [f"r{src}" for src in self.srcs]
@@ -127,16 +267,25 @@ class Instruction:
             args.append(f"T({self.test.to_xpath()})")
         if self.value is not None:
             args.append(f"{'!=' if self.negated else '='}{self.value!r}")
+        if self.comparison is not None:
+            args.append(f"{self.comparison} {format_number(self.number)}")
+        if self.rank is not None:
+            args.append("last" if self.rank == LAST else str(self.rank))
         op = self.op if self.axis is None else f"{self.op}[{self.axis.value}]"
         return f"r{self.dest} = {op}({', '.join(args)})"
 
 
 @dataclass(frozen=True)
 class ArrayProgram:
-    """A linear register program over :class:`DocumentIndex` columns."""
+    """A linear register program over :class:`DocumentIndex` columns.
+
+    ``count`` programs answer ``count(π)``: their result is the length of
+    the final register, a number, not a node set.
+    """
 
     instructions: tuple[Instruction, ...] = field(default_factory=tuple)
     register_count: int = 0
+    count: bool = False
 
     @property
     def result_register(self) -> int:
@@ -147,8 +296,143 @@ class ArrayProgram:
 
     def render(self) -> str:
         lines = [instruction.render() for instruction in self.instructions]
-        lines.append(f"result: r{self.result_register}")
+        result = f"r{self.result_register}"
+        lines.append(f"result: count({result})" if self.count else f"result: {result}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The algebra past XPatterns: compiled-only nodes and their compiler
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class NumberMatchSet:
+    """``{x | number(strval(x)) op value}`` (XPath 1.0 number grammar; NaN
+    passes only ``!=``) — the numeric twin of ``StringMatchSet``."""
+
+    op: str
+    value: float
+
+
+@dataclass(frozen=True, eq=False)
+class PositionPick:
+    """The ``[k]`` / ``[last()]`` of one step over its ``candidates`` (the
+    step's nodes that passed the earlier predicates).
+
+    On ``child`` the rank counts within each parent's group of candidates;
+    on the sibling axes it counts from each node of ``context`` (the step's
+    input), nearest sibling first.
+    """
+
+    axis: Axis
+    context: AlgebraExpr
+    candidates: AlgebraExpr
+    rank: int
+
+
+@dataclass(frozen=True, eq=False)
+class CountOf:
+    """``count(operand)`` as the whole query."""
+
+    operand: AlgebraExpr
+
+
+class ArrayCompiler(XPatternsCompiler):
+    """The XPatterns compiler minus ``id()``, plus the shapes only the array
+    engine runs.
+
+    It is also the compiled fragment's grammar: every shape it cannot
+    lower raises :class:`FragmentError` with a reason naming the shape,
+    and :func:`analyze_compilability` is a dry run of it.
+    """
+
+    def compile_query(self, expression: Expression):
+        for step in find_steps(expression):
+            if step.axis not in XPATTERNS_AXES:
+                raise FragmentError(f"the {step.axis.value} axis has no array lowering")
+        count = isinstance(expression, FunctionCall) and expression.name == "count"
+        path = expression.args[0] if count else expression
+        if not isinstance(path, LocationPath):
+            raise FragmentError(_refusal(path))
+        plan = super().compile_query(path)
+        return CountOf(plan) if count else plan
+
+    def _forward_step(self, plan: AlgebraExpr, step: Step) -> AlgebraExpr:
+        """S→ of one step of the outermost path, the one place positions lower."""
+        result: AlgebraExpr = Intersect(
+            AxisApply(step.axis, plan), TestSet(step.node_test, step.axis)
+        )
+        picked = False
+        for predicate in step.predicates:
+            rank = _position_rank(predicate)
+            if rank is not None:
+                if step.axis not in _POSITION_AXES:
+                    raise FragmentError(
+                        f"position on the {step.axis.value} axis: [k] and [last()] "
+                        "lower on child and sibling steps only"
+                    )
+                if picked and step.axis is not Axis.CHILD:
+                    raise FragmentError(
+                        f"second position on a {step.axis.value} step: a sibling "
+                        "step lowers one [k] or [last()]"
+                    )
+                picked = True
+                result = PositionPick(step.axis, plan, result, rank)
+                continue
+            if _mentions_position(predicate):
+                raise FragmentError(
+                    f"position arithmetic ({_shown(predicate)}): only a whole "
+                    "[k] or [last()] predicate lowers"
+                )
+            comparison = _path_comparison(predicate)
+            number = None if comparison is None else _number_literal(comparison[2])
+            if (
+                number is not None
+                and _is_context_node(comparison[0])
+                and step.axis is not Axis.ATTRIBUTE
+            ):
+                # [. op N] on a step of regular nodes: filter the step's own
+                # nodes, not (as S← of "." would) every node of the document.
+                result = Intersect(result, NumberMatchSet(comparison[1], number))
+            else:
+                result = Intersect(result, self.compile_predicate(predicate))
+        return result
+
+    def compile_predicate(self, expression: Expression) -> AlgebraExpr:
+        """E1, plus ``π = 's'`` / ``π != 's'`` and ``π op N`` for every
+        location path π the compiler lowers (not only XPatterns paths)."""
+        comparison = _path_comparison(expression)
+        if comparison is None:
+            return super().compile_predicate(expression)
+        path, op, operand = comparison
+        number = _number_literal(operand)
+        if number is not None:
+            target: AlgebraExpr = NumberMatchSet(op, number)
+        elif isinstance(operand, StringLiteral) and op in ("=", "!="):
+            target = StringMatchSet(operand.value, negated=(op == "!="))
+        elif isinstance(operand, StringLiteral):
+            raise FragmentError(
+                f"{op} against a string literal ({operand.to_xpath()}): "
+                "relational comparisons lower against numbers only"
+            )
+        else:
+            raise FragmentError(
+                f"comparison with a non-literal operand ({_shown(operand)}): "
+                "only number and string literals lower"
+            )
+        return self._backward_with_target(path, target)
+
+    def compile_backward_path(self, expression: Expression) -> AlgebraExpr:
+        if isinstance(expression, LocationPath):
+            return super().compile_backward_path(expression)
+        if _mentions_position(expression):
+            raise FragmentError(
+                f"position inside a predicate ({_shown(expression)}): "
+                "positions lower on the outermost path only"
+            )
+        raise FragmentError(_refusal(expression))
+
+    def _backward_id_start(self, start: Expression, downstream: AlgebraExpr) -> AlgebraExpr:
+        raise FragmentError(_ID_REFUSAL)
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +442,11 @@ class _Lowering:
     def __init__(self) -> None:
         self.instructions: list[Instruction] = []
         self.next_register = 0
+        # id(expression) -> (expression, register).  A positional pick reads
+        # its step's context twice (directly and inside its candidates), so
+        # a sub-plan shared by identity lowers once; holding the expression
+        # keeps its id from being reused.
+        self._lowered: dict[int, tuple[object, int]] = {}
 
     def emit(self, op: str, srcs: tuple[int, ...] = (), **operands) -> int:
         dest = self.next_register
@@ -166,28 +455,18 @@ class _Lowering:
         return dest
 
     def lower(self, expression) -> int:
-        # Deferred: fragments.algebra imports the engines package indirectly;
-        # importing it lazily keeps engines importable from a cold start in
-        # either order (engines first or fragments first).
-        from ..fragments.algebra import (
-            AxisApply,
-            Complement,
-            ContextSet,
-            DomIfRoot,
-            DomIfNonempty,
-            DomSet,
-            IdApply,
-            Intersect,
-            InverseAxisApply,
-            RootSet,
-            StringMatchSet,
-            TestSet,
-            UnionOp,
-        )
-        from ..fragments.xpatterns import _IdLiteral
+        lowered = self._lowered.get(id(expression))
+        if lowered is not None:
+            return lowered[1]
+        register = self._lower(expression)
+        self._lowered[id(expression)] = (expression, register)
+        return register
 
+    def _lower(self, expression) -> int:
         if isinstance(expression, Intersect):
-            fused = self._fused_axis_test(expression, AxisApply, TestSet)
+            fused = self._fused_axis_test(expression)
+            if fused is None:
+                fused = self._fused_number_filter(expression)
             if fused is not None:
                 return fused
             left = self.lower(expression.left)
@@ -204,6 +483,18 @@ class _Lowering:
         if isinstance(expression, StringMatchSet):
             return self.emit(
                 "strmatch", value=expression.value, negated=expression.negated
+            )
+        if isinstance(expression, NumberMatchSet):
+            # Only "/ op N" leaves it standalone: filter the whole domain.
+            return self._number_filter(self.emit("dom"), expression)
+        if isinstance(expression, PositionPick):
+            # child ranks within parent groups and needs no context register.
+            srcs: tuple[int, ...] = ()
+            if expression.axis is not Axis.CHILD:
+                srcs = (self.lower(expression.context),)
+            srcs += (self.lower(expression.candidates),)
+            return self.emit(
+                "position", srcs, axis=expression.axis, rank=expression.rank
             )
         if isinstance(expression, AxisApply):
             operand = self.lower(expression.operand)
@@ -224,15 +515,11 @@ class _Lowering:
         if isinstance(expression, DomIfNonempty):
             operand = self.lower(expression.operand)
             return self.emit("dom-if-nonempty", (operand,))
-        if isinstance(expression, (IdApply, _IdLiteral)):
-            raise FragmentError(
-                "id() is outside the compiled fragment (identifier relation)"
-            )
         raise FragmentError(
             f"algebra operator {type(expression).__name__} has no array lowering"
         )
 
-    def _fused_axis_test(self, expression, AxisApply, TestSet) -> Optional[int]:
+    def _fused_axis_test(self, expression: Intersect) -> Optional[int]:
         """Fuse ``χ(E) ∩ T(t)`` into one ``axis-test`` instruction.
 
         Mirrors the interpreter's posting-list fusion exactly (same pattern,
@@ -253,22 +540,35 @@ class _Lowering:
             "axis-test", (operand,), axis=apply_expr.axis, test=test_expr.test
         )
 
+    def _fused_number_filter(self, expression: Intersect) -> Optional[int]:
+        """Fuse ``E ∩ {x | number(strval(x)) op N}`` into ``numfilter(E)``:
+        the numbers of E's nodes only, never of the whole document."""
+        left, right = expression.left, expression.right
+        if isinstance(right, NumberMatchSet):
+            return self._number_filter(self.lower(left), right)
+        if isinstance(left, NumberMatchSet):
+            return self._number_filter(self.lower(right), left)
+        return None
+
+    def _number_filter(self, operand: int, test: NumberMatchSet) -> int:
+        return self.emit("numfilter", (operand,), comparison=test.op, number=test.value)
+
 
 def lower_algebra(expression) -> ArrayProgram:
     """Lower a set-algebra expression to an :class:`ArrayProgram`."""
     lowering = _Lowering()
-    lowering.lower(expression)
+    count = isinstance(expression, CountOf)
+    lowering.lower(expression.operand if count else expression)
     return ArrayProgram(
         instructions=tuple(lowering.instructions),
         register_count=lowering.next_register,
+        count=count,
     )
 
 
 def lower_plan(plan) -> ArrayProgram:
     """Lower a compilable :class:`CompiledQuery` via its memoised algebra plan."""
-    from ..fragments.xpatterns import XPatternsCompiler  # deferred: cycle-free
-
-    return lower_algebra(plan.algebra_plan(XPatternsCompiler))
+    return lower_algebra(plan.algebra_plan(ArrayCompiler))
 
 
 # ----------------------------------------------------------------------
@@ -474,6 +774,60 @@ def _axis_result(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) 
 
 
 # ----------------------------------------------------------------------
+# numfilter and position: per-node numbers, per-group ranks
+# ----------------------------------------------------------------------
+def _number_filter(view: DocumentIndex, operand: Orders, op: str, number: float) -> Orders:
+    compare = NUMBER_COMPARISONS[op]
+    string_value = view.string_value
+    return [
+        order
+        for order in operand
+        if compare(string_to_number(string_value(order)), number)
+    ]
+
+
+def _parent_groups(view: DocumentIndex, orders: Orders) -> dict[int, list[int]]:
+    """``orders`` split by parent, each group still in document order."""
+    parent = view.parent
+    groups: dict[int, list[int]] = {}
+    for order in orders:
+        groups.setdefault(parent[order], []).append(order)
+    return groups
+
+
+def _child_position(view: DocumentIndex, candidates: Orders, rank: int) -> Orders:
+    """The rank-th candidate of each parent (``LAST``: its last one)."""
+    index = LAST if rank == LAST else rank - 1
+    groups = _parent_groups(view, candidates).values()
+    return sorted(group[index] for group in groups if index < len(group))
+
+
+def _sibling_position(
+    view: DocumentIndex, axis: Axis, context: Orders, candidates: Orders, rank: int
+) -> Orders:
+    """For each context node, its rank-th candidate sibling along ``axis``,
+    nearest first (``LAST``: the farthest)."""
+    groups = _parent_groups(view, candidates)
+    parent = view.parent
+    picked: set[int] = set()
+    for order in context:
+        group = groups.get(parent[order])
+        if group is None:
+            continue
+        if axis is Axis.FOLLOWING_SIBLING:
+            start = bisect_right(group, order)  # group[start:], nearest first
+            index = len(group) - 1 if rank == LAST else start + rank - 1
+            if start < len(group) and index < len(group):
+                picked.add(group[index])
+        else:
+            end = bisect_left(group, order)  # group[end - 1::-1], nearest first
+            index = 0 if rank == LAST else end - rank
+            if end > 0 and index >= 0:
+                picked.add(group[index])
+    return sorted(picked)
+
+
+# ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 def execute_program(
@@ -484,6 +838,7 @@ def execute_program(
 ) -> Orders:
     """Run the program; returns the result register (sorted orders).
 
+    A ``count`` program's answer is the length of that register.
     ``view`` is a document's :class:`DocumentIndex` or a store's
     :class:`~repro.store.StoredIndexArrays` (the same columns over a mmap).
     Per instruction the executor bumps ``compiled_instructions`` and
@@ -527,6 +882,21 @@ def execute_program(
             result = _select_orders(view, instruction.test, instruction.axis)
         elif op == "strmatch":
             result = view.string_match(instruction.value, instruction.negated)
+        elif op == "numfilter":
+            result = _number_filter(
+                view, registers[srcs[0]], instruction.comparison, instruction.number
+            )
+        elif op == "position":
+            if instruction.axis is Axis.CHILD:
+                result = _child_position(view, registers[srcs[0]], instruction.rank)
+            else:
+                result = _sibling_position(
+                    view,
+                    instruction.axis,
+                    registers[srcs[0]],
+                    registers[srcs[1]],
+                    instruction.rank,
+                )
         elif op == "complement":
             result = complement_orders(size, registers[srcs[0]])
         elif op == "dom-if-root":
@@ -550,13 +920,15 @@ def execute_program(
 class CompiledEngine(XPathEngine):
     """Array-program evaluation of compilable plans, tree fallback otherwise.
 
-    ``engine="auto"`` picks this engine for every compilable plan.
-    Requesting ``engine="compiled"`` is always safe: plans outside the
-    compiled fragment (id(), arithmetic, positions, …) are delegated to the
-    classification's recommended engine — ``xpatterns`` for id() plans,
-    ``optmincontext`` outside XPatterns — bumping ``compiled_fallbacks`` in
-    the stats, so batch traffic can pin the compiled backend without
-    pre-sorting its queries.
+    ``engine="auto"`` picks this engine for every compilable plan, which
+    includes ``count(π)``, ``π op N``, and ``[k]`` / ``[last()]`` on the
+    child and sibling steps of the outermost path.  Requesting
+    ``engine="compiled"`` is always safe: plans outside the compiled
+    fragment (id(), arithmetic, positions on other axes or inside
+    predicates, …) are delegated to the classification's recommended
+    engine — ``xpatterns`` for id() plans, ``optmincontext`` outside
+    XPatterns — bumping ``compiled_fallbacks`` in the stats, so batch
+    traffic can pin the compiled backend without pre-sorting its queries.
     """
 
     name = "compiled"
@@ -579,6 +951,8 @@ class CompiledEngine(XPathEngine):
             return fallback._evaluate(plan, static_context, context, stats)
         index = static_context.document.index
         orders = execute_program(program, index, (context.node.order,), stats)
+        if program.count:
+            return float(len(orders))
         nodes = index.nodes
         return NodeSet.from_sorted(nodes[order] for order in orders)
 

@@ -9,11 +9,13 @@ Given a query, determine the smallest fragment of Figure 1 that contains it:
 and recommend an engine for it (what ``engine="auto"`` resolves to):
 
 * ``compiled`` whenever the query is compilable — the linear-time fragment
-  minus ``id()``, whose set-algebra plan lowers to an array program over
-  the document index (the same O(|D|·|Q|) algebra, run over flat columns);
+  minus ``id()`` (the same O(|D|·|Q|) algebra, run over flat columns),
+  plus ``count(π)``, ``π op N`` and ``[k]`` / ``[last()]`` on child and
+  sibling steps, whose array forms are linear too (see
+  :func:`repro.engines.compiled.analyze_compilability`);
 * ``xpatterns`` for the rest of XPatterns (plans that use ``id()``);
-* ``optmincontext`` outside XPatterns (it adheres to the per-fragment
-  bounds by construction).
+* ``optmincontext`` for the rest (it adheres to the per-fragment bounds by
+  construction).
 
 The recommendation is orthogonal to ``fragment`` and ``complexity``, which
 always report the Figure-1 lattice.
@@ -70,8 +72,9 @@ class Classification:
     streamable: bool = False
     #: Why the query is not streamable (empty when it is).
     streaming_violations: tuple[str, ...] = ()
-    #: Whether the compiled array-program backend can lower the query (the
-    #: XPatterns fragment minus the id axis; see
+    #: Whether the compiled array-program backend can lower the query
+    #: (XPatterns minus the id axis, plus count(), numeric comparisons and
+    #: child/sibling positions; see
     #: :func:`repro.engines.compiled.analyze_compilability`).
     compilable: bool = False
     #: Why the query does not lower to an array program (empty when it does).

@@ -547,8 +547,9 @@ class XPathSession:
     def open_store(self, path):
         """Open a persistent document store file as a session-bound
         :class:`~repro.store.collection.StoredCollection` — the file is
-        mapped, not parsed, and documents materialise only if a tree engine
-        (or the caller) needs one."""
+        mapped, not parsed, and each document materialises from its
+        columns, at most once, when a query (or the caller) first reaches
+        it."""
         from .store import DocumentStore, StoredCollection  # avoid a cycle
 
         return StoredCollection(DocumentStore.open(path), session=self)

@@ -51,9 +51,9 @@ class StoredCollection(Collection):
     Batch entry points (``select`` / ``evaluate`` / the ``_many`` variants,
     serial or parallel, any backend) behave identically to an in-memory
     collection — same results, same per-document error isolation — but the
-    corpus is materialised lazily: a document's tree is only built when an
-    interpreting engine (or a node-returning result) needs it, and the
-    compiled engine's array programs read the mapped file directly.
+    corpus is materialised lazily: a document's tree is built from its
+    mapped columns, at most once, when a batch first evaluates it, whatever
+    the engine.
 
     Note the deliberate asymmetry: :attr:`documents` returns the raw
     :class:`~repro.store.reader.StoredDocument` handles (what the executor

@@ -50,10 +50,10 @@ class StoredIndexArrays:
     Satisfies the exact column contract the compiled engine's
     :func:`~repro.engines.compiled.execute_program` consumes — ``size``,
     ``parent``, ``special``, ``subtree_end``, ``regular``,
-    ``type_orders()``, ``label_orders()``, ``string_match()`` — except the
-    integer columns are ``memoryview('q')`` casts over the mapped file, so
-    evaluation reads pages straight from the OS page cache (shared across
-    every process that mapped the same store).
+    ``type_orders()``, ``label_orders()``, ``string_value()``,
+    ``string_match()`` — except the integer columns are ``memoryview('q')``
+    casts over the mapped file, so evaluation reads pages straight from the
+    OS page cache (shared across every process that mapped the same store).
     """
 
     __slots__ = (
@@ -114,6 +114,10 @@ class StoredIndexArrays:
             cached = self._load_label(node_type, name)
             self._label_cache[(node_type, name)] = cached
         return cached
+
+    def string_value(self, order: int) -> str:
+        """The XPath string-value of the node at ``order``, from the columns."""
+        return self._string_values()[order]
 
     def string_match(self, value: str, negated: bool) -> Sequence[int]:
         """Orders whose XPath string-value equals (differs from) ``value``.
@@ -229,9 +233,10 @@ class StoredDocument:
     """A lazy handle over one document of an open :class:`DocumentStore`.
 
     Cheap to create and to pickle (it travels as ``(path, position)``);
-    the tree is only built when an interpreting engine asks for it via
-    :meth:`materialize`, and the compiled engine never needs it at all —
-    :meth:`orders` runs array programs straight off the mapped columns.
+    the tree is built once, by :meth:`materialize`, which every query path
+    (batches, ``store query``, the server) calls.  :meth:`orders` runs a
+    compiled plan's array program straight off the mapped columns instead,
+    without a tree.
     """
 
     __slots__ = ("store", "position", "_entry", "_document", "_arrays", "_checked")
@@ -296,10 +301,11 @@ class StoredDocument:
         Runs the plan's array program over the mapped columns with the
         virtual root as context — no tree, no ``Node`` objects.  Returns
         the result node orders, or ``None`` when the plan is outside the
-        compiled fragment (callers fall back to :meth:`materialize`).
+        compiled fragment or its answer is a number (``count(…)``);
+        callers then fall back to :meth:`materialize`.
         """
         program = plan.array_program()
-        if program is None:
+        if program is None or program.count:
             return None
         from ..engines.compiled import execute_program  # deferred: cycle-free
 

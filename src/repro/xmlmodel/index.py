@@ -243,6 +243,10 @@ class DocumentIndex:
     def label_orders(self, node_type: NodeType, name: str) -> Sequence[int]:
         return self._by_label_orders.get((node_type, name), _EMPTY_ORDERS)
 
+    def string_value(self, order: int) -> str:
+        """The XPath string-value of the node at ``order`` (cached per node)."""
+        return self.nodes[order].string_value()
+
     def string_match(self, value: str, negated: bool) -> Sequence[int]:
         """Orders of nodes whose string-value equals (or differs from) ``value``.
 

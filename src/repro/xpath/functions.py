@@ -15,6 +15,7 @@ passed at construction.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 from ..errors import XPathEvaluationError, XPathTypeError
@@ -374,20 +375,20 @@ def _require_node_set(value: XPathValue, function_name: str) -> NodeSet:
     return value
 
 
+#: XPath 1.0 number comparisons.  Python's float operators already give
+#: the NaN rule: every comparison with NaN is false except ``!=``.
+NUMBER_COMPARISONS: dict[str, Callable[[float, float], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _compare_numbers(op: str, left: float, right: float) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise XPathEvaluationError(f"unknown comparison {op!r}")  # pragma: no cover
+    return NUMBER_COMPARISONS[op](left, right)
 
 
 def _compare_strings(op: str, left: str, right: str) -> bool:

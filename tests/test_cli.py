@@ -153,6 +153,38 @@ class TestCliExplain:
         assert "result:" not in out
         assert "time:" not in out
 
+    def test_explain_compiled_golden(self, capsys):
+        query = "count(//book[price > 40][last()]/preceding-sibling::book[1])"
+        assert run(["explain", query, "--plan-only", "--engine", "compiled"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The cache line depends on what this process compiled before.
+        assert [line for line in lines if not line.startswith("cache:")] == [
+            f"query:      {query}",
+            "normalized: count(/descendant-or-self::node()/child::book"
+            "[(child::price > 40)][(position() = last())]"
+            "/preceding-sibling::book[(position() = 1)])",
+            "fragment:   Full XPath  [time O(|D|⁴·|Q|²), space O(|D|²·|Q|²)]",
+            "streaming:  no (FunctionCall is not a streamable location path)",
+            "compiled:   yes (10-instruction array program)",
+            "              r0 = root()",
+            "              r1 = axis-test[descendant-or-self](r0, T(node()))",
+            "              r2 = axis-test[child](r1, T(book))",
+            "              r3 = test[child](T(price))",
+            "              r4 = numfilter(r3, > 40)",
+            "              r5 = inverse-axis[child](r4)",
+            "              r6 = intersect(r2, r5)",
+            "              r7 = position[child](r6, last)",
+            "              r8 = axis-test[preceding-sibling](r7, T(book))",
+            "              r9 = position[preceding-sibling](r7, r8, 1)",
+            "              result: count(r9)",
+            "engine:     compiled  (recommended for this fragment)",
+            "limits:     unlimited",
+        ]
+
+    def test_explain_names_the_refused_shape(self, capsys):
+        assert run(["explain", "//book[price[1]]", "--plan-only"]) == 0
+        assert "compiled:   no (position inside a predicate" in capsys.readouterr().out
+
     def test_explain_auto_engine(self, catalog_file, capsys):
         assert run(["explain", "//book", catalog_file, "--engine", "auto"]) == 0
         assert "resolved from 'auto'" in capsys.readouterr().out

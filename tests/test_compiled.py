@@ -15,6 +15,7 @@ import pytest
 from repro import api
 from repro.engines.base import EvalLimits
 from repro.engines.compiled import (
+    ArrayCompiler,
     ArrayProgram,
     CompiledEngine,
     analyze_compilability,
@@ -37,6 +38,7 @@ from repro.session import XPathSession
 from repro.store import DocumentStore
 from repro.xmlmodel.index import STRING_MATCH_CACHE_SIZE
 from repro.xpath.normalize import compile_query as normalize_query
+from repro.xpath.values import NodeSet
 
 DOC = api.parse(
     "<a id='r'>"
@@ -61,6 +63,13 @@ def _reference_orders(query, document=DOC, context=None):
     return [node.order for node in plan.evaluate(document, context=context)]
 
 
+def _answer(value):
+    """Node orders of a node set; a count()'s number as is."""
+    if isinstance(value, NodeSet):
+        return [node.order for node in value]
+    return value
+
+
 # ----------------------------------------------------------------------
 # Compilability analysis
 # ----------------------------------------------------------------------
@@ -74,14 +83,43 @@ class TestAnalyzeCompilability:
         assert report.compilable
 
     def test_position_predicate_is_not(self):
-        report = analyze_compilability(normalize_query("//b[position() = 1]"))
+        report = analyze_compilability(normalize_query("/descendant::b[2]"))
         assert not report.compilable
-        assert "XPatterns" in report.violations[0]
+        assert "position on the descendant axis" in report.violations[0]
 
     def test_id_is_not(self):
         report = analyze_compilability(normalize_query("id('r')/b"))
         assert not report.compilable
         assert "id()" in report.violations[0]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "count(//b)",
+            "count(//b[@n > 1][2])",
+            "//b[@n > 1]",
+            "//b[. != 7]",
+            "//b[1 <= @n and c]",
+            "//b[c[. > 0]]",
+            "//b[2]",
+            "//b[last()]",
+            "//b[c][1]/c[last()]",
+            "//b[1][2]",
+            "//b/following-sibling::b[1]",
+            "//b[@n = '2']/preceding-sibling::b[last()]",
+            "//b[c[. > 1] = 'x']",
+            "//b['x' != c[@n > 1]]",
+            "//b[c[@n > 1][. = 'x']]",
+            "//b[/ > 1]",
+        ],
+    )
+    def test_shapes_past_xpatterns_are_compilable(self, query):
+        report = analyze_compilability(normalize_query(query))
+        assert report.compilable and report.violations == (), query
+        # What the analysis admits, the compiled engine runs.
+        compiled = api.evaluate(query, DOC, engine="compiled")
+        reference = api.evaluate(query, DOC, engine="topdown")
+        assert _answer(compiled) == _answer(reference), query
 
     def test_classification_carries_the_report(self):
         plan = plan_for("//b", cache=None)
@@ -89,6 +127,44 @@ class TestAnalyzeCompilability:
         plan = plan_for("id('r')", cache=None)
         assert not plan.classification.compilable
         assert plan.classification.compile_violations
+
+
+#: One refused query per shape, and the words its reason must contain.
+REFUSALS = [
+    ("/descendant::b[2]", "position on the descendant axis"),
+    ("//b/ancestor::a[1]", "position on the ancestor axis"),
+    ("//b/@*[1]", "position on the attribute axis"),
+    ("//b[position() = last() - 1]", "position arithmetic (position() = (last() - 1))"),
+    ("//b[position() > 1]", "position arithmetic (position() > 1)"),
+    ("//b[position() = 1 and c]", "position arithmetic"),
+    ("//b[0]", "position arithmetic"),
+    ("//b[c[1]]", "position inside a predicate"),
+    ("//b[c[. > 1][last()]]", "position inside a predicate"),
+    ("//b/following-sibling::b[1][2]", "second position on a following-sibling step"),
+    ("//b[count(c) = 2]", "count() inside a larger expression"),
+    ("count(//b) > 1", "count() inside a larger expression"),
+    ("//b[. > $x]", "comparison with a non-literal operand ($x)"),
+    ("//b[c = d]", "comparison with a non-literal operand (child::d)"),
+    ("//b[. > '3']", "> against a string literal ('3')"),
+    ("id('r')/b", "id() needs the identifier relation"),
+    ("count(id('r'))", "id() needs the identifier relation"),
+    ("//b[id('r')]", "id() needs the identifier relation"),
+    ("sum(//b)", "sum(/descendant-or-self::node()/child::b) has no array lowering"),
+    ("//namespace::*", "the namespace axis has no array lowering"),
+]
+
+
+@pytest.mark.parametrize("query, reason", REFUSALS, ids=[q for q, _ in REFUSALS])
+def test_refusal_names_the_shape(query, reason):
+    expression = normalize_query(query)
+    report = analyze_compilability(expression)
+    assert not report.compilable
+    assert len(report.violations) == 1
+    assert reason in report.violations[0], report.violations
+    # The reason is the compiler's own refusal, so the two cannot drift.
+    with pytest.raises(FragmentError) as refusal:
+        ArrayCompiler().compile_query(expression)
+    assert str(refusal.value) == report.violations[0]
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +185,7 @@ class TestLowering:
         assert retargeted.array_program() is program
 
     def test_non_compilable_plan_has_no_program(self):
-        assert plan_for("count(//b)", cache=None).array_program() is None
+        assert plan_for("//b[count(c) = 2]", cache=None).array_program() is None
 
     def test_render_names_registers_and_operands(self):
         text = plan_for("//b[@n = '2']", cache=None).array_program().render()
@@ -128,6 +204,45 @@ class TestLowering:
     def test_absolute_predicate_lowers_dom_if_root(self):
         text = plan_for("//b[/a]", cache=None).array_program().render()
         assert "dom-if-root(" in text
+
+    def test_context_comparison_filters_the_step_register(self):
+        # [. op N] converts the step's own nodes; S← of "." would convert
+        # every node of the document (2.5x slower on bench_compiled's
+        # numeric-filter).
+        program = plan_for("//b[. > 1]", cache=None).array_program()
+        assert [i.op for i in program.instructions] == [
+            "root", "axis-test", "axis-test", "numfilter"
+        ]
+        # Attributes have no self::node() (Section 4 typing): the general
+        # backward path, whose self axis drops them, keeps that semantics.
+        text = plan_for("//b/@n[. > 1]", cache=None).array_program().render()
+        assert "test[self](T(node()))" in text
+
+    def test_render_numfilter_keeps_its_operator(self):
+        text = plan_for("//b[@n > 1999]", cache=None).array_program().render()
+        assert "numfilter(r3, > 1999)" in text
+        text = plan_for("//b[1999 > @n]", cache=None).array_program().render()
+        assert "numfilter(r3, < 1999)" in text
+        text = plan_for("//b[. != 1.5]", cache=None).array_program().render()
+        assert "numfilter(r2, != 1.5)" in text
+
+    def test_render_positions_and_count(self):
+        program = plan_for(
+            "count(//b[last()]/preceding-sibling::b[1])", cache=None
+        ).array_program()
+        lines = program.render().splitlines()
+        assert lines[3] == "r3 = position[child](r2, last)"
+        assert lines[5] == "r5 = position[preceding-sibling](r3, r4, 1)"
+        assert lines[-1] == "result: count(r5)"
+        assert program.count
+
+    def test_positional_chain_lowers_each_step_once(self):
+        # Each sibling pick reads its context register twice; shared
+        # sub-plans lower once, so k steps cost O(k) instructions.
+        query = "//b" + "/following-sibling::b[1]" * 12
+        program = plan_for(query, cache=None).array_program()
+        assert len(program) == 3 + 2 * 12
+        assert program.register_count == len(program)
 
     def test_id_apply_raises_fragment_error(self):
         with pytest.raises(FragmentError):
@@ -215,6 +330,97 @@ def test_predicate_semantics_match_reference(query):
     assert _compiled_orders(query) == _reference_orders(query)
 
 
+WIDE = api.parse(
+    "<r>"
+    + "".join(f"<item n='{k}'>{k * 100}</item>" for k in range(8))
+    + "<item n='x'>21 22</item><group><item>5</item><item>7</item></group>"
+    + "</r>"
+)
+
+POSITION_QUERIES = [
+    "//item[3]/preceding-sibling::item[1]",
+    "//item[3]/preceding-sibling::item[2]",
+    "//item[3]/preceding-sibling::item[last()]",
+    "//item[3]/following-sibling::item[1]",
+    "//item[3]/following-sibling::item[last()]",
+    "//item[@n > 2]/following-sibling::item[2]",
+    "//item[. > 300]/preceding-sibling::*[3]",
+    "//item[1]",
+    "//item[2]",
+    "//item[last()]",
+    "//item[. > 100][1]",
+    "//item[1][. > 100]",
+    "//item[@n][last()]",
+    "//item[1][1]",
+    "//item[2][1]",
+    "//item[1][2]",
+    "//*[item][last()]/item[2]",
+    "//item[last()]/preceding-sibling::node()[1]",
+    "/r/item[9]",
+    "//item[@n = '5']/preceding-sibling::item[. < 300][1]",
+]
+
+NUMERIC_QUERIES = [
+    "//item[. > 300]",
+    "//item[. >= 300]",
+    "//item[. < 300]",
+    "//item[. <= 300]",
+    "//item[. = 300]",
+    "//item[. != 300]",
+    "//item[300 < .]",
+    "//item[@n > 5]",
+    "//item[@n != 5]",
+    "//*[item > 600]",
+    "//*[item = 5]",
+    "//item[. > -1]",
+    "//item[text() > 150 and @n < 6]",
+    "//*[not(item > 5)]",
+    "//r[/r/group > 50]",
+    "//item[/ > 1]",
+    "//item[/ != 1]",
+    "//r[item[. > 100] = '200']",
+    "//r['700' != item[@n > 5]]",
+    "//*[item[@n > 1][. = '500']]",
+]
+
+
+@pytest.mark.parametrize("query", POSITION_QUERIES + NUMERIC_QUERIES)
+def test_positions_and_numbers_match_reference(query):
+    assert _compiled_orders(query, WIDE) == _reference_orders(query, WIDE)
+
+
+def test_nan_text_passes_only_not_equal():
+    # "21 22" converts to NaN: false under every comparison but !=.
+    nan_item = [n.order for n in api.select("//item[@n = 'x']", WIDE)]
+    for op in ("=", "<", "<=", ">", ">="):
+        assert not set(nan_item) & set(_compiled_orders(f"//item[. {op} 0]", WIDE)), op
+    assert set(nan_item) <= set(_compiled_orders("//item[. != 0]", WIDE))
+
+
+@pytest.mark.parametrize(
+    "query", ["count(//item)", "count(//item[. > 300])", "count(//item[2])", "count(//zzz)"]
+)
+def test_count_returns_a_number(query):
+    session = XPathSession(engine="compiled")
+    result = session.run(query, WIDE)
+    assert result.value == api.evaluate(query, WIDE, engine="topdown")
+    assert isinstance(result.value, float)
+    assert "compiled_fallbacks" not in result.stats.as_dict()
+
+
+def test_positions_from_each_context_node():
+    items = api.select("//item", WIDE)
+    for context in items:
+        for query in (
+            "preceding-sibling::item[2]",
+            "following-sibling::*[last()]",
+            "item[1]",
+        ):
+            assert _compiled_orders(query, WIDE, context) == _reference_orders(
+                query, WIDE, context
+            ), (query, context.order)
+
+
 def test_relative_query_uses_the_context_node():
     b_nodes = api.select("//b", DOC)
     for context in b_nodes:
@@ -280,6 +486,13 @@ def string_columns(request, tmp_path):
     path = str(tmp_path / "strings.reproxs")
     with DocumentStore.build(path, [api.parse(STRING_SOURCE)]) as store:
         yield store.document_at(0).arrays(), document.index.nodes
+
+
+def test_string_value_matches_the_nodes(string_columns):
+    columns, nodes = string_columns
+    assert [columns.string_value(k) for k in range(len(nodes))] == [
+        node.string_value() for node in nodes
+    ]
 
 
 class TestStringMatchCache:
@@ -373,15 +586,15 @@ class TestCompiledEngine:
 
     def test_fallback_outside_the_fragment(self):
         session = XPathSession(engine="compiled")
-        result = session.run("//b[position() = 2]", DOC)
+        result = session.run("/descendant::b[2]", DOC)
         assert result.stats.as_dict()["compiled_fallbacks"] == 1
         assert [node.order for node in result.nodes] == _reference_orders(
-            "//b[position() = 2]"
+            "/descendant::b[2]"
         )
 
     def test_fallback_engines_are_pooled(self):
         engine = CompiledEngine()
-        plan = plan_for("//b[position() = 1]", engine="compiled", cache=None)
+        plan = plan_for("/descendant::b[1]", engine="compiled", cache=None)
         engine.evaluate(plan, DOC)
         fallback = engine._fallbacks[plan.classification.recommended_engine]
         engine.evaluate(plan, DOC)
@@ -419,7 +632,12 @@ class TestCompiledEngine:
         ("//b/c", Fragment.CORE_XPATH, "compiled"),
         ("//b[@n = '2']/c", Fragment.XPATTERNS, "compiled"),
         ("id('r')/b", Fragment.XPATTERNS, "xpatterns"),
-        ("//b[2]", Fragment.EXTENDED_WADLER, "optmincontext"),
+        # The shapes past XPatterns route to compiled; fragment stays put.
+        ("//b[2]", Fragment.EXTENDED_WADLER, "compiled"),
+        ("//b/following-sibling::b[last()]", Fragment.EXTENDED_WADLER, "compiled"),
+        ("//b[@n > 1]", Fragment.EXTENDED_WADLER, "compiled"),
+        ("count(//b)", Fragment.FULL_XPATH, "compiled"),
+        ("/descendant::b[2]", Fragment.EXTENDED_WADLER, "optmincontext"),
     ],
 )
 def test_auto_routes_compilable_plans_to_compiled(query, fragment, engine):
@@ -429,7 +647,7 @@ def test_auto_routes_compilable_plans_to_compiled(query, fragment, engine):
     assert plan.engine_name == engine
     result = XPathSession(engine="auto").run(query, DOC)
     assert result.engine_name == engine
-    assert [node.order for node in result.nodes] == _reference_orders(query)
+    assert result.value == api.evaluate(query, DOC, engine="topdown")
 
 
 def test_compiled_request_on_an_id_plan_answers_like_xpatterns():

@@ -3,18 +3,22 @@
 A seeded generator derives random Core XPath / XPatterns queries from the
 fragment grammars of Section 10 (location paths over the navigational axes;
 predicates that are and/or/not combinations of existential paths; attribute
-tests and string-equality tests for the XPatterns round).  Every generated
-query is evaluated by every registered engine — through a cold compile, a
-fresh plan cache, and the shared default cache — and all node-set results
-must be identical.
+tests and string-equality tests for the XPatterns round), plus a small
+family beyond XPatterns that the compiled engine also lowers: ``[k]`` and
+``[last()]`` on child and sibling steps, ``π op N`` numeric comparisons and
+``count(π)``.  Every generated query is evaluated by every registered engine
+that accepts it — through a cold compile, a fresh plan cache, and the shared
+default cache — and all results must be identical.
 
 The seed is fixed (`FUZZ_SEED`, overridable via the REPRO_FUZZ_SEED
 environment variable) so CI runs are reproducible; bump the iteration count
 locally for deeper sweeps.
 """
 
+import itertools
 import os
 import random
+import re
 
 import pytest
 
@@ -26,13 +30,15 @@ from repro.plan import PlanCache, plan_for
 from repro.session import XPathSession
 from repro.streaming import stream_select
 from repro.workloads import random_edit_script
-from repro.workloads.documents import doc_figure8, doc_flat, random_document
+from repro.workloads.documents import doc_figure8, doc_flat, doc_wide, random_document
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
+from repro.xpath.values import NodeSet
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260731"))
 CORE_QUERY_COUNT = 60
 XPATTERNS_QUERY_COUNT = 30
+EXTENDED_QUERY_COUNT = 20
 
 #: Navigational axes of the Core XPath grammar (Section 10.1).
 AXES = (
@@ -50,12 +56,20 @@ AXES = (
 )
 NAME_TESTS = ("a", "b", "c", "*")
 KIND_TESTS = ("node()", "text()", "comment()")
+#: The steps that take ``[k]`` / ``[last()]`` in the extended family.
+POSITIONAL_AXES = ("child", "following-sibling", "preceding-sibling")
+POSITIONS = ("1", "2", "3", "last()")
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+#: Number literals for ``π op N``; the documents hold numeric text ("25",
+#: "100", "0"…"5") and text that converts to NaN ("21 22", "n123").
+NUMBERS = ("0", "3", "25", "100")
 
 DOCUMENTS = {
     "flat": doc_flat(5),
     "figure8": doc_figure8(),
     "random17": random_document(17, max_depth=3, max_children=3),
     "random42": random_document(42, max_depth=3, max_children=3),
+    "wide6": doc_wide(6),
 }
 
 ENGINES = sorted(api.ENGINE_CLASSES)
@@ -66,6 +80,12 @@ class QueryGrammar:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        self._turns: dict[tuple[str, ...], itertools.cycle] = {}
+
+    def turn(self, options: tuple[str, ...]) -> str:
+        """The next of ``options`` in rotation, so a short run covers all."""
+        cycle = self._turns.setdefault(options, itertools.cycle(options))
+        return next(cycle)
 
     # -- Core XPath (Section 10.1) -------------------------------------
     def core_query(self) -> str:
@@ -117,10 +137,47 @@ class QueryGrammar:
         literal = self.rng.choice(("17", "c", ""))
         return f"{path} {op} '{literal}'"
 
+    # -- Beyond XPatterns: positions, numeric comparisons, count() -----
+    def extended_query(self) -> str:
+        shape = self.turn(("position", "number", "count"))
+        start = self.rng.choice(("/descendant-or-self::node()/", "/descendant::*/", "//*/"))
+        if shape == "number":
+            step = f"{self.core_step(depth=2)}[{self.numeric_predicate()}]"
+        else:
+            step = self.positional_step()
+        query = start + step
+        return f"count({query})" if shape == "count" else query
+
+    def positional_step(self) -> str:
+        """``[k]`` or ``[last()]`` on a child or sibling step, alone or
+        before or after a filter predicate."""
+        step = f"{self.turn(POSITIONAL_AXES)}::{self.rng.choice(NAME_TESTS)}"
+        position = f"[{self.turn(POSITIONS)}]"
+        roll = self.rng.random()
+        if roll < 0.3:
+            return step + position
+        predicate = self.numeric_predicate() if roll < 0.65 else self.core_predicate(2)
+        if self.rng.random() < 0.5:
+            return f"{step}[{predicate}]{position}"
+        return f"{step}{position}[{predicate}]"
+
+    def numeric_predicate(self) -> str:
+        path = self.rng.choice((".", "@id", "@n", "text()", "c", "descendant::*"))
+        op = self.turn(COMPARISONS)
+        number = self.rng.choice(NUMBERS)
+        if self.rng.random() < 0.3:
+            return f"{number} {op} {path}"
+        return f"{path} {op} {number}"
+
+
+#: Grammar seed offsets; the existing kinds keep theirs so their corpora
+#: stay fixed.
+_SEED_OFFSETS = {"core": 0, "xpatterns": 1, "extended": 2}
+
 
 def _generate(kind: str, count: int) -> list[str]:
-    grammar = QueryGrammar(FUZZ_SEED if kind == "core" else FUZZ_SEED + 1)
-    produce = grammar.core_query if kind == "core" else grammar.xpatterns_query
+    grammar = QueryGrammar(FUZZ_SEED + _SEED_OFFSETS[kind])
+    produce = getattr(grammar, f"{kind}_query")
     queries, seen = [], set()
     while len(queries) < count:
         query = produce()
@@ -132,11 +189,31 @@ def _generate(kind: str, count: int) -> list[str]:
 
 CORE_QUERIES = _generate("core", CORE_QUERY_COUNT)
 XPATTERNS_QUERIES = _generate("xpatterns", XPATTERNS_QUERY_COUNT)
+#: The generated family plus fixed cases: the classic reverse-axis position
+#: regression (the *nearest* preceding sibling of the third item), and a
+#: string comparison whose path carries a numeric predicate, either side.
+EXTENDED_QUERIES = _generate("extended", EXTENDED_QUERY_COUNT) + [
+    "//item[3]/preceding-sibling::item[1]",
+    "//*[item[. > 2] = '4']",
+    "//*['3' != c[@id > 11]]",
+]
+COUNT_QUERIES = [query for query in EXTENDED_QUERIES if query.startswith("count(")]
+EXTENDED_NODE_SET_QUERIES = [
+    query for query in EXTENDED_QUERIES if query not in COUNT_QUERIES
+]
 
 
 def _orders(engine: str, query, document) -> list[int]:
     nodes = api.get_engine(engine).select(query, document)
     return [node.order for node in nodes]
+
+
+def _answer(engine: str, query, document):
+    """Node orders of a node-set result; a count()'s number as is."""
+    value = api.get_engine(engine).evaluate(query, document)
+    if isinstance(value, NodeSet):
+        return [node.order for node in value.in_document_order()]
+    return value
 
 
 def _assert_engines_agree(query: str, accepted_engines):
@@ -145,13 +222,13 @@ def _assert_engines_agree(query: str, accepted_engines):
     for doc_name, document in DOCUMENTS.items():
         reference = None
         for engine in accepted_engines:
-            uncached = _orders(engine, plan_for(query, engine=engine, cache=None), document)
-            fresh_cached = _orders(
+            uncached = _answer(engine, plan_for(query, engine=engine, cache=None), document)
+            fresh_cached = _answer(
                 engine,
                 private_cache.get_or_compile(query, engine=engine),
                 document,
             )
-            shared_cached = _orders(engine, query, document)  # default cache
+            shared_cached = _answer(engine, query, document)  # default cache
             assert uncached == fresh_cached == shared_cached, (
                 f"{engine} disagrees with itself on {query!r} over {doc_name}"
             )
@@ -183,9 +260,31 @@ def test_xpatterns_fuzz_all_engines_agree(query):
     _assert_engines_agree(query, engines)
 
 
+@pytest.mark.parametrize("query", EXTENDED_QUERIES, ids=range(len(EXTENDED_QUERIES)))
+def test_extended_fuzz_all_engines_agree(query):
+    # Outside XPatterns: neither fragment engine accepts these.
+    assert not api.classify_query(query).in_xpatterns, query
+    _assert_engines_agree(query, _engines_for(query))
+
+
+def test_extended_family_covers_every_shape():
+    text = " ".join(EXTENDED_QUERIES)
+    for axis in POSITIONAL_AXES:
+        assert any(f"{axis}::" in q and "]" in q for q in EXTENDED_QUERIES), axis
+    for position in POSITIONS:
+        assert f"[{position}]" in text, position
+    for op in COMPARISONS:
+        assert any(f" {op} {n}" in text or f"{n} {op} " in text for n in NUMBERS), op
+    assert COUNT_QUERIES
+    # A position both after and before a filter predicate.
+    assert any(re.search(r"\]\[(\d|last\(\))\]", q) for q in EXTENDED_QUERIES)
+    assert any(re.search(r"\[(\d|last\(\))\]\[", q) for q in EXTENDED_QUERIES)
+
+
 def test_generation_is_deterministic_for_fixed_seed():
     assert _generate("core", 10) == _generate("core", 10)
     assert _generate("xpatterns", 5) == _generate("xpatterns", 5)
+    assert _generate("extended", 5) == _generate("extended", 5)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +295,7 @@ def test_generation_is_deterministic_for_fixed_seed():
 # documents, and must match the serial batch result node-for-node,
 # per-document failures included.
 # ----------------------------------------------------------------------
-ALL_QUERIES = CORE_QUERIES + XPATTERNS_QUERIES
+ALL_QUERIES = CORE_QUERIES + XPATTERNS_QUERIES + EXTENDED_NODE_SET_QUERIES
 
 #: A dedicated session so the parallel sweep shares plans across the three
 #: evaluations of each (query, engine) pair without touching the default
@@ -226,10 +325,13 @@ def _batch_shape(batch) -> list:
 
 
 def _engines_for(query: str) -> list[str]:
+    """The engines whose fragment accepts ``query``."""
     info = api.classify_query(query)
     if info.in_core_xpath:
         return ENGINES
-    return [engine for engine in ENGINES if engine != "corexpath"]
+    if info.in_xpatterns:
+        return [engine for engine in ENGINES if engine != "corexpath"]
+    return [engine for engine in ENGINES if engine not in ("corexpath", "xpatterns")]
 
 
 @pytest.mark.parametrize("query", ALL_QUERIES, ids=range(len(ALL_QUERIES)))
@@ -339,8 +441,9 @@ COMPILABLE_QUERIES = [
 ]
 
 #: The fixed seed must keep the compiled backend meaningfully exercised;
-#: the whole fuzz grammar (Core XPath + id-free XPatterns) lowers, so any
-#: drop below the corpus size means the classifier or grammar regressed.
+#: the whole fuzz grammar (Core XPath, id-free XPatterns and the extended
+#: family) lowers, so any drop below the corpus size means the classifier
+#: or grammar regressed.
 MIN_COMPILABLE_CASES = len(ALL_QUERIES) // 2
 
 
@@ -366,10 +469,27 @@ def test_compiled_runs_array_path_on_compilable_fuzz_cases(query):
         ), (query, doc_name)
 
 
+_GRAMMAR_COMPILABLE = [q for q in COMPILABLE_QUERIES if q not in EXTENDED_QUERIES]
+#: A quarter of the Core XPath / XPatterns cases, plus every compilable
+#: case of the extended family.
+LIMIT_PARITY_QUERIES = _GRAMMAR_COMPILABLE[: max(8, len(_GRAMMAR_COMPILABLE) // 4)] + [
+    q for q in COMPILABLE_QUERIES if q in EXTENDED_QUERIES
+]
+
+
+@pytest.mark.parametrize("query", COUNT_QUERIES, ids=range(len(COUNT_QUERIES)))
+def test_compiled_counts_on_the_array_path(query):
+    """count(π) runs as a count program and matches topdown by value."""
+    for doc_name, document in DOCUMENTS.items():
+        result = _COMPILED_SESSION.run(query, document)
+        counters = result.stats.as_dict()
+        assert counters.get("compiled_instructions", 0) > 0, (query, doc_name)
+        assert counters.get("compiled_fallbacks", 0) == 0, (query, doc_name)
+        assert result.value == _answer("topdown", query, document), (query, doc_name)
+
+
 @pytest.mark.parametrize(
-    "query",
-    COMPILABLE_QUERIES[: max(8, len(COMPILABLE_QUERIES) // 4)],
-    ids=range(max(8, len(COMPILABLE_QUERIES) // 4)),
+    "query", LIMIT_PARITY_QUERIES, ids=range(len(LIMIT_PARITY_QUERIES))
 )
 def test_compiled_limit_parity(query):
     """Limits behave like the interpreters: the result-node cap breaches at

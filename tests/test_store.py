@@ -218,6 +218,40 @@ class TestEngineParity:
             assert handle._document is None
 
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "//a/b[2]",
+            "//b[last()]",
+            "/lib/*[2]/*[1]",
+            "//a[1]/b[1]/following-sibling::b[1]",
+            "//b[2]/preceding-sibling::b[last()]",
+            "//b[@n > 1]",
+            "//b[@n != 5][last()]",
+            "//*[@id >= 0]",
+            "//a[. != 5]",
+        ],
+    )
+    def test_column_path_matches_in_memory_past_xpatterns(self, query, tmp_path):
+        fresh = parse_xml(ENGINE_DOC)
+        plan = plan_for(query, engine="compiled", cache=None)
+        assert plan.array_program() is not None, query
+        expected = [n.order for n in plan.select(fresh)]
+        path = str(tmp_path / "mapped.reproxs")
+        with DocumentStore.build(path, [parse_xml(ENGINE_DOC)]) as store:
+            handle = store.document_at(0)
+            assert handle.orders(plan) == expected
+            assert handle._document is None
+
+    def test_column_path_declines_a_count(self, tmp_path):
+        # count() lowers, but its answer is a number, not orders.
+        plan = plan_for("count(//b)", engine="compiled", cache=None)
+        assert plan.array_program().count
+        path = str(tmp_path / "mapped.reproxs")
+        with DocumentStore.build(path, [parse_xml(ENGINE_DOC)]) as store:
+            assert store.document_at(0).orders(plan) is None
+
+
 class TestCorruption:
     def _built(self, tmp_path, name="c.reproxs"):
         path = str(tmp_path / name)
