@@ -13,6 +13,13 @@ article, append a fresh one — document size stays fixed) and then runs
 the headline compiled query.  Both strategies sustain identical edit
 streams on their own copy and must return identical answers.
 
+A second, unmeasured cycle edits the middle of the document: inserts and
+removes at seeded positions inside ``dblp``, each followed by a compiled
+query with a literal predicate.  It checks that such edits repair the
+live index instead of dropping it, that the literal's cached match
+survives each edit, and that every answer equals a serialize → reparse
+twin's.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_mutation.py -s``;
 ``--benchmark-disable`` gives the smoke run CI uses.  Set
 REPRO_BENCH_RECORD=1 to append the measurements to BENCH_mutation.json.
@@ -22,11 +29,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.plan import plan_for
 from repro.workloads.documents import doc_dblp_source
 from repro.workloads.edits import build_node
@@ -41,6 +50,12 @@ ARTICLES = int(os.environ.get("REPRO_MUTATION_BENCH_ARTICLES", "320"))
 
 QUERY = "//article[@mdate]"
 PLAN = plan_for(QUERY, engine="compiled", cache=None)
+
+#: The mid-document cycle's re-query: its literal goes through the
+#: document's string-match cache.
+MID_QUERY = "//article[year = '1995']/@key"
+MID_PLAN = plan_for(MID_QUERY, engine="compiled", cache=None)
+MID_CYCLES = 12
 
 
 class _EditStream:
@@ -96,6 +111,36 @@ def test_edit_requery_workload(benchmark):
 def test_edit_rebuild_workload(benchmark):
     stream = _EditStream()
     benchmark(lambda: _edit_and_rebuild(stream))
+
+
+def test_mid_document_edits_repair_and_keep_the_match_cache():
+    rng = random.Random(7)
+    document = parse_xml(doc_dblp_source(ARTICLES, seed=11))
+    dblp = document.document_element
+    index = document.index
+    cache = index._string_match_cache
+    MID_PLAN.select(document)  # caches the literal's matches
+    for cycle in range(MID_CYCLES):
+        inside = rng.randrange(1, len(dblp.children) - 1)
+        if cycle % 2:
+            document.remove(dblp.children[inside])
+        else:
+            fragment = build_node(
+                (
+                    "article",
+                    {"key": f"bench/mid{cycle}"},
+                    (("title", {}, (f"mid-document {cycle}",)), ("year", {}, ("1995",))),
+                )
+            )
+            document.insert_child(dblp, fragment, inside)
+        assert "1995" in cache._entries, f"edit {cycle} dropped the cached match"
+        got = [node.order for node in MID_PLAN.select(document)]
+        twin = parse_xml(serialize(document))
+        expected = api.select(MID_QUERY, twin, engine="topdown")
+        assert got == [node.order for node in expected], f"edit {cycle}"
+    assert document.index is index
+    assert document.mutation_stats.repairs == MID_CYCLES
+    assert document.mutation_stats.rebuilds == 0
 
 
 def _measure(callable_) -> float:

@@ -5,8 +5,9 @@ Walks through the ISSUE-10 mutation layer:
 
 1. the five-method edit API (``insert_child``, ``remove``, ``rename``,
    ``set_text``, ``set_attribute``) and the monotonic generation counter,
-2. incremental index repair vs amortized rebuild, with the accounting
-   exposed by ``Document.mutation_stats`` and ``XPathSession.watch``,
+2. incremental index repair — every edit repairs the live index in
+   place — with the accounting exposed by ``Document.mutation_stats`` and
+   ``XPathSession.watch``,
 3. snapshot isolation — cheap copy-on-write read views pinned at a
    generation while the writer keeps editing,
 4. staleness detection — a cached node-set result raises a positioned
@@ -60,11 +61,11 @@ def main() -> None:
     result = session.run("//book[@year='2002']/heading", document)
     print("query over the repaired index:", result.nodes[0].string_value())
 
-    # -- 2. repair vs rebuild accounting --------------------------------
+    # -- 2. repair accounting --------------------------------------------
     stats = document.mutation_stats
     print(
         f"mutation stats: {stats.edits} edits, {stats.repairs} repairs, "
-        f"{stats.rebuilds} rebuilds, {stats.cow_copies} COW copies"
+        f"{stats.cow_copies} COW copies"
     )
 
     # -- 3. snapshot isolation ------------------------------------------
@@ -103,7 +104,6 @@ def main() -> None:
         "session saw "
         f"{counters['document_edits']} edits, "
         f"{counters['index_repairs']} index repairs, "
-        f"{counters['index_rebuilds']} index rebuilds, "
         f"{counters['cow_copies']} COW copies"
     )
 

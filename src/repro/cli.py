@@ -68,7 +68,7 @@ to an XML document and prints the edited document as XML.  With
 ``--query`` it evaluates the query against the *edited* document and
 prints the result instead — exercising the incremental index-repair path
 rather than a reparse.  ``--stats`` reports the mutation counters (edits
-applied, incremental repairs, epoch rebuilds) on stderr.
+applied, incremental index repairs) on stderr.
 
 A first argument of ``explain``, ``batch``, ``store``, ``serve`` or
 ``edit`` selects the subcommand; to *evaluate* a query literally so
@@ -404,7 +404,7 @@ def build_edit_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print mutation counters (edits, repairs, rebuilds) on stderr",
+        help="print mutation counters (edits, index repairs) on stderr",
     )
     return parser
 

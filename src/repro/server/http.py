@@ -39,6 +39,10 @@ _STATUS_TEXT = {
 #: Request bodies past this size are refused (413) before being buffered.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: A request head with more header lines than this is refused (400), so one
+#: connection cannot grow its header table without bound.
+MAX_HEADER_LINES = 100
+
 
 class QueryServer:
     """The asyncio front of one :class:`QueryService`."""
@@ -135,15 +139,20 @@ class QueryServer:
                 return False
             method, target, _version = request_line.decode("latin-1").split()
             headers = {}
+            lines = 0
             while True:
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n", b""):
                     break
+                lines += 1
+                if lines > MAX_HEADER_LINES:
+                    raise ValueError("too many header lines")
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
         except ValueError:
-            # A malformed request line, or a line past the StreamReader
-            # limit (64 KiB), which readline() reports as ValueError.
+            # A malformed request line, more than MAX_HEADER_LINES header
+            # lines, or a line past the StreamReader limit (64 KiB), which
+            # readline() reports as ValueError.
             await self._respond(writer, 400, {"error": {
                 "code": "bad_request", "message": "malformed request head"}})
             return False

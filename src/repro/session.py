@@ -127,11 +127,9 @@ class SessionStats:
     degraded_chunks: int = 0
     #: Mutation aggregates for documents the session watches (see
     #: :meth:`XPathSession.watch`): edits applied, incremental index
-    #: repairs, full epoch rebuilds, and copy-on-write tree copies forced
-    #: by live snapshots.
+    #: repairs, and copy-on-write tree copies forced by live snapshots.
     document_edits: int = 0
     index_repairs: int = 0
-    index_rebuilds: int = 0
     cow_copies: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -173,14 +171,12 @@ class SessionStats:
 
     def record_mutation(self, event: str) -> None:
         """Fold one document mutation event (``"edit"`` / ``"repair"`` /
-        ``"rebuild"`` / ``"cow"``) into the aggregates."""
+        ``"cow"``) into the aggregates."""
         with self._lock:
             if event == "edit":
                 self.document_edits += 1
             elif event == "repair":
                 self.index_repairs += 1
-            elif event == "rebuild":
-                self.index_rebuilds += 1
             elif event == "cow":
                 self.cow_copies += 1
 
@@ -207,7 +203,6 @@ class SessionStats:
                 "degraded_chunks": self.degraded_chunks,
                 "document_edits": self.document_edits,
                 "index_repairs": self.index_repairs,
-                "index_rebuilds": self.index_rebuilds,
                 "cow_copies": self.cow_copies,
             }
 
@@ -484,11 +479,10 @@ class XPathSession:
     def watch(self, document: Document) -> Document:
         """Fold ``document``'s mutation events into :attr:`stats`.
 
-        Registers a listener on the document so every edit, index repair,
-        epoch rebuild and copy-on-write is counted in the session's
-        ``document_edits`` / ``index_repairs`` / ``index_rebuilds`` /
-        ``cow_copies`` aggregates.  Idempotent; returns the document for
-        chaining.
+        Registers a listener on the document so every edit, index repair
+        and copy-on-write is counted in the session's ``document_edits`` /
+        ``index_repairs`` / ``cow_copies`` aggregates.  Idempotent; returns
+        the document for chaining.
         """
         document.add_mutation_listener(self._on_mutation)
         return document

@@ -12,8 +12,8 @@ Three consumers:
   (:func:`random_edit_script`) against a live document and checks every
   engine's answers against a serialise → reparse → query round trip;
 * the repair≡rebuild property tests replay the identical script
-  (:func:`apply_script`) onto a twin document configured to always rebuild
-  its index, then compare index columns key for key;
+  (:func:`apply_script`) onto a twin document that builds no index until
+  the end, then compare index columns key for key;
 * the CLI ``edit`` subcommand reads a JSON script
   (:func:`script_from_json`), applies it and prints the result.
 

@@ -11,16 +11,15 @@ mapping each node test to the subset of ``dom`` satisfying it.  A
 * ID lookup used by ``id()`` / ``deref_ids`` and the ``ref`` relation of
   XPatterns (Section 10.2).
 
-Mutation (the epoch model)
---------------------------
+Mutation (the generation model)
+-------------------------------
 Documents are frozen once (:meth:`Document.freeze`) but no longer immutable
 afterwards: the edit API — :meth:`~Document.insert_child`,
 :meth:`~Document.remove`, :meth:`~Document.rename`, :meth:`~Document.set_text`,
 :meth:`~Document.set_attribute` — applies in-place edits, each bumping the
-monotone ``document.generation``.  Small edits repair the order/extent
-columns and posting lists locally (O(tail + depth)); once the accumulated
-repair span crosses the dirtiness threshold the index is discarded and
-rebuilt lazily (an *epoch* rebuild, amortised O(1) per shifted entry).
+monotone ``document.generation``.  Every edit repairs a live index in place
+— the order/extent columns, the posting lists and the cached string
+matches, O(tail + depth) — and never discards it.
 :meth:`~Document.snapshot` pins the current generation as a cheap
 copy-on-write read view for concurrent readers: the first edit after a
 snapshot copies the tree for the writer, so the view's nodes and columns
@@ -62,7 +61,7 @@ _REGULAR_CHILD_TYPES = frozenset(
 
 @dataclass
 class MutationStats:
-    """Repair-vs-rebuild accounting of one document's edit history.
+    """Index-maintenance accounting of one document's edit history.
 
     Attributes
     ----------
@@ -71,8 +70,9 @@ class MutationStats:
     repairs:
         Edits whose index maintenance was a local in-place repair.
     rebuilds:
-        Edits that discarded the index for a lazy epoch rebuild (dirtiness
-        threshold crossed, or the index dropped by a copy-on-write).
+        Edits that dropped the index: a copy-on-write leaves the shared
+        index with the snapshot, and the writer's next query builds a new
+        one.
     cow_copies:
         Times the writer had to copy the tree because a pinned snapshot
         view was holding the previous generation.
@@ -157,14 +157,6 @@ class Document:
     #: (the on-disk columns describe generation 0, not this tree).
     store_detached: bool = False
 
-    #: Accumulated repair span (fraction of ``len(dom)``) that triggers the
-    #: amortised epoch rebuild instead of another local repair.
-    rebuild_threshold: float = 1.0
-
-    #: Floor below which the dirtiness accounting never triggers a rebuild —
-    #: on tiny documents local repair is always at least as cheap.
-    _REBUILD_MIN_DIRT = 64
-
     def __init__(self, root: Node, id_attribute: str = "id"):
         if root.node_type is not NodeType.ROOT:
             raise ValueError("Document requires a root-type node")
@@ -182,7 +174,6 @@ class Document:
         self._edit_lock = threading.RLock()
         self._pinned_view: Optional["Document"] = None
         self._snapshot_of: Optional["Document"] = None
-        self._dirt = 0
         self._listeners: list = []
 
     # ------------------------------------------------------------------
@@ -246,9 +237,9 @@ class Document:
     def _refresh(self) -> None:
         """(Re-)derive orders, links, dom views and the ID map from the tree.
 
-        The body of :meth:`freeze`, reused by the edit API whenever a full
-        renumber is cheaper or required (no live index to repair, dirtiness
-        threshold crossed, or a copy-on-write replaced the tree).
+        The body of :meth:`freeze`, reused by the edit API whenever there
+        is no live index to repair (none built yet, or a copy-on-write
+        replaced the tree).
         """
         order = 0
         stack: list[Node] = [self.root]
@@ -275,7 +266,6 @@ class Document:
         self._node_set = set(nodes)
         self._build_indexes()
         self._ref_relation = None
-        self._dirt = 0
 
     def _build_indexes(self) -> None:
         ids: dict[str, Node] = {}
@@ -297,12 +287,12 @@ class Document:
             self._require_frozen()
             from .index import DocumentIndex
 
-            # The lazy build must not race an in-flight edit: an edit that
-            # crossed the rebuild threshold drops ``_index`` and renumbers
-            # under the lock, and an unsynchronised build here could cache
-            # an index derived from that half-renumbered state (and share
-            # it into the next snapshot).  Double-checked under the edit
-            # lock; re-entrant from edit internals because it is an RLock.
+            # The lazy build must not race an in-flight edit: an edit with
+            # no live index renumbers the whole tree under the lock, and an
+            # unsynchronised build here could cache an index derived from
+            # that half-renumbered state (and share it into the next
+            # snapshot).  Double-checked under the edit lock; re-entrant
+            # from edit internals because it is an RLock.
             with self._edit_lock:
                 index = self._index
                 if index is None:
@@ -355,7 +345,6 @@ class Document:
             pinned._edit_lock = threading.RLock()
             pinned._pinned_view = None
             pinned._snapshot_of = self
-            pinned._dirt = 0
             pinned._listeners = []
             pinned.store_detached = self.store_detached
             if self.generation == 0 and self._store_origin is not None:
@@ -376,9 +365,9 @@ class Document:
     def add_mutation_listener(self, callback) -> None:
         """Register ``callback(document, event)`` for mutation events.
 
-        Events: ``"edit"`` after every successful edit, ``"repair"`` /
-        ``"rebuild"`` for the index maintenance strategy chosen, ``"cow"``
-        when a pinned snapshot forced the writer to copy the tree.
+        Events: ``"edit"`` after every successful edit, ``"repair"`` when
+        it repaired the live index, ``"cow"`` when a pinned snapshot forced
+        the writer to copy the tree.
         Callbacks run under the edit lock — keep them small.
         """
         if callback not in self._listeners:
@@ -462,10 +451,9 @@ class Document:
             node.parent = parent
             parent._children.insert(position, node)
             _rewire_child0(parent)
-            inserted, repaired = self._attach_structural(node)
-            if repaired:
-                self._patch_ids_after_insert(inserted)
-            self._finish_edit(touched=parent, id_rescan=False)
+            inserted = self._attach_structural(node)
+            self._patch_ids_after_insert(inserted)
+            self._finish_edit(_text_path(parent, inserted), id_rescan=False)
             return node
 
     def remove(self, node: Node) -> Node:
@@ -490,6 +478,7 @@ class Document:
             removed = [node, *node.iter_descendants(include_special=True)]
             id_rescan = self._removal_disturbs_ids(removed)
             self._detach_structural(node, removed)
+            changed = _text_path(parent, removed)
             if (
                 before is not None
                 and after is not None
@@ -499,9 +488,9 @@ class Document:
                 # Merge the adjacency this removal created, mirroring what a
                 # serialize→reparse round trip would do.
                 before.value = (before.value or "") + (after.value or "")
-                before._string_value = None
                 self._detach_structural(after, [after])
-            self._finish_edit(touched=parent, id_rescan=id_rescan)
+                changed.insert(0, before)
+            self._finish_edit(changed, id_rescan=id_rescan)
             return node
 
     def rename(self, node: Node, name: str) -> Node:
@@ -538,7 +527,7 @@ class Document:
             id_rescan = node.node_type is NodeType.ATTRIBUTE and (
                 old_name == self.id_attribute or name == self.id_attribute
             )
-            self._finish_edit(touched=None, id_rescan=id_rescan)
+            self._finish_edit([], id_rescan=id_rescan)
             return node
 
     def set_text(self, node: Node, value: str) -> Node:
@@ -553,7 +542,9 @@ class Document:
                 node.node_type is NodeType.ATTRIBUTE
                 and node.name == self.id_attribute
             )
-            self._finish_edit(touched=node, id_rescan=id_rescan)
+            # Only a text node's value reaches its ancestors' string values.
+            changed = _text_path(node, [node]) or [node]
+            self._finish_edit(changed, id_rescan=id_rescan)
             return node
 
     def set_attribute(
@@ -578,7 +569,7 @@ class Document:
                 attr = element.attribute(name)
                 id_rescan = name == self.id_attribute
                 self._detach_structural(attr, [attr])
-                self._finish_edit(touched=element, id_rescan=id_rescan)
+                self._finish_edit([], id_rescan=id_rescan)
                 return None
             if not isinstance(value, str):
                 raise TypeError("attribute value must be a string or None")
@@ -588,14 +579,14 @@ class Document:
             id_rescan = name == self.id_attribute
             if attr is not None:
                 attr.value = value
-                self._finish_edit(touched=attr, id_rescan=id_rescan)
+                self._finish_edit([attr], id_rescan=id_rescan)
                 return attr
             attr = Node(NodeType.ATTRIBUTE, name, value)
             attr.parent = element
             element._attributes.append(attr)
             _rewire_child0(element)
             self._attach_structural(attr)
-            self._finish_edit(touched=attr, id_rescan=id_rescan)
+            self._finish_edit([], id_rescan=id_rescan)
             return attr
 
     # ------------------------------------------------------------------
@@ -636,8 +627,8 @@ class Document:
         """Give the writer a private tree; the pinned view keeps the old one."""
         self.root = self.root.detached_copy()
         if self._index is not None:
-            # The shared index stays with the snapshot; this side rebuilds
-            # lazily over the new tree (an epoch rebuild by another name).
+            # The shared index stays with the snapshot; this side builds a
+            # new one over the new tree on its next query.
             self._index = None
             self.mutation_stats.rebuilds += 1
         self._refresh()
@@ -645,53 +636,44 @@ class Document:
         self.mutation_stats.cow_copies += 1
         self._emit("cow")
 
-    def _finish_edit(self, touched: Optional[Node], id_rescan: bool) -> None:
+    def _finish_edit(self, changed: list[Node], id_rescan: bool) -> None:
+        """Bookkeeping after every edit.
+
+        ``changed`` lists the nodes still in the tree whose string value
+        the edit changed, ancestors nearest first: their cached values are
+        dropped and a live index re-tests them against its cached string
+        matches.
+        """
         if id_rescan:
             self._build_indexes()
         self._ref_relation = None
+        for node in changed:
+            node._string_value = None
         if self._index is not None:
-            # Edits change string-values or shift orders: cached matches go stale.
-            self._index._string_match_cache.clear()
+            self._index.repair_string_matches(changed)
         self.generation += 1
         self.mutation_stats.edits += 1
-        if touched is not None:
-            touched.invalidate_string_cache()
         self._emit("edit")
 
-    def _register_dirt(self, span: int, size: int) -> bool:
-        """Accumulate repair span; True when the epoch rebuild is due."""
-        self._dirt += span
-        if self._dirt < max(self._REBUILD_MIN_DIRT, int(self.rebuild_threshold * size)):
-            return False
-        self._dirt = 0
-        return True
-
-    def _attach_structural(self, node: Node) -> tuple[list[Node], bool]:
+    def _attach_structural(self, node: Node) -> list[Node]:
         """Renumber + index maintenance for a freshly attached subtree.
 
         ``node`` is already wired into its parent's lists and sibling links.
-        Returns ``(inserted_preorder, repaired)``; when ``repaired`` is
-        False a full :meth:`_refresh` already rebuilt orders and the ID map.
+        Returns the subtree in child0 preorder.  Without a live index a full
+        :meth:`_refresh` renumbers the tree and rebuilds the ID map.
         """
+        inserted = [node, *node.iter_descendants(include_special=True)]
         index = self._index
         if index is None:
             self._refresh()
-            return [], False
+            return inserted
         prev = node.prev_sibling
         position = (
             index.subtree_end[prev.order] + 1
             if prev is not None
             else node.parent.order + 1
         )
-        inserted = [node, *node.iter_descendants(include_special=True)]
         count = len(inserted)
-        size = len(self._nodes)
-        if self._register_dirt(size - position + count, size + count):
-            self._index = None
-            self.mutation_stats.rebuilds += 1
-            self._emit("rebuild")
-            self._refresh()
-            return inserted, False
         self._wire_subtree(inserted, position)
         nodes = self._nodes
         for i in range(position, len(nodes)):
@@ -701,7 +683,7 @@ class Document:
         index.repair_insert(inserted)
         self.mutation_stats.repairs += 1
         self._emit("repair")
-        return inserted, True
+        return inserted
 
     def _detach_structural(self, node: Node, removed: list[Node]) -> None:
         """Index maintenance + physical detach of ``node``'s subtree.
@@ -712,17 +694,10 @@ class Document:
         index = self._index
         position = node.order
         count = len(removed)
-        repaired = False
         if index is not None:
-            if self._register_dirt(len(self._nodes) - position, len(self._nodes)):
-                self._index = None
-                self.mutation_stats.rebuilds += 1
-                self._emit("rebuild")
-            else:
-                index.repair_remove(removed)
-                self.mutation_stats.repairs += 1
-                self._emit("repair")
-                repaired = True
+            index.repair_remove(removed)
+            self.mutation_stats.repairs += 1
+            self._emit("repair")
         parent = node.parent
         if node.node_type is NodeType.ATTRIBUTE:
             parent._attributes.remove(node)
@@ -734,7 +709,7 @@ class Document:
         node.parent = None
         node.prev_sibling = None
         node.next_sibling = None
-        if repaired:
+        if index is not None:
             nodes = self._nodes
             del nodes[position : position + count]
             for i in range(position, len(nodes)):
@@ -802,10 +777,11 @@ class Document:
                 previous = child
 
     def _patch_ids_after_insert(self, inserted: list[Node]) -> None:
-        """Incremental ID-map maintenance on the repair path.
+        """Incremental ID-map maintenance after an insert.
 
-        First-in-document-order wins, matching :meth:`_build_indexes`; the
-        refresh path rebuilds the whole map instead.
+        First-in-document-order wins, matching :meth:`_build_indexes`, so
+        after a full :meth:`_refresh` (which rebuilt the map) it changes
+        nothing.
         """
         attr_name = self.id_attribute
         for node in inserted:
@@ -922,6 +898,19 @@ class Document:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         size = len(self._nodes) if self._frozen else "unfrozen"
         return f"<Document nodes={size}>"
+
+
+def _text_path(node: Node, subtree: list[Node]) -> list[Node]:
+    """``node`` and its ancestors, nearest first, when ``subtree`` holds a
+    text node; otherwise nothing.
+
+    Element and root string values concatenate descendant text nodes only,
+    so adding, removing or rewriting ``subtree`` below (or at) ``node``
+    changes exactly these string values — or none, when it has no text.
+    """
+    if any(item.node_type is NodeType.TEXT for item in subtree):
+        return [node, *node.iter_ancestors()]
+    return []
 
 
 def _rebuild_document(payload, id_attribute: str, frozen: bool) -> "Document":

@@ -86,21 +86,24 @@ class StringMatchCache:
     are disjoint, so together they hold at most ``size`` orders.  ``!=`` is
     their complement, computed on each call.  At most
     :data:`STRING_MATCH_CACHE_SIZE` literals are kept, oldest first out.
-    Lookups are lock-free; the lock orders inserts, evictions and clears.
+
+    An edit repairs the entries instead of dropping them: :meth:`splice`
+    renumbers them like the posting lists, and :meth:`retest` moves the
+    nodes whose string value the edit changed.  Lookups are lock-free; the
+    lock orders inserts, evictions and repairs.  Every repair bumps a
+    version, and a scan inserts its result only if no repair ran while it
+    scanned, so a result computed across an edit is never kept.
     """
 
-    __slots__ = ("_entries", "_lock")
+    __slots__ = ("_entries", "_lock", "_version")
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[int, ...]] = {}
         self._lock = threading.Lock()
+        self._version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def match(
         self,
@@ -114,15 +117,74 @@ class StringMatchCache:
         document order and is called only on a miss."""
         equal = self._entries.get(value)
         if equal is None:
+            version = self._version
             equal = tuple(
                 order for order, text in enumerate(string_values()) if text == value
             )
             entries = self._entries
             with self._lock:
-                if value not in entries and len(entries) >= STRING_MATCH_CACHE_SIZE:
-                    del entries[next(iter(entries))]
-                entries[value] = equal
+                if self._version == version:
+                    if value not in entries and len(entries) >= STRING_MATCH_CACHE_SIZE:
+                        del entries[next(iter(entries))]
+                    entries[value] = equal
         return complement_orders(size, equal) if negated else equal
+
+    def splice(
+        self,
+        position: int,
+        removed: int,
+        added: int = 0,
+        added_values: Iterable[tuple[int, str]] = (),
+    ) -> None:
+        """Renumber the entries for a structural edit.
+
+        The edit replaced the ``removed`` orders from ``position`` on with
+        ``added`` new nodes, and shifted every later order by the
+        difference.  ``added_values`` yields each new node's ``(order,
+        string value)`` and is consumed only while some literal is cached.
+        """
+        with self._lock:
+            self._version += 1
+            entries = self._entries
+            if not entries:
+                return
+            delta = added - removed
+            for value, equal in entries.items():
+                start = bisect_left(equal, position)
+                if start < len(equal):
+                    stop = bisect_left(equal, position + removed, start)
+                    entries[value] = equal[:start] + tuple(
+                        order + delta for order in equal[stop:]
+                    )
+            for order, value in added_values:
+                equal = entries.get(value)
+                if equal is not None:
+                    entries[value] = _with_order(equal, order)
+
+    def retest(self, changed: Iterable[tuple[int, str]]) -> None:
+        """Move each ``(order, new string value)`` into the entry of its new
+        value, out of whichever entry held it before.  ``changed`` is
+        consumed only while some literal is cached."""
+        with self._lock:
+            self._version += 1
+            entries = self._entries
+            if not entries:
+                return
+            for order, value in changed:
+                for literal, equal in entries.items():
+                    i = bisect_left(equal, order)
+                    if i < len(equal) and equal[i] == order:
+                        entries[literal] = equal[:i] + equal[i + 1 :]
+                        break  # entries are disjoint
+                equal = entries.get(value)
+                if equal is not None:
+                    entries[value] = _with_order(equal, order)
+
+
+def _with_order(orders: tuple[int, ...], order: int) -> tuple[int, ...]:
+    """``orders`` (sorted, without ``order``) with ``order`` inserted."""
+    i = bisect_left(orders, order)
+    return orders[:i] + (order,) + orders[i:]
 
 
 def _shift_orders(orders: list[int], threshold: int, delta: int) -> None:
@@ -157,9 +219,9 @@ class DocumentIndex:
     Built lazily by :attr:`Document.index`; the document must be frozen.
     The arrays are read-only from the query side; the document's edit API
     repairs them in place through :meth:`repair_insert` /
-    :meth:`repair_remove` / :meth:`repair_rename` for small edits and
-    discards the whole index (lazy epoch rebuild) past its dirtiness
-    threshold — see ``Document``'s mutation docs.
+    :meth:`repair_remove` / :meth:`repair_rename`, and the string-match
+    cache with them (:meth:`repair_string_matches`) — an edit never
+    discards a live index.  See ``Document``'s mutation docs.
     """
 
     __slots__ = (
@@ -226,7 +288,7 @@ class DocumentIndex:
         self._by_label_orders: dict[tuple[NodeType, str], list[int]] = {
             label: [node.order for node in bucket] for label, bucket in by_label.items()
         }
-        #: ``string_match`` results; ``Document._finish_edit`` clears it.
+        #: ``string_match`` results, repaired by every edit.
         self._string_match_cache = StringMatchCache()
 
     # ------------------------------------------------------------------
@@ -250,9 +312,10 @@ class DocumentIndex:
     def string_match(self, value: str, negated: bool) -> Sequence[int]:
         """Orders of nodes whose string-value equals (or differs from) ``value``.
 
-        One linear pre-scan per distinct literal, cached until the next
-        edit and shared by the compiled engine's ``strmatch`` and the
-        interpreters' ``StringMatchSet`` (see :class:`StringMatchCache`).
+        One linear pre-scan per distinct literal, shared by the compiled
+        engine's ``strmatch`` and the interpreters' ``StringMatchSet``.  The
+        result stays cached across edits, which repair it (see
+        :class:`StringMatchCache`).
         """
         nodes = self.nodes
         return self._string_match_cache.match(
@@ -327,6 +390,14 @@ class DocumentIndex:
                 orders = self._by_label_orders.setdefault(label, [])
                 _posting_insert(bucket, orders, node)
 
+        # Cached string matches: shift like a posting list, then test the
+        # new nodes, deepest first so each element's walk reuses its
+        # descendants' just-cached values.
+        self._string_match_cache.splice(
+            position, 0, count,
+            ((node.order, node.string_value()) for node in reversed(inserted)),
+        )
+
     def repair_remove(self, removed: list[Node]) -> None:
         """Remove a subtree from every column of this index.
 
@@ -375,6 +446,19 @@ class DocumentIndex:
         high = bisect_left(regular, position + count)
         regular[low:] = [order - count for order in regular[high:]]
         del self.regular_nodes[low:high]
+        self._string_match_cache.splice(position, count)
+
+    def repair_string_matches(self, changed: list[Node]) -> None:
+        """Re-test the nodes whose string value an edit changed against
+        every cached literal.
+
+        ``changed`` lists them with their final orders and their cached
+        values already dropped; ancestors come nearest first, so each
+        ancestor's walk reuses the value just computed below it.
+        """
+        self._string_match_cache.retest(
+            (node.order, node.string_value()) for node in changed
+        )
 
     def repair_rename(self, node: Node, old_name: str) -> None:
         """Move one node between label buckets after a rename.

@@ -300,18 +300,6 @@ class Node:
             copy.append_child(child.detached_copy())
         return copy
 
-    def invalidate_string_cache(self) -> None:
-        """Drop the cached string value of this node and all its ancestors.
-
-        Called by the document's edit API: a text change anywhere inside a
-        subtree changes the ``strval`` of every ancestor element and of the
-        root, but of nothing else.  So every cached element value stays
-        correct, which :meth:`string_value` relies on when it reuses them.
-        """
-        self._string_value = None
-        for ancestor in self.iter_ancestors():
-            ancestor._string_value = None
-
     # ------------------------------------------------------------------
     # String value (paper Section 4, `strval`)
     # ------------------------------------------------------------------
@@ -322,10 +310,13 @@ class Node:
           order;
         * text, comment, attribute, namespace, PI: the node's own value.
 
-        The value is cached after the first computation, and the document's
-        edit API drops it again (:meth:`invalidate_string_cache`).  The walk
-        over an element's subtree takes a descendant element's cached value
-        instead of descending into it, so after an edit the root and the
+        The value is cached after the first computation.  The document's
+        edit API drops it again for every node whose value an edit changes:
+        a text change inside a subtree changes the ``strval`` of the text
+        node, of every ancestor element and of the root, and of nothing
+        else.  So every cached element value stays exact, and the walk over
+        an element's subtree takes a descendant element's cached value
+        instead of descending into it: after an edit the root and the
         document element are rebuilt from their untouched children's cached
         values.  Only this node's value is stored.
         """

@@ -1,17 +1,23 @@
 """Mutable documents: edit API, incremental repair, snapshots, staleness.
 
-Unit coverage for the epoch model (ISSUE 10): the five edit primitives and
-their validation, generation accounting, repair-vs-rebuild bookkeeping,
-copy-on-write snapshots, result staleness, session mutation hooks, the
-pickle guard for mutated store-backed documents, and the store lifecycle
-(materialize caching, detach-on-close, cache invalidation).
+Unit coverage for the generation model: the five edit primitives and their
+validation, generation accounting, index-repair bookkeeping, the repaired
+string-match cache, copy-on-write snapshots, result staleness, session
+mutation hooks, the pickle guard for mutated store-backed documents, and
+the store lifecycle (materialize caching, detach-on-close, cache
+invalidation).
 
 The repair≡rebuild *property* tests live here too: a random edit script is
-replayed onto a twin document forced to rebuild its index on every edit,
-and onto a serialize→reparse round trip, and all index columns must agree.
+replayed onto a twin document that builds no index until the end (so every
+structural edit renumbers the whole tree), and onto a serialize→reparse
+round trip, and all index columns must agree; and random edit scripts keep
+every cached string match equal to a fresh scan.
 """
 
 import pickle
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro import api
@@ -27,6 +33,7 @@ from repro.workloads import (
     script_to_json,
 )
 from repro.workloads.documents import random_document
+from repro.workloads.edits import _try_op
 from repro.xmlmodel.builder import build_fragment
 from repro.xmlmodel.document import Document
 from repro.xmlmodel.index import DocumentIndex
@@ -248,32 +255,37 @@ class TestRepairAccounting:
         assert document.mutation_stats.repairs == 1
         assert document.mutation_stats.rebuilds == 0
 
-    def test_dirtiness_threshold_triggers_epoch_rebuild(self):
+    def test_front_insert_repairs_the_live_index(self):
         document = doc("<r>" + "<a/>" * 100 + "</r>")
-        document.rebuild_threshold = 0.0  # floor (_REBUILD_MIN_DIRT) governs
         index_before = document.index
-        # Inserting at the very front dirties the whole tail (> 64 entries).
+        # Inserting at the very front shifts the whole tail; it still
+        # repairs in place.
         document.insert_child(document.document_element, build_fragment("z"), 0)
-        assert document.mutation_stats.rebuilds == 1
-        assert document.mutation_stats.repairs == 0
-        assert document._index is None  # lazy: rebuilt on next access
-        assert document.index is not index_before
+        assert document.mutation_stats.repairs == 1
+        assert document.mutation_stats.rebuilds == 0
+        assert document.index is index_before
         _assert_index_consistent(document)
 
-    def test_dirt_accumulates_across_small_edits(self):
-        document = doc("<r>" + "<a/>" * 100 + "</r>")
+    @pytest.mark.parametrize("query_between", [False, True], ids=["bare", "queried"])
+    def test_front_edits_never_drop_the_index(self, query_between):
+        document = doc("<r>" + "<a>t</a>" * 100 + "</r>")
         parent = document.document_element
-        document.index  # live index: edits go through repair accounting
-        # Mid-document inserts each dirty half the tail; a few of them must
-        # cross the threshold (amortisation, not unbounded decay), while
-        # the first ones repair in place.
-        for _ in range(10):
-            document.insert_child(parent, build_fragment("b"), 50)
-            if document.mutation_stats.rebuilds:
-                break
-        assert document.mutation_stats.repairs >= 1
-        assert document.mutation_stats.rebuilds >= 1
-        _assert_index_consistent(document)
+        index_before = document.index
+        for step in range(40):
+            if step % 3 == 2:
+                document.remove(parent.children[step % 5])
+            else:
+                document.insert_child(
+                    parent, build_fragment("b", {"n": str(step)}, ["t"]), 0
+                )
+            if query_between:
+                matched = api.select("//b[. = 't']", document, engine="compiled")
+                assert matched == document.nodes_of_type_and_name(NodeType.ELEMENT, "b")
+        assert document.index is index_before
+        assert document.mutation_stats.repairs == 40
+        assert document.mutation_stats.rebuilds == 0
+        reparsed = parse_xml(serialize(document))
+        assert _index_columns(document.index) == _index_columns(reparsed.index)
 
     def test_compiled_engine_sees_the_repaired_index(self):
         document = doc("<r><a/><a/></r>")
@@ -300,6 +312,29 @@ class TestRepairAccounting:
         assert_matches_reparse()
         document.insert_child(document.document_element, build_fragment("b"), 0)
         assert_matches_reparse()
+        # The entry was repaired across both edits, never dropped.
+        assert "x" in document.index._string_match_cache._entries
+
+    def test_scan_overlapping_an_edit_leaves_no_entry(self):
+        document = doc("<r><b>x</b><b>y</b></r>")
+        index = document.index
+        cache = index._string_match_cache
+
+        def values_with_an_edit_midway():
+            for position, node in enumerate(list(index.nodes)):
+                if position == 2:
+                    document.insert_child(
+                        document.document_element, build_fragment("b", None, ["x"]), 0
+                    )
+                yield node.string_value()
+
+        cache.match("x", False, len(index.nodes), values_with_an_edit_midway)
+        assert "x" not in cache._entries
+        # The next lookup scans the edited document afresh.
+        reparsed = parse_xml(serialize(document))
+        assert list(index.string_match("x", False)) == [
+            node.order for node in reparsed.index.nodes if node.string_value() == "x"
+        ]
 
 
 class TestStringValuesFollowEdits:
@@ -338,6 +373,32 @@ class TestStringValuesFollowEdits:
             "<d x=\"1\" y=\"2\">fivesix</d><h>seven</h></r>"
         )
 
+    def test_value_edits_outside_text_keep_ancestor_values(self):
+        # Element and root string values concatenate descendant text only,
+        # so an attribute, comment or PI write leaves every ancestor's
+        # cached value in place.
+        document = doc(self.SOURCE)
+        a, d, _f = document.document_element.children
+        comment, pi = a.children[1], a.children[4]
+        edits = [
+            (d, lambda: document.set_attribute(d, "x", "9")),
+            (d, lambda: document.set_attribute(d, "z", "new")),
+            (d, lambda: document.set_attribute(d, "x", None)),
+            (d, lambda: document.set_text(d.attribute("z"), "newer")),
+            (a, lambda: document.set_text(comment, "remark")),
+            (a, lambda: document.set_text(pi, "other")),
+        ]
+        for owner, edit in edits:
+            for node in document.index.nodes:
+                node.string_value()
+            edit()
+            ancestors = [owner, *owner.iter_ancestors()]
+            assert all(node._string_value is not None for node in ancestors)
+            reparsed = parse_xml(serialize(document))
+            assert [node.string_value() for node in document.index.nodes] == [
+                node.string_value() for node in reparsed.index.nodes
+            ]
+
 
 # ----------------------------------------------------------------------
 # Repair ≡ rebuild (property tests over random edit scripts)
@@ -345,21 +406,35 @@ class TestStringValuesFollowEdits:
 REPAIR_SEEDS = (5, 18, 19, 26, 37)
 
 
+class _Unindexed:
+    """A document whose targets ``apply_edit`` resolves through the node
+    table, so replaying a script never builds the index."""
+
+    def __init__(self, document: Document):
+        self._document = document
+
+    @property
+    def index(self):
+        return SimpleNamespace(nodes=self._document.dom)
+
+    def __getattr__(self, name):
+        return getattr(self._document, name)
+
+
 class TestRepairEqualsRebuild:
     @pytest.mark.parametrize("seed", REPAIR_SEEDS)
     def test_repaired_index_matches_always_rebuilt_twin(self, seed):
         document = random_document(seed, max_depth=4, max_children=4)
         twin = parse_xml(serialize(document))
-        # Force the twin down the epoch-rebuild path on every single edit.
-        twin.rebuild_threshold = 0.0
-        twin._REBUILD_MIN_DIRT = 0
-        document.index, twin.index  # both start with a live index
+        document.index  # the document repairs a live index on every edit
         script = random_edit_script(document, 12, seed=seed * 31 + 1)
         assert script, "seed produced no edits"
-        assert apply_script(twin, script) == len(script)
-        # Structural edits on the twin all took the rebuild path (renames
-        # and value writes have no structural span and repair regardless).
-        assert twin.mutation_stats.rebuilds >= 1
+        # The twin has no index until the end, so each of its structural
+        # edits renumbers the whole tree and the index is built once, from
+        # scratch, over the final state.
+        assert apply_script(_Unindexed(twin), script) == len(script)
+        assert twin._index is None
+        assert twin.mutation_stats.repairs == 0
         assert serialize(twin) == serialize(document)
         assert _index_columns(document.index) == _index_columns(twin.index)
         assert document.generation == twin.generation == len(script)
@@ -382,6 +457,96 @@ class TestRepairEqualsRebuild:
         assert replayed == script
         apply_script(twin, replayed)
         assert serialize(twin) == serialize(document)
+
+
+# ----------------------------------------------------------------------
+# The string-match cache is repaired, never cleared (property test)
+# ----------------------------------------------------------------------
+CACHE_SEEDS = (2, 5, 18, 26, 37, 41)
+
+
+def _fresh_matches(document: Document, literals) -> dict:
+    """Each literal's ``strval(x) = s`` orders, scanned over a reparse."""
+    values = [
+        node.string_value()
+        for node in parse_xml(serialize(document)).index.nodes
+    ]
+    return {
+        literal: tuple(order for order, value in enumerate(values) if value == literal)
+        for literal in literals
+    }
+
+
+def _assert_cache_equals_scan(document: Document) -> None:
+    entries = dict(document.index._string_match_cache._entries)
+    assert entries == _fresh_matches(document, entries)
+
+
+class TestStringMatchCacheRepair:
+    @pytest.mark.parametrize("seed", CACHE_SEEDS)
+    def test_cached_matches_equal_a_fresh_scan_after_every_edit(self, seed):
+        document = random_document(seed, max_depth=4, max_children=4)
+        rng = random.Random(seed)
+        kinds = set()
+        view = None
+
+        def warm():
+            index = document.index
+            for value in {node.string_value() for node in index.nodes}:
+                index.string_match(value, False)
+            for literal in ("L", "R", "LR", "v1", "v2"):
+                index.string_match(literal, False)
+
+        def element():
+            return rng.choice(document.nodes_of_type(NodeType.ELEMENT)[1:]
+                              or [document.document_element])
+
+        def merge_texts():
+            host = document.insert_child(
+                document.document_element,
+                build_fragment("m", None, ["L", ("x", None, ["v1"]), "R"]),
+            )
+            warm()
+            _assert_cache_equals_scan(document)
+            document.remove(host.children[1])
+            assert [child.value for child in host.children] == ["LR"]
+            return "merge"
+
+        def attribute_cycle():
+            target = element()
+            for value in ("v1", "v2", None):
+                document.set_attribute(target, "k", value)
+                _assert_cache_equals_scan(document)
+                warm()
+            return "attribute"
+
+        def snapshot_then_edit():
+            nonlocal view
+            view = document.snapshot()
+            document.rename(element(), "q")
+            assert document.mutation_stats.cow_copies >= 1
+            return "cow"
+
+        scripted = {3: merge_texts, 6: attribute_cycle, 9: snapshot_then_edit}
+        for step in range(30):
+            warm()
+            index = document.index
+            if step in scripted:
+                kinds.add(scripted[step]())
+            else:
+                for _attempt in range(20):
+                    op = _try_op(rng, document)
+                    if op is not None:
+                        kinds.add(op.op)
+                        break
+            if document.index is index:  # repaired, not cleared
+                assert len(index._string_match_cache) > 0
+            _assert_cache_equals_scan(document)
+        assert kinds >= {"insert", "remove", "rename", "set_text",
+                         "set_attribute", "merge", "attribute", "cow"}
+        # The copy-on-write left the snapshot's index and cache untouched.
+        view_entries = dict(view.index._string_match_cache._entries)
+        assert view_entries == _fresh_matches(view, view_entries)
 
 
 # ----------------------------------------------------------------------

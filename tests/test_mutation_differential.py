@@ -86,7 +86,7 @@ def _mutated_pair(seed: int, with_namespaces: bool):
     document = random_document(
         seed, max_depth=4, max_children=4, with_namespaces=with_namespaces
     )
-    document.index  # live index so every edit exercises repair/rebuild
+    document.index  # live index so every edit exercises the repair path
     script = random_edit_script(document, EDITS_PER_SCRIPT, seed=seed * 7 + 3)
     assert script, "seed produced no edits"
     reparsed = parse_xml(serialize(document))

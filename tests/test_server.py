@@ -43,6 +43,7 @@ from repro.server import (
     encode_value,
     load_tenants,
 )
+from repro.server.http import MAX_HEADER_LINES
 from repro.session import XPathSession
 from repro.store import open_cached
 from repro.xmlmodel.parser import parse_xml
@@ -462,6 +463,26 @@ class TestHTTPServer:
                 host, port, "GET", "/healthz"
             )
             assert (status, payload) == (200, {"status": "ok"})
+
+        run_with_server(store_path, scenario)
+
+    def test_header_line_count_is_capped(self, store_path):
+        def head(lines: int) -> bytes:
+            fields = b"".join(b"X-H%d: v\r\n" % i for i in range(lines))
+            return b"GET /healthz HTTP/1.1\r\n" + fields + b"Connection: close\r\n\r\n"
+
+        async def scenario(service, server, host, port):
+            # "Connection: close" is the last allowed line here.
+            raw = await asyncio.to_thread(
+                raw_exchange, host, port, head(MAX_HEADER_LINES - 1)
+            )
+            assert raw.split(b" ", 2)[1] == b"200"
+            raw = await asyncio.to_thread(
+                raw_exchange, host, port, head(MAX_HEADER_LINES)
+            )
+            response_head, _, body = raw.partition(b"\r\n\r\n")
+            assert response_head.split(b" ", 2)[1] == b"400"
+            assert json.loads(body)["error"]["message"] == "malformed request head"
 
         run_with_server(store_path, scenario)
 
