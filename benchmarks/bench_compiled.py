@@ -22,13 +22,12 @@ Set REPRO_BENCH_RECORD=1 to append this run to BENCH_compiled.json.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import record_trajectory
 from repro.plan import plan_for
 from repro.workloads.documents import doc_deep, doc_wide
 from repro.xpath.values import NodeSet
@@ -141,27 +140,12 @@ def test_compiled_speedup_meets_acceptance_bar():
             f"(tree {report[name]['tree_us']}us, "
             f"compiled {report[name]['compiled_us']}us)"
         )
-    if os.environ.get("REPRO_BENCH_RECORD"):
-        _record_trajectory(report)
+    record_trajectory(
+        "BENCH_compiled.json",
+        {"tree_engine": TREE_ENGINE, "bar": SPEEDUP_BAR, "workloads": report},
+    )
     headline = report[HEADLINE]["speedup"]
     assert headline >= SPEEDUP_BAR, (
         f"compiled path only {headline}x faster than {TREE_ENGINE} "
         f"on {HEADLINE} (bar {SPEEDUP_BAR}x): {report}"
     )
-
-
-def _record_trajectory(report) -> None:
-    """Append this run to BENCH_compiled.json at the repo root."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_compiled.json"
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text(encoding="utf-8"))
-    trajectory.append(
-        {
-            "date": time.strftime("%Y-%m-%d"),
-            "tree_engine": TREE_ENGINE,
-            "bar": SPEEDUP_BAR,
-            "workloads": report,
-        }
-    )
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")

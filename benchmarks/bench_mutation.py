@@ -27,14 +27,13 @@ REPRO_BENCH_RECORD=1 to append the measurements to BENCH_mutation.json.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import record_trajectory
 from repro import api
 from repro.plan import plan_for
 from repro.workloads.documents import doc_dblp_source
@@ -185,26 +184,11 @@ def test_edit_requery_beats_serialize_reparse():
         f"{report['generation']} edits, {report['repairs']} repairs, "
         f"{report['rebuilds']} index rebuilds)"
     )
-    if os.environ.get("REPRO_BENCH_RECORD"):
-        _record_trajectory(report)
+    record_trajectory(
+        "BENCH_mutation.json",
+        {"articles": ARTICLES, "speedup_bar": SPEEDUP_BAR, "measurements": report},
+    )
     assert speedup >= SPEEDUP_BAR, (
         f"edit+re-query only {speedup:.1f}x faster than serialize→reparse "
         f"(bar {SPEEDUP_BAR}x): {report}"
     )
-
-
-def _record_trajectory(report) -> None:
-    """Append this run to BENCH_mutation.json at the repo root."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_mutation.json"
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text(encoding="utf-8"))
-    trajectory.append(
-        {
-            "date": time.strftime("%Y-%m-%d"),
-            "articles": ARTICLES,
-            "speedup_bar": SPEEDUP_BAR,
-            "measurements": report,
-        }
-    )
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")

@@ -24,8 +24,8 @@ import asyncio
 import json
 import os
 import time
-from pathlib import Path
 
+from conftest import record_trajectory
 from repro.engines.base import EvalLimits
 from repro.server import QueryServer, QueryService, ServerConfig, TenantConfig
 from repro.store import build_store
@@ -169,8 +169,17 @@ def test_thousand_concurrent_clients(tmp_path):
         f"-> {report['qps']} qps, p50 {report['p50_ms']}ms, "
         f"p99 {report['p99_ms']}ms, {shed} shed"
     )
-    if os.environ.get("REPRO_BENCH_RECORD"):
-        _record_trajectory(report)
+    record_trajectory(
+        "BENCH_server.json",
+        {
+            "articles": ARTICLES,
+            "documents": DOCUMENTS,
+            "concurrency": CONCURRENCY,
+            "p99_bar_s": P99_BAR,
+            "qps_bar": QPS_BAR,
+            "measurements": report,
+        },
+    )
     assert _percentile(ordered, 0.99) <= P99_BAR, (
         f"p99 {report['p99_ms']}ms over the {P99_BAR * 1e3:.0f}ms bar: "
         f"{report}"
@@ -178,23 +187,3 @@ def test_thousand_concurrent_clients(tmp_path):
     assert report["qps"] >= QPS_BAR, (
         f"throughput {report['qps']} qps under the {QPS_BAR} bar: {report}"
     )
-
-
-def _record_trajectory(report) -> None:
-    """Append this run to BENCH_server.json at the repo root."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_server.json"
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text(encoding="utf-8"))
-    trajectory.append(
-        {
-            "date": time.strftime("%Y-%m-%d"),
-            "articles": ARTICLES,
-            "documents": DOCUMENTS,
-            "concurrency": CONCURRENCY,
-            "p99_bar_s": P99_BAR,
-            "qps_bar": QPS_BAR,
-            "measurements": report,
-        }
-    )
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")

@@ -19,13 +19,12 @@ REPRO_BENCH_RECORD=1 to append the measurements to BENCH_store.json.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import record_trajectory
 from repro.collection import Collection
 from repro.plan import plan_for
 from repro.store import DocumentStore, StoredCollection, build_store
@@ -122,8 +121,16 @@ def test_store_open_beats_reparse(corpus):
         f"store-backed batch overhead: {overhead['ratio']}x "
         f"(bar {OVERHEAD_BAR}x)"
     )
-    if os.environ.get("REPRO_BENCH_RECORD"):
-        _record_trajectory(report)
+    record_trajectory(
+        "BENCH_store.json",
+        {
+            "articles": ARTICLES,
+            "documents": DOCUMENTS,
+            "speedup_bar": SPEEDUP_BAR,
+            "overhead_bar": OVERHEAD_BAR,
+            "measurements": report,
+        },
+    )
     assert speedup >= SPEEDUP_BAR, (
         f"store open only {speedup:.1f}x faster than re-parse "
         f"(bar {SPEEDUP_BAR}x): {report}"
@@ -153,22 +160,3 @@ def _batch_overhead(sources, path):
         "parsed_ms": round(parsed_s * 1e3, 2),
         "ratio": round(stored_s / parsed_s, 3),
     }
-
-
-def _record_trajectory(report) -> None:
-    """Append this run to BENCH_store.json at the repo root."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_store.json"
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text(encoding="utf-8"))
-    trajectory.append(
-        {
-            "date": time.strftime("%Y-%m-%d"),
-            "articles": ARTICLES,
-            "documents": DOCUMENTS,
-            "speedup_bar": SPEEDUP_BAR,
-            "overhead_bar": OVERHEAD_BAR,
-            "measurements": report,
-        }
-    )
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")

@@ -8,7 +8,10 @@ evaluations through pytest-benchmark; the companion experiment drivers in
 
 from __future__ import annotations
 
+import json
+import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,14 @@ def run_query(engine_name: str, query: str, document):
     """Evaluate a query on a fresh engine instance (helper for benchmarks)."""
     engine = get_engine(engine_name)
     return engine.evaluate(query, document)
+
+
+def record_trajectory(file_name: str, entry: dict) -> None:
+    """Append ``entry``, dated today, to the JSON list in ``file_name`` at
+    the repo root — only when ``REPRO_BENCH_RECORD`` is set."""
+    if not os.environ.get("REPRO_BENCH_RECORD"):
+        return
+    path = _SRC.parent / file_name
+    trajectory = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    trajectory.append({"date": time.strftime("%Y-%m-%d"), **entry})
+    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")

@@ -696,7 +696,7 @@ def _axis_result(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) 
         subtree_end = view.subtree_end
         sources = set(source)
         low = source[0] + 1
-        high = max(subtree_end[s] for s in source)
+        high = max(map(subtree_end.__getitem__, source))
         lo = bisect_left(cand, low)
         hi = bisect_right(cand, high)
         return [c for c in cand[lo:hi] if parent[c] in sources]
@@ -739,7 +739,7 @@ def _axis_result(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) 
 
     if axis is Axis.FOLLOWING:
         subtree_end = view.subtree_end
-        threshold = min(subtree_end[s] for s in source)
+        threshold = min(map(subtree_end.__getitem__, source))
         return cand[bisect_right(cand, threshold) :]
 
     if axis is Axis.PRECEDING:

@@ -739,21 +739,10 @@ class DocumentStore:
 _STORE_CACHE: "OrderedDict[str, tuple[int, int, DocumentStore]]" = OrderedDict()
 _STORE_CACHE_LOCK = threading.Lock()
 
-#: Environment variable bounding the cache; default :data:`STORE_CACHE_SIZE`.
-STORE_CACHE_SIZE_ENV = "REPRO_STORE_CACHE_SIZE"
-
-#: Default bound on distinct store files cached per process.  Long-lived
-#: servers open one store and never feel this; the bound exists so a process
-#: that walks many store files cannot accumulate unbounded mappings.
+#: Bound on distinct store files cached per process.  Long-lived servers
+#: open one store and never feel this; the bound exists so a process that
+#: walks many store files cannot accumulate unbounded mappings.
 STORE_CACHE_SIZE = 16
-
-
-def _store_cache_limit() -> int:
-    try:
-        limit = int(os.environ.get(STORE_CACHE_SIZE_ENV, ""))
-    except ValueError:
-        return STORE_CACHE_SIZE
-    return max(1, limit) if limit else STORE_CACHE_SIZE
 
 
 def open_cached(path: str | os.PathLike) -> DocumentStore:
@@ -762,11 +751,11 @@ def open_cached(path: str | os.PathLike) -> DocumentStore:
     This is what worker processes hit when a chunk of stored documents
     arrives: every document of every chunk from the same store shares a
     single mmap, so shipping N documents costs N tiny ``(path, position)``
-    pickles and one map.  The cache is bounded (:data:`STORE_CACHE_SIZE`,
-    overridable via :data:`STORE_CACHE_SIZE_ENV`): the least recently used
-    mapping is closed when the bound is exceeded, as is a mapping
-    superseded by a rebuilt file (changed ``(mtime_ns, size)`` signature)
-    and the losing mapping of a concurrent-open race.
+    pickles and one map.  The cache holds at most :data:`STORE_CACHE_SIZE`
+    files: the least recently used mapping is closed when the bound is
+    exceeded, as is a mapping superseded by a rebuilt file (changed
+    ``(mtime_ns, size)`` signature) and the losing mapping of a
+    concurrent-open race.
     """
     path = os.path.abspath(os.fspath(path))
     stat = os.stat(path)
@@ -794,8 +783,7 @@ def open_cached(path: str | os.PathLike) -> DocumentStore:
                 stale.append(cached[2])
             _STORE_CACHE[path] = (signature[0], signature[1], store)
             _STORE_CACHE.move_to_end(path)
-            limit = _store_cache_limit()
-            while len(_STORE_CACHE) > limit:
+            while len(_STORE_CACHE) > STORE_CACHE_SIZE:
                 _, (_, _, evicted) = _STORE_CACHE.popitem(last=False)
                 stale.append(evicted)
     for superseded in stale:

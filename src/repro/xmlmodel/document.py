@@ -19,7 +19,8 @@ afterwards: the edit API — :meth:`~Document.insert_child`,
 :meth:`~Document.set_attribute` — applies in-place edits, each bumping the
 monotone ``document.generation``.  Every edit repairs a live index in place
 — the order/extent columns, the posting lists and the cached string
-matches, O(tail + depth) — and never discards it.
+matches, O(tail + depth) — and never discards it; an edit on a document
+that has no index yet builds one before it changes anything.
 :meth:`~Document.snapshot` pins the current generation as a cheap
 copy-on-write read view for concurrent readers: the first edit after a
 snapshot copies the tree for the writer, so the view's nodes and columns
@@ -33,12 +34,10 @@ import re
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
+from .index import DocumentIndex
 from .nodes import Node, NodeType
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .index import DocumentIndex
 
 _ORDER = attrgetter("order")
 
@@ -71,8 +70,8 @@ class MutationStats:
         Edits whose index maintenance was a local in-place repair.
     rebuilds:
         Edits that dropped the index: a copy-on-write leaves the shared
-        index with the snapshot, and the writer's next query builds a new
-        one.
+        index with the snapshot, and the edit that copied builds the
+        writer a new one before it changes anything.
     cow_copies:
         Times the writer had to copy the tree because a pinned snapshot
         view was holding the previous generation.
@@ -163,9 +162,8 @@ class Document:
         self.root = root
         self.id_attribute = id_attribute
         self._nodes: list[Node] = []
-        self._node_set: set[Node] = set()
         self._ids: dict[str, Node] = {}
-        self._index: Optional["DocumentIndex"] = None
+        self._index: Optional[DocumentIndex] = None
         self._ref_relation = None  # built lazily by ids.ref_relation_for
         self._frozen = False
         #: Monotone edit epoch: 0 at parse, +1 per successful edit.
@@ -235,11 +233,12 @@ class Document:
         return self
 
     def _refresh(self) -> None:
-        """(Re-)derive orders, links, dom views and the ID map from the tree.
+        """(Re-)derive orders, links, the node table and the ID map from
+        the tree.
 
-        The body of :meth:`freeze`, reused by the edit API whenever there
-        is no live index to repair (none built yet, or a copy-on-write
-        replaced the tree).
+        The body of :meth:`freeze`, reused by :meth:`_copy_on_write` for
+        the writer's new tree; the edit that copied then builds the
+        writer's index (:meth:`_begin_edit`).
         """
         order = 0
         stack: list[Node] = [self.root]
@@ -263,7 +262,6 @@ class Document:
                 previous.next_sibling = None
             stack.extend(reversed(seq))
         self._nodes = nodes
-        self._node_set = set(nodes)
         self._build_indexes()
         self._ref_relation = None
 
@@ -277,22 +275,20 @@ class Document:
         self._ids = ids
 
     @property
-    def index(self) -> "DocumentIndex":
+    def index(self) -> DocumentIndex:
         """The per-document :class:`DocumentIndex` (order arrays, subtree
-        extents, parents, label postings).  Built lazily on first use and
-        owned by the document, so the index cannot outlive or leak past its
-        document."""
+        extents, parents, label postings).  Built lazily on first use (a
+        query or an edit) and owned by the document, so the index cannot
+        outlive or leak past its document."""
         index = self._index
         if index is None:
             self._require_frozen()
-            from .index import DocumentIndex
-
-            # The lazy build must not race an in-flight edit: an edit with
-            # no live index renumbers the whole tree under the lock, and an
-            # unsynchronised build here could cache an index derived from
-            # that half-renumbered state (and share it into the next
-            # snapshot).  Double-checked under the edit lock; re-entrant
-            # from edit internals because it is an RLock.
+            # The lazy build must not race an in-flight edit: a
+            # copy-on-write renumbers the writer's new tree under the lock,
+            # and an unsynchronised build here could cache an index derived
+            # from that half-renumbered state.  Double-checked under the
+            # edit lock; re-entrant from edit internals because it is an
+            # RLock.
             with self._edit_lock:
                 index = self._index
                 if index is None:
@@ -335,7 +331,6 @@ class Document:
             pinned.root = self.root
             pinned.id_attribute = self.id_attribute
             pinned._nodes = self._nodes
-            pinned._node_set = self._node_set
             pinned._ids = self._ids
             pinned._index = self._index
             pinned._ref_relation = self._ref_relation
@@ -520,10 +515,9 @@ class Document:
             node = self._nodes[order]
             old_name = node.name
             node.name = name
-            if self._index is not None:
-                self._index.repair_rename(node, old_name)
-                self.mutation_stats.repairs += 1
-                self._emit("repair")
+            self._index.repair_rename(node, old_name)
+            self.mutation_stats.repairs += 1
+            self._emit("repair")
             id_rescan = node.node_type is NodeType.ATTRIBUTE and (
                 old_name == self.id_attribute or name == self.id_attribute
             )
@@ -606,19 +600,24 @@ class Document:
             )
         if not isinstance(node, Node):
             raise TypeError(f"expected a Node, got {type(node).__name__}")
-        order = node.order
-        nodes = self._nodes
-        if order < 0 or order >= len(nodes) or nodes[order] is not node:
+        if node not in self:
             raise ValueError(
                 "node does not belong to this document's current tree "
                 "(stale handle after a copy-on-write? re-query for fresh nodes)"
             )
-        return order
+        return node.order
 
     def _begin_edit(self) -> None:
-        """Copy-on-write away from any pinned view; divorce the store."""
+        """Copy-on-write away from any pinned view, build the index the
+        edit repairs if none is live, and divorce the store.
+
+        The index is built here, before the edit changes anything, so every
+        edit repairs a live index and none renumbers the whole tree.
+        """
         if self._pinned_view is not None:
             self._copy_on_write()
+        if self._index is None:
+            self._index = DocumentIndex(self)
         if self._store_origin is not None:
             self._store_origin = None
             self.store_detached = True
@@ -627,8 +626,8 @@ class Document:
         """Give the writer a private tree; the pinned view keeps the old one."""
         self.root = self.root.detached_copy()
         if self._index is not None:
-            # The shared index stays with the snapshot; this side builds a
-            # new one over the new tree on its next query.
+            # The shared index stays with the snapshot; the edit builds
+            # this side a new one over the new tree.
             self._index = None
             self.mutation_stats.rebuilds += 1
         self._refresh()
@@ -649,8 +648,7 @@ class Document:
         self._ref_relation = None
         for node in changed:
             node._string_value = None
-        if self._index is not None:
-            self._index.repair_string_matches(changed)
+        self._index.repair_string_matches(changed)
         self.generation += 1
         self.mutation_stats.edits += 1
         self._emit("edit")
@@ -659,14 +657,10 @@ class Document:
         """Renumber + index maintenance for a freshly attached subtree.
 
         ``node`` is already wired into its parent's lists and sibling links.
-        Returns the subtree in child0 preorder.  Without a live index a full
-        :meth:`_refresh` renumbers the tree and rebuilds the ID map.
+        Returns the subtree in child0 preorder.
         """
         inserted = [node, *node.iter_descendants(include_special=True)]
         index = self._index
-        if index is None:
-            self._refresh()
-            return inserted
         prev = node.prev_sibling
         position = (
             index.subtree_end[prev.order] + 1
@@ -679,7 +673,6 @@ class Document:
         for i in range(position, len(nodes)):
             nodes[i].order += count
         nodes[position:position] = inserted
-        self._node_set.update(inserted)
         index.repair_insert(inserted)
         self.mutation_stats.repairs += 1
         self._emit("repair")
@@ -691,13 +684,11 @@ class Document:
         ``removed`` is the subtree in child0 preorder (``node`` first),
         still attached and carrying current orders when called.
         """
-        index = self._index
         position = node.order
         count = len(removed)
-        if index is not None:
-            index.repair_remove(removed)
-            self.mutation_stats.repairs += 1
-            self._emit("repair")
+        self._index.repair_remove(removed)
+        self.mutation_stats.repairs += 1
+        self._emit("repair")
         parent = node.parent
         if node.node_type is NodeType.ATTRIBUTE:
             parent._attributes.remove(node)
@@ -709,14 +700,10 @@ class Document:
         node.parent = None
         node.prev_sibling = None
         node.next_sibling = None
-        if index is not None:
-            nodes = self._nodes
-            del nodes[position : position + count]
-            for i in range(position, len(nodes)):
-                nodes[i].order = i
-            self._node_set.difference_update(removed)
-        else:
-            self._refresh()
+        nodes = self._nodes
+        del nodes[position : position + count]
+        for i in range(position, len(nodes)):
+            nodes[i].order = i
         for item in removed:
             item.document = None
             item.order = -1
@@ -779,9 +766,7 @@ class Document:
     def _patch_ids_after_insert(self, inserted: list[Node]) -> None:
         """Incremental ID-map maintenance after an insert.
 
-        First-in-document-order wins, matching :meth:`_build_indexes`, so
-        after a full :meth:`_refresh` (which rebuilt the map) it changes
-        nothing.
+        First-in-document-order wins, matching :meth:`_build_indexes`.
         """
         attr_name = self.id_attribute
         for node in inserted:
@@ -816,7 +801,7 @@ class Document:
     def dom_set(self) -> set[Node]:
         """All nodes of the document as a set (membership checks)."""
         self._require_frozen()
-        return set(self._node_set)
+        return set(self._nodes)
 
     def __len__(self) -> int:
         self._require_frozen()
@@ -827,8 +812,12 @@ class Document:
         return iter(self._nodes)
 
     def __contains__(self, node: object) -> bool:
+        """True when ``node`` is in this document's current tree."""
         self._require_frozen()
-        return node in self._node_set
+        if not isinstance(node, Node):
+            return False
+        nodes = self._nodes
+        return 0 <= node.order < len(nodes) and nodes[node.order] is node
 
     @property
     def document_element(self) -> Optional[Node]:

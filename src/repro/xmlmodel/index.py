@@ -13,14 +13,18 @@ document order itself into the primary data structure so that it is:
   attribute/namespace nodes) are flat columns indexed the same way, so the
   compiled engine's array programs walk parent chains and apply the typing
   rule without dereferencing a ``Node``.
-* ``regular`` / ``regular_nodes`` are parallel arrays of the
-  non-attribute/non-namespace nodes sorted by document order, so the typed
-  ``descendant``, ``following`` and ``preceding`` axes become
-  O(log n + output) bisect-and-slice queries instead of full-document scans.
+* ``regular`` is the sorted order array of the non-attribute/non-namespace
+  nodes, so the typed ``descendant``, ``following`` and ``preceding`` axes
+  become O(log n + output) bisect-and-slice queries instead of
+  full-document scans.
 * an inverted label index maps ``(node_type, name)`` and ``node_type`` to
   sorted order arrays ("posting lists"), so a name or kind test over an
   interval is a bisect of a posting list instead of a filter over every
   candidate.
+
+The index holds order columns only.  ``nodes`` is the document's own node
+table, the one ``Node`` container; every ``Node``-returning method maps an
+order slice through it (``list(map(nodes.__getitem__, orders))``).
 
 Invariants (established by :meth:`~repro.xmlmodel.document.Document.freeze`):
 
@@ -48,7 +52,7 @@ build (lazy, once per document)        O(n)
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .nodes import SPECIAL_CHILD_TYPES, Node, NodeType
@@ -193,30 +197,18 @@ def _shift_orders(orders: list[int], threshold: int, delta: int) -> None:
     orders[start:] = [order + delta for order in orders[start:]]
 
 
-def _posting_insert(bucket: list[Node], orders: list[int], node: Node) -> None:
-    """Bisect-insert ``node`` into a parallel (nodes, orders) posting list."""
-    i = bisect_left(orders, node.order)
-    orders.insert(i, node.order)
-    bucket.insert(i, node)
-
-
-def _posting_remove(bucket: list[Node], orders: list[int], node: Node) -> None:
-    """Remove ``node`` (by its current order) from a parallel posting list."""
-    i = bisect_left(orders, node.order)
-    del orders[i]
-    del bucket[i]
-
-
 class DocumentIndex:
     """Per-document navigation index over document order.
 
-    The one in-memory column set: the interpreting engines' axis functions
-    read it through ``Node`` slices, and the compiled engine's array
-    programs (:func:`~repro.engines.compiled.execute_program`) read the
-    same columns as plain order arrays.  ``nodes`` is the document's own
-    node table, not a copy.
+    The one in-memory column set, of order columns only: the compiled
+    engine's array programs (:func:`~repro.engines.compiled.execute_program`)
+    read them as plain order arrays, and the interpreting engines' axis
+    functions read ``Node`` views that map an order slice through
+    ``nodes``.  ``nodes`` is the document's own node table, not a copy,
+    and the only ``Node`` container the index holds.
 
-    Built lazily by :attr:`Document.index`; the document must be frozen.
+    Built by the first :attr:`Document.index` read or the first edit,
+    whichever comes first; the document must be frozen.
     The arrays are read-only from the query side; the document's edit API
     repairs them in place through :meth:`repair_insert` /
     :meth:`repair_remove` / :meth:`repair_rename`, and the string-match
@@ -230,9 +222,6 @@ class DocumentIndex:
         "special",
         "subtree_end",
         "regular",
-        "regular_nodes",
-        "by_type",
-        "by_label",
         "_by_type_orders",
         "_by_label_orders",
         "_string_match_cache",
@@ -258,36 +247,29 @@ class DocumentIndex:
         self.subtree_end = subtree_end
         self.parent = parent
 
-        # Parallel order/node arrays of the non-special nodes, and the
-        # inverted label index (sorted posting lists, one bucket per type and
-        # per (type, name) pair).
+        # The order array of the non-special nodes, and the inverted label
+        # index (sorted posting lists, one per type and per (type, name)
+        # pair).
         special = bytearray(size)
         regular: list[int] = []
-        regular_nodes: list[Node] = []
-        by_type: dict[NodeType, list[Node]] = {t: [] for t in NodeType}
-        by_label: dict[tuple[NodeType, str], list[Node]] = {}
+        by_type: dict[NodeType, list[int]] = {t: [] for t in NodeType}
+        by_label: dict[tuple[NodeType, str], list[int]] = {}
         for node in nodes:
+            # ``node.order`` rather than a counter: the columns share the
+            # nodes' own int objects instead of allocating one per entry.
+            order = node.order
             node_type = node.node_type
             if node_type in SPECIAL_CHILD_TYPES:
-                special[node.order] = 1
+                special[order] = 1
             else:
-                regular.append(node.order)
-                regular_nodes.append(node)
-            by_type[node_type].append(node)
+                regular.append(order)
+            by_type[node_type].append(order)
             if node.name is not None:
-                by_label.setdefault((node_type, node.name), []).append(node)
+                by_label.setdefault((node_type, node.name), []).append(order)
         self.special = special
         self.regular = regular
-        self.regular_nodes = regular_nodes
-        self.by_type = by_type
-        self.by_label = by_label
-        self._by_type_orders: dict[NodeType, list[int]] = {
-            node_type: [node.order for node in bucket]
-            for node_type, bucket in by_type.items()
-        }
-        self._by_label_orders: dict[tuple[NodeType, str], list[int]] = {
-            label: [node.order for node in bucket] for label, bucket in by_label.items()
-        }
+        self._by_type_orders = by_type
+        self._by_label_orders = by_label
         #: ``string_match`` results, repaired by every edit.
         self._string_match_cache = StringMatchCache()
 
@@ -366,29 +348,25 @@ class DocumentIndex:
             node.is_special_child for node in inserted
         )
 
-        # Regular parallel arrays: shift the tail, splice the new regulars.
+        # Regular orders: shift the tail, splice the new regulars.
         regular = self.regular
         idx = bisect_left(regular, position)
-        new_regular = [node for node in inserted if not node.is_special_child]
-        regular[idx:] = [node.order for node in new_regular] + [
-            order + count for order in regular[idx:]
-        ]
-        self.regular_nodes[idx:idx] = new_regular
+        regular[idx:] = [
+            node.order for node in inserted if not node.is_special_child
+        ] + [order + count for order in regular[idx:]]
 
         # Posting lists: shift every order array past the splice point, then
-        # bisect-insert the new nodes into their buckets.
-        for orders in self._by_type_orders.values():
+        # insort the new orders.
+        by_type = self._by_type_orders
+        by_label = self._by_label_orders
+        for orders in by_type.values():
             _shift_orders(orders, position, count)
-        for orders in self._by_label_orders.values():
+        for orders in by_label.values():
             _shift_orders(orders, position, count)
         for node in inserted:
-            _posting_insert(self.by_type[node.node_type],
-                            self._by_type_orders[node.node_type], node)
+            insort(by_type[node.node_type], node.order)
             if node.name is not None:
-                label = (node.node_type, node.name)
-                bucket = self.by_label.setdefault(label, [])
-                orders = self._by_label_orders.setdefault(label, [])
-                _posting_insert(bucket, orders, node)
+                insort(by_label.setdefault((node.node_type, node.name), []), node.order)
 
         # Cached string matches: shift like a posting list, then test the
         # new nodes, deepest first so each element's walk reuses its
@@ -410,19 +388,13 @@ class DocumentIndex:
         count = len(removed)
 
         # Posting lists first — the bisect targets are the old orders.
-        # Emptied label buckets are pruned so a repaired index stays
-        # key-for-key identical to a fresh rebuild.
+        by_type = self._by_type_orders
         for node in removed:
-            _posting_remove(self.by_type[node.node_type],
-                            self._by_type_orders[node.node_type], node)
+            orders = by_type[node.node_type]
+            del orders[bisect_left(orders, node.order)]
             if node.name is not None:
-                label = (node.node_type, node.name)
-                _posting_remove(self.by_label[label],
-                                self._by_label_orders[label], node)
-                if not self._by_label_orders[label]:
-                    del self._by_label_orders[label]
-                    del self.by_label[label]
-        for orders in self._by_type_orders.values():
+                self._unlabel((node.node_type, node.name), node.order)
+        for orders in by_type.values():
             _shift_orders(orders, position, -count)
         for orders in self._by_label_orders.values():
             _shift_orders(orders, position, -count)
@@ -445,7 +417,6 @@ class DocumentIndex:
         low = bisect_left(regular, position)
         high = bisect_left(regular, position + count)
         regular[low:] = [order - count for order in regular[high:]]
-        del self.regular_nodes[low:high]
         self._string_match_cache.splice(position, count)
 
     def repair_string_matches(self, changed: list[Node]) -> None:
@@ -466,23 +437,30 @@ class DocumentIndex:
         Orders and extents are untouched by a rename; only the
         ``(type, name)`` posting membership changes.
         """
-        label = (node.node_type, old_name)
-        _posting_remove(self.by_label[label], self._by_label_orders[label], node)
-        if not self._by_label_orders[label]:
+        label = (node.node_type, node.name)
+        self._unlabel((node.node_type, old_name), node.order)
+        insort(self._by_label_orders.setdefault(label, []), node.order)
+
+    def _unlabel(self, label: tuple[NodeType, str], order: int) -> None:
+        """Remove ``order`` from a label's posting list.  An emptied list is
+        pruned, so a repaired index stays key-for-key identical to a fresh
+        build."""
+        orders = self._by_label_orders[label]
+        del orders[bisect_left(orders, order)]
+        if not orders:
             del self._by_label_orders[label]
-            del self.by_label[label]
-        new_label = (node.node_type, node.name)
-        bucket = self.by_label.setdefault(new_label, [])
-        orders = self._by_label_orders.setdefault(new_label, [])
-        _posting_insert(bucket, orders, node)
 
     # ------------------------------------------------------------------
     # Interval queries over the regular (non attribute/namespace) nodes
     # ------------------------------------------------------------------
+    def _nodes_at(self, orders: Sequence[int]) -> list[Node]:
+        """The ``Node`` view of an order slice, mapped through ``nodes``."""
+        return list(map(self.nodes.__getitem__, orders))
+
     def regular_interval(self, low: int, high: int) -> list[Node]:
         """Regular nodes with ``low <= order <= high``, in document order."""
         orders = self.regular
-        return self.regular_nodes[bisect_left(orders, low) : bisect_right(orders, high)]
+        return self._nodes_at(orders[bisect_left(orders, low) : bisect_right(orders, high)])
 
     def descendants(self, node: Node, include_self: bool = False) -> list[Node]:
         """Typed descendant(-or-self) of one node as an interval slice."""
@@ -491,7 +469,7 @@ class DocumentIndex:
 
     def nodes_after(self, order: int) -> list[Node]:
         """All regular nodes with document order strictly greater than ``order``."""
-        return self.regular_nodes[bisect_right(self.regular, order) :]
+        return self._nodes_at(self.regular[bisect_right(self.regular, order) :])
 
     def nodes_with_subtree_before(self, order: int) -> list[Node]:
         """All regular nodes whose whole subtree precedes ``order``.
@@ -501,47 +479,35 @@ class DocumentIndex:
         the strict ancestors of ``nodes[order]``, so they are subtracted in
         O(depth) instead of testing ``subtree_end`` for every candidate.
         """
-        prefix = self.regular_nodes[: bisect_left(self.regular, order)]
-        if order >= len(self.nodes):
-            return prefix
-        ancestors = set(self.nodes[order].iter_ancestors())
-        if not ancestors:
-            return prefix
-        return [node for node in prefix if node not in ancestors]
+        orders = self.regular[: bisect_left(self.regular, order)]
+        if order < len(self.nodes):
+            ancestors = {node.order for node in self.nodes[order].iter_ancestors()}
+            if ancestors:
+                orders = [o for o in orders if o not in ancestors]
+        return self._nodes_at(orders)
 
     # ------------------------------------------------------------------
     # Label postings (the function T of Section 4, as sorted order arrays)
     # ------------------------------------------------------------------
     def nodes_of_type(self, node_type: NodeType) -> list[Node]:
-        """T(τ()) — all nodes of the given type, in document order.
-
-        Returns a copy; the internal posting lists must stay untouched (the
-        parallel order arrays would silently desynchronise otherwise).
-        """
-        return list(self.by_type[node_type])
+        """T(τ()) — all nodes of the given type, in document order."""
+        return self._nodes_at(self._by_type_orders[node_type])
 
     def nodes_of_label(self, node_type: NodeType, name: str) -> list[Node]:
-        """T(τ(n)) — all nodes of the given type carrying the given name.
-
-        Returns a copy, like :meth:`nodes_of_type`.
-        """
-        return list(self.by_label.get((node_type, name), ()))
+        """T(τ(n)) — all nodes of the given type carrying the given name."""
+        return self._nodes_at(self._by_label_orders.get((node_type, name), _EMPTY_ORDERS))
 
     def typed_in_interval(self, node_type: NodeType, low: int, high: int) -> list[Node]:
         """Posting-list slice: nodes of ``node_type`` with order in [low, high]."""
         orders = self._by_type_orders[node_type]
-        bucket = self.by_type[node_type]
-        return bucket[bisect_left(orders, low) : bisect_right(orders, high)]
+        return self._nodes_at(orders[bisect_left(orders, low) : bisect_right(orders, high)])
 
     def labelled_in_interval(
         self, node_type: NodeType, name: str, low: int, high: int
     ) -> list[Node]:
         """Posting-list slice: ``(node_type, name)`` nodes with order in [low, high]."""
-        orders = self._by_label_orders.get((node_type, name))
-        if orders is None:
-            return []
-        bucket = self.by_label[(node_type, name)]
-        return bucket[bisect_left(orders, low) : bisect_right(orders, high)]
+        orders = self._by_label_orders.get((node_type, name), _EMPTY_ORDERS)
+        return self._nodes_at(orders[bisect_left(orders, low) : bisect_right(orders, high)])
 
     # ------------------------------------------------------------------
     # Set-at-a-time building blocks
@@ -574,7 +540,8 @@ class DocumentIndex:
         Section 4 typing rule removes attribute/namespace nodes from every
         axis result except ``attribute``/``namespace`` themselves).
         """
-        result: list[Node] = []
+        regular = self.regular
+        orders: list[int] = []
         for start, end in self.merged_subtree_intervals(sources, include_self):
-            result.extend(self.regular_interval(start, end))
-        return result
+            orders.extend(regular[bisect_left(regular, start) : bisect_right(regular, end)])
+        return self._nodes_at(orders)

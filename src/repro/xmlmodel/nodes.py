@@ -355,9 +355,3 @@ class Node:
         if not isinstance(other, Node):
             return NotImplemented
         return self.order < other.order
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other

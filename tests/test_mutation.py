@@ -8,10 +8,11 @@ the store lifecycle (materialize caching, detach-on-close, cache
 invalidation).
 
 The repair≡rebuild *property* tests live here too: a random edit script is
-replayed onto a twin document that builds no index until the end (so every
-structural edit renumbers the whole tree), and onto a serialize→reparse
-round trip, and all index columns must agree; and random edit scripts keep
-every cached string match equal to a fresh scan.
+replayed onto a twin document that is never queried (its first edit builds
+its index), and onto a serialize→reparse round trip, and all index columns
+must agree; random edit scripts keep every cached string match equal to a
+fresh scan, and every ``Node`` view the index derives from its order
+columns equal to a filter over ``dom``.
 """
 
 import pickle
@@ -406,9 +407,10 @@ class TestStringValuesFollowEdits:
 REPAIR_SEEDS = (5, 18, 19, 26, 37)
 
 
-class _Unindexed:
+class _Unqueried:
     """A document whose targets ``apply_edit`` resolves through the node
-    table, so replaying a script never builds the index."""
+    table, so replaying a script never reads the index: only the edits
+    build it."""
 
     def __init__(self, document: Document):
         self._document = document
@@ -423,20 +425,21 @@ class _Unindexed:
 
 class TestRepairEqualsRebuild:
     @pytest.mark.parametrize("seed", REPAIR_SEEDS)
-    def test_repaired_index_matches_always_rebuilt_twin(self, seed):
+    def test_repaired_index_matches_a_twin_indexed_by_its_first_edit(self, seed):
         document = random_document(seed, max_depth=4, max_children=4)
         twin = parse_xml(serialize(document))
         document.index  # the document repairs a live index on every edit
         script = random_edit_script(document, 12, seed=seed * 31 + 1)
         assert script, "seed produced no edits"
-        # The twin has no index until the end, so each of its structural
-        # edits renumbers the whole tree and the index is built once, from
-        # scratch, over the final state.
-        assert apply_script(_Unindexed(twin), script) == len(script)
+        # Nothing queries the twin: its first edit builds the index before
+        # it changes anything, and every edit repairs it.
         assert twin._index is None
-        assert twin.mutation_stats.repairs == 0
+        assert apply_script(_Unqueried(twin), script) == len(script)
+        assert twin.mutation_stats.as_dict() == document.mutation_stats.as_dict()
+        assert twin.mutation_stats.rebuilds == 0
         assert serialize(twin) == serialize(document)
         assert _index_columns(document.index) == _index_columns(twin.index)
+        _assert_index_consistent(twin)
         assert document.generation == twin.generation == len(script)
 
     @pytest.mark.parametrize("seed", REPAIR_SEEDS)
@@ -550,6 +553,96 @@ class TestStringMatchCacheRepair:
 
 
 # ----------------------------------------------------------------------
+# The index derives its Node views from its order columns (property test)
+# ----------------------------------------------------------------------
+VIEW_SEEDS = (3, 5, 18, 26, 41)
+
+
+def _descendants(node: Node, include_self: bool) -> list[Node]:
+    """Typed descendant(-or-self) of one node by a structural walk."""
+    own = [node] if include_self and not node.is_special_child else []
+    return own + list(node.iter_descendants())
+
+
+def _assert_views_match_dom(document: Document, rng: random.Random) -> None:
+    """Every ``Node``-returning index method, at random bounds, equals a
+    filter over ``document.dom`` by order, type and name."""
+    index = document.index
+    dom = document.dom
+    size = len(dom)
+    regular = [node for node in dom if not node.is_special_child]
+    subtree_last = [
+        max(item.order for item in node.iter_self_and_descendants(include_special=True))
+        for node in dom
+    ]
+
+    def within(nodes, low, high):
+        return [node for node in nodes if low <= node.order <= high]
+
+    for _ in range(6):
+        low, high = sorted(rng.randrange(-1, size + 1) for _ in range(2))
+        probe = rng.choice(dom)
+        node_type, name = probe.node_type, probe.name or "nope"
+        typed = [node for node in dom if node.node_type is node_type]
+        labelled = [node for node in typed if node.name == name]
+        threshold = rng.randrange(size + 1)
+        include_self = rng.random() < 0.5
+        sources = rng.sample(dom, rng.randrange(1, min(size, 5) + 1))
+        assert index.regular_interval(low, high) == within(regular, low, high)
+        assert index.descendants(probe, include_self) == _descendants(probe, include_self)
+        assert index.nodes_after(low) == [node for node in regular if node.order > low]
+        assert index.nodes_with_subtree_before(threshold) == [
+            node for node in regular if subtree_last[node.order] < threshold
+        ]
+        assert index.nodes_of_type(node_type) == typed
+        assert index.nodes_of_label(node_type, name) == labelled
+        assert index.typed_in_interval(node_type, low, high) == within(typed, low, high)
+        assert index.labelled_in_interval(node_type, name, low, high) == within(
+            labelled, low, high
+        )
+        reached = {item for source in sources for item in _descendants(source, include_self)}
+        assert index.descendant_nodes(sources, include_self) == sorted(
+            reached, key=lambda node: node.order
+        )
+
+
+class TestDerivedNodeViews:
+    @pytest.mark.parametrize("seed", VIEW_SEEDS)
+    def test_views_equal_a_filter_over_dom_after_every_edit(self, seed):
+        document = random_document(seed, max_depth=4, max_children=4, with_namespaces=True)
+        rng = random.Random(seed)
+        index = document.index
+        _assert_views_match_dom(document, rng)
+        edits = 0
+        for step in range(25):
+            edits += len(random_edit_script(document, 1, seed=seed * 100 + step))
+            assert document.index is index  # repaired, never rebuilt
+            _assert_views_match_dom(document, rng)
+        assert edits >= 20
+
+    def test_membership_is_the_current_node_table(self):
+        document = doc("<r><a><b/></a><c x='1'/></r>")
+        other = doc("<r><a><b/></a><c x='1'/></r>")
+        a, c = document.document_element.children
+        assert document.root in document and a in document
+        assert c.attributes[0] in document
+        # Same order, another document's tree.
+        assert other.document_element.children[0] not in document
+        assert build_fragment("z") not in document
+        assert "a" not in document and None not in document
+        removed = document.remove(a)
+        assert removed not in document and removed.children[0] not in document
+        assert c in document  # renumbered, still current
+        assert document.dom_set == set(document.dom)
+        view = document.snapshot()
+        document.set_attribute(document.document_element.children[0], "y", "2")
+        assert document.mutation_stats.cow_copies == 1
+        copied = document.document_element.children[0]
+        assert c in view and c not in document
+        assert copied in document and copied not in view
+
+
+# ----------------------------------------------------------------------
 # Snapshots (copy-on-write)
 # ----------------------------------------------------------------------
 class TestSnapshots:
@@ -593,6 +686,29 @@ class TestSnapshots:
         document.insert_child(document.document_element, build_fragment("c"))
         assert document.mutation_stats.cow_copies == 1  # second edit is free
 
+    def test_edits_after_a_copy_on_write_renumber_the_tree_once(self, monkeypatch):
+        document = doc("<r>" + "<a/>" * 50 + "</r>")
+        document.index
+        refreshes = []
+        refresh = Document._refresh
+
+        def counting_refresh(self):
+            refreshes.append(self)
+            refresh(self)
+
+        monkeypatch.setattr(Document, "_refresh", counting_refresh)
+        view = document.snapshot()
+        document.insert_child(document.document_element, build_fragment("b"))
+        document.remove(document.document_element.children[0])
+        document.insert_child(document.document_element, build_fragment("c"), 0)
+        # The copy renumbers the writer's tree; the three edits repair the
+        # index the first of them built.
+        assert refreshes == [document]
+        assert document.mutation_stats.repairs == 3
+        assert document.mutation_stats.cow_copies == 1
+        _assert_index_consistent(document)
+        assert len(view) == 52
+
 
 # ----------------------------------------------------------------------
 # Result staleness and session hooks
@@ -633,12 +749,12 @@ class TestStaleness:
         document.index  # live index: the first edit takes the repair path
         document.insert_child(document.document_element, build_fragment("b"))
         document.snapshot()
-        # The copy-on-write drops the shared index, so this rename has no
-        # index to repair — the session sees "cow" + "edit" only.
+        # The copy-on-write leaves the shared index with the snapshot; the
+        # rename builds the writer a new one and repairs it.
         document.rename(document.document_element.children[0], "z")
         stats = session.stats.as_dict()
         assert stats["document_edits"] == 2
-        assert stats["index_repairs"] == 1
+        assert stats["index_repairs"] == 2
         assert stats["cow_copies"] == 1
         session.unwatch(document)
         document.insert_child(document.document_element, build_fragment("c"))

@@ -51,6 +51,7 @@ from repro.store import (
     open_cached,
 )
 from repro.store import format as store_format
+from repro.store import reader as store_reader
 from repro.workloads.documents import (
     doc_dblp_source,
     doc_figure8,
@@ -486,7 +487,7 @@ class TestStoreCacheLifetime:
         assert invalidate(path) is True
 
     def test_cache_is_bounded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_CACHE_SIZE", "2")
+        monkeypatch.setattr(store_reader, "STORE_CACHE_SIZE", 2)
         stores = []
         for index in range(3):
             path = str(tmp_path / f"bounded{index}.reproxs")
