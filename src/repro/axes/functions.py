@@ -1,30 +1,26 @@
-"""Typed XPath axes: efficient direct implementations (paper §3–§4).
+"""Typed XPath axes over document-order columns (paper §3–§4, §10).
 
-Two flavours of axis application are provided:
+One kernel serves every engine.  :func:`axis_orders` applies a typed axis
+to a sorted array of source orders, restricted to a sorted candidate array
+(a posting list from :mod:`repro.axes.nodetests`), reading only the order
+columns of a :class:`~repro.xmlmodel.index.DocumentIndex` or of the store's
+mmap twin.  Document order is a preorder, so every subtree is a contiguous
+order interval: ``descendant``, ``following`` and ``preceding`` are
+bisect-and-slice queries, O(log |dom| + output), and every axis applied to
+a set is O(|dom|) (Lemma 3.3).  :func:`inverse_axis_orders` is χ⁻¹ (Lemma
+10.1).  The compiled engine's array programs call both directly.
 
-* **node-at-a-time** — :func:`axis_nodes` returns, for a single context node,
-  the list of nodes reached via a typed axis, in document order.  The
-  engines use it through :func:`step_candidates` (axis + node test), combined
-  with :func:`proximity_order` which orders the result by the axis' proximity
-  relation <doc,χ (document order for forward axes, reverse document order
-  for reverse axes) so that context positions come out right.
+The interpreters reach the kernel through thin ``Node`` adapters, which take
+the source nodes' orders in and hand nodes out through ``index.nodes``:
+:func:`axis_set`, :func:`axis_test_set` (the axis fused with a node test)
+and :func:`inverse_axis_set` set-at-a-time, :func:`axis_nodes` and
+:func:`step_candidates` node-at-a-time, where the four interval axes run on
+the kernel and the others follow the node's links.  :func:`proximity_order`
+orders a step's result by the axis' proximity relation <doc,χ.  The
+structural walks of :mod:`repro.axes.reference` are the oracle the
+differential tests compare all of these against.
 
-* **set-at-a-time** — :func:`axis_set` applies a typed axis to a whole node
-  set in time O(|dom|) (and usually far less, see below).  This is the
-  workhorse of the Core XPath algebra (Section 10.1), of the Extended Wadler
-  backward propagation (Section 11) and of the S↓ location-path evaluation of
-  the top-down engine.  :func:`axis_test_set` fuses the axis with a node
-  test, intersecting order intervals with the label posting lists.
-
-Both are built on the per-document :class:`~repro.xmlmodel.index.DocumentIndex`
-(``document.index``): document order is a preorder, so every subtree is a
-contiguous order interval, and ``descendant``, ``following`` and ``preceding``
-are bisect-and-slice interval queries over the index's sorted order arrays —
-O(log |dom| + output) instead of the full-document scans and walk-and-sort
-loops of the pre-index implementation (retained for differential testing in
-:mod:`repro.axes.reference`).
-
-Both follow the paper's typing rule (Section 4)::
+Every axis follows the paper's typing rule (Section 4)::
 
     attribute(S) := child0(S) ∩ T(attribute())
     namespace(S) := child0(S) ∩ T(namespace())
@@ -37,23 +33,275 @@ we follow the paper exactly (see DESIGN.md, "Key design decisions").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from ..xmlmodel.document import Document
 from ..xmlmodel.index import DocumentIndex
 from ..xmlmodel.nodes import Node, NodeType
-from .nodetests import KindTest, NameTest, NodeTest, principal_node_type
+from .nodetests import NodeTest, candidate_orders, default_candidates, principal_node_type
 from .regex import Axis, inverse_axis, is_reverse_axis
+
+Orders = Sequence[int]
+
+_EMPTY: tuple[int, ...] = ()
 
 _ORDER = attrgetter("order")
 
 
 # ----------------------------------------------------------------------
-# Node-at-a-time axis application
+# Sorted-order set primitives
 # ----------------------------------------------------------------------
+def intersect_orders(a: Orders, b: Orders) -> list[int]:
+    """``a ∩ b`` of two sorted order arrays, bisecting the longer one."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: list[int] = []
+    j = 0
+    limit = len(b)
+    for value in a:
+        j = bisect_left(b, value, j)
+        if j >= limit:
+            break
+        if b[j] == value:
+            out.append(value)
+            j += 1
+    return out
+
+
+def union_orders(a: Orders, b: Orders) -> list[int]:
+    """``a ∪ b`` of two sorted order arrays, by a merge."""
+    out: list[int] = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x < y:
+            out.append(x)
+            i += 1
+        elif y < x:
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            j += 1
+    out.extend(a[i:la])
+    out.extend(b[j:lb])
+    return out
+
+
+# ----------------------------------------------------------------------
+# The kernel: χ(source) ∩ cand over order columns, one routine per family
+# ----------------------------------------------------------------------
+def _self_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    return intersect_orders(source, cand)
+
+
+def _child_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    """child, attribute and namespace: the candidates whose parent is a source."""
+    if axis is not Axis.CHILD:
+        # attribute/namespace results are exactly that node type; a kind
+        # test like text() must come back empty.
+        cand = intersect_orders(cand, view.type_orders(principal_node_type(axis)))
+        if not cand:
+            return _EMPTY
+    parent = view.parent
+    sources = set(source)
+    lo = bisect_left(cand, source[0] + 1)
+    hi = bisect_right(cand, max(map(view.subtree_end.__getitem__, source)))
+    return [c for c in cand[lo:hi] if parent[c] in sources]
+
+
+def _parent_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    parent = view.parent
+    parents = {parent[s] for s in source}
+    parents.discard(-1)
+    return intersect_orders(sorted(parents), cand)
+
+
+def _descendant_orders(
+    view: DocumentIndex, axis: Axis, source: Orders, cand: Orders
+) -> Orders:
+    """descendant(-or-self): one candidate slice per maximal source subtree.
+
+    A source inside an earlier source's interval is skipped: by laminarity
+    its whole subtree is already covered.
+    """
+    include_self = axis is Axis.DESCENDANT_OR_SELF
+    subtree_end = view.subtree_end
+    out: list[int] = []
+    current_end = -1
+    for order in source:
+        if order <= current_end:
+            continue
+        current_end = subtree_end[order]
+        start = order if include_self else order + 1
+        if start > current_end:
+            continue
+        lo = bisect_left(cand, start)
+        hi = bisect_right(cand, current_end)
+        out.extend(cand[lo:hi])
+    return out
+
+
+def _ancestor_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    """ancestor(-or-self): parent-chain walks, each stopping at a seen node."""
+    include_self = axis is Axis.ANCESTOR_OR_SELF
+    parent = view.parent
+    special = view.special
+    seen: set[int] = set()
+    for order in source:
+        if include_self and not special[order]:
+            seen.add(order)
+        current = parent[order]
+        while current >= 0 and current not in seen:
+            seen.add(current)
+            current = parent[current]
+    return intersect_orders(sorted(seen), cand)
+
+
+def _following_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    """Everything after the earliest-ending source subtree."""
+    threshold = min(map(view.subtree_end.__getitem__, source))
+    return cand[bisect_right(cand, threshold) :]
+
+
+def _strict_ancestor_orders(view: DocumentIndex, order: int) -> set[int]:
+    ancestors: set[int] = set()
+    parent = view.parent
+    current = parent[order]
+    while current >= 0:
+        ancestors.add(current)
+        current = parent[current]
+    return ancestors
+
+
+def _preceding_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    """Everything before the last source, minus that source's ancestors.
+
+    By laminarity the only nodes before ``threshold`` whose subtree reaches
+    it are its strict ancestors, so they are subtracted in O(depth) instead
+    of testing ``subtree_end`` for every candidate.
+    """
+    threshold = source[-1]
+    prefix = cand[: bisect_left(cand, threshold)]
+    ancestors = _strict_ancestor_orders(view, threshold)
+    if not ancestors:
+        return prefix
+    return [c for c in prefix if c not in ancestors]
+
+
+def _sibling_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    """following/preceding-sibling: per parent, past its nearest-to-the-edge source."""
+    following = axis is Axis.FOLLOWING_SIBLING
+    parent = view.parent
+    thresholds: dict[int, int] = {}
+    for s in source:
+        p = parent[s]
+        if p < 0:
+            continue
+        best = thresholds.get(p)
+        if best is None or (s < best if following else s > best):
+            thresholds[p] = s
+    if not thresholds:
+        return _EMPTY
+    out = []
+    for c in cand:
+        best = thresholds.get(parent[c])
+        if best is not None and (c > best if following else c < best):
+            out.append(c)
+    return out
+
+
+#: One routine per axis family; a table lookup, not a chain of tests, so a
+#: single-node step pays one dispatch whatever its axis.
+_AXIS_ORDERS = {
+    Axis.SELF: _self_orders,
+    Axis.CHILD: _child_orders,
+    Axis.ATTRIBUTE: _child_orders,
+    Axis.NAMESPACE: _child_orders,
+    Axis.PARENT: _parent_orders,
+    Axis.DESCENDANT: _descendant_orders,
+    Axis.DESCENDANT_OR_SELF: _descendant_orders,
+    Axis.ANCESTOR: _ancestor_orders,
+    Axis.ANCESTOR_OR_SELF: _ancestor_orders,
+    Axis.FOLLOWING: _following_orders,
+    Axis.PRECEDING: _preceding_orders,
+    Axis.FOLLOWING_SIBLING: _sibling_orders,
+    Axis.PRECEDING_SIBLING: _sibling_orders,
+}
+
+
+def axis_orders(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
+    """``χ(source) ∩ cand``, where both operands are sorted order arrays.
+
+    Definition 3.1 (χ(X₀) = {x | ∃x₀ ∈ X₀ : x₀χx}) with the Section 4
+    typing rule, over the order columns of ``view``.  The rule is enforced
+    by the candidate lists themselves (regular orders, or a posting list
+    of the axis' principal type) and explicitly where needed.
+    """
+    if not len(source) or not len(cand):
+        return _EMPTY
+    return _AXIS_ORDERS[axis](view, axis, source, cand)
+
+
+#: The inverses of the axes that lead somewhere from an attribute or
+#: namespace node: parent, ancestor, ancestor-or-self, following, preceding
+#: and following-sibling.  (No regular sibling precedes a special node:
+#: namespaces and attributes come first in their parent's child0.)
+_INVERSES_REACHING_SPECIAL = frozenset({
+    Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
+    Axis.FOLLOWING, Axis.PRECEDING, Axis.PRECEDING_SIBLING,
+})
+
+
+def inverse_axis_orders(view: DocumentIndex, axis: Axis, source: Orders) -> Orders:
+    """χ⁻¹(source) = {x | χ(x) ∩ source ≠ ∅}, as sorted orders.
+
+    Lemma 10.1 (x χ y iff y χ⁻¹ x) holds for the untyped axes; under the
+    typing rule χ never reaches a special node except on the attribute and
+    namespace axes, while χ from an attribute or namespace node does reach
+    regular ones.  So the source is cut to the nodes χ can reach, and the
+    inverse axis draws from all of dom where it can land on a special node.
+    """
+    if axis is Axis.ATTRIBUTE or axis is Axis.NAMESPACE:
+        source = intersect_orders(source, view.type_orders(principal_node_type(axis)))
+    else:
+        special = view.special
+        if any(map(special.__getitem__, source)):
+            source = [order for order in source if not special[order]]
+    inverse = inverse_axis(axis)
+    cand = range(view.size) if inverse in _INVERSES_REACHING_SPECIAL else view.regular
+    return axis_orders(view, inverse, source, cand)
+
+
+# ----------------------------------------------------------------------
+# Node adapters: orders in, nodes out through the node table
+# ----------------------------------------------------------------------
+def _source_orders(nodes: Iterable[Node]) -> list[int]:
+    return sorted({node.order for node in nodes})
+
+
+def _node_set(index: DocumentIndex, orders: Orders) -> set[Node]:
+    return set(map(index.nodes.__getitem__, orders))
+
+
+#: The axes whose node-at-a-time step runs on the kernel: their result is
+#: an order interval, where a link walk would visit every node of it.
+_INTERVAL_AXES = frozenset(
+    {Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF, Axis.FOLLOWING, Axis.PRECEDING}
+)
+
+
 def axis_nodes(node: Node, axis: Axis) -> list[Node]:
     """Nodes reached from ``node`` via the typed axis, in document order."""
+    document = node.document
+    if document is not None and axis in _INTERVAL_AXES:
+        index = document.index
+        orders = axis_orders(index, axis, (node.order,), index.regular)
+        return list(map(index.nodes.__getitem__, orders))
     if axis is Axis.SELF:
         return [] if node.is_special_child else [node]
     if axis is Axis.ATTRIBUTE:
@@ -64,16 +312,6 @@ def axis_nodes(node: Node, axis: Axis) -> list[Node]:
         return list(node.children)
     if axis is Axis.PARENT:
         return [node.parent] if node.parent is not None else []
-    if axis is Axis.DESCENDANT:
-        if node.document is None:
-            return list(node.iter_descendants())
-        return node.document.index.descendants(node)
-    if axis is Axis.DESCENDANT_OR_SELF:
-        if node.document is None:
-            result = [] if node.is_special_child else [node]
-            result.extend(node.iter_descendants())
-            return result
-        return node.document.index.descendants(node, include_self=True)
     if axis is Axis.ANCESTOR:
         return list(reversed(list(node.iter_ancestors())))
     if axis is Axis.ANCESTOR_OR_SELF:
@@ -97,15 +335,16 @@ def axis_nodes(node: Node, axis: Axis) -> list[Node]:
                 result.append(sibling)
             sibling = sibling.prev_sibling
         return list(reversed(result))
+    # The interval axes of a node outside a frozen document (no orders, no
+    # index), by structural walks.
+    if axis is Axis.DESCENDANT:
+        return list(node.iter_descendants())
+    if axis is Axis.DESCENDANT_OR_SELF:
+        return axis_nodes(node, Axis.SELF) + list(node.iter_descendants())
     if axis is Axis.FOLLOWING:
-        if node.document is None:
-            return _walk_following(node)
-        index = node.document.index
-        return index.nodes_after(index.subtree_end[node.order])
+        return _walk_following(node)
     if axis is Axis.PRECEDING:
-        if node.document is None:
-            return _walk_preceding(node)
-        return node.document.index.nodes_with_subtree_before(node.order)
+        return _walk_preceding(node)
     raise ValueError(f"unknown axis {axis}")  # pragma: no cover
 
 
@@ -165,142 +404,27 @@ def proximity_sorted(nodes: Iterable[Node], axis: Axis) -> list[Node]:
     return sorted(nodes, key=_ORDER, reverse=is_reverse_axis(axis))
 
 
-# ----------------------------------------------------------------------
-# Node tests over order intervals (posting-list intersection)
-# ----------------------------------------------------------------------
-def _test_in_interval(
-    index: DocumentIndex, test: NodeTest, axis: Axis, low: int, high: int
-) -> Optional[list[Node]]:
-    """Nodes in the order interval [low, high] satisfying ``test``.
-
-    Returns ``None`` when the test cannot be answered from a posting list
-    (then the caller falls back to per-candidate matching); never returns
-    attribute/namespace nodes unless the posting list itself is typed so.
-    """
-    if isinstance(test, NameTest):
-        node_type = principal_node_type(axis)
-        if test.name is None:
-            return index.typed_in_interval(node_type, low, high)
-        return index.labelled_in_interval(node_type, test.name, low, high)
-    if isinstance(test, KindTest):
-        if test.kind == "node":
-            return index.regular_interval(low, high)
-        node_type = KindTest._KIND_TO_TYPE[test.kind]
-        if test.kind == "processing-instruction" and test.target is not None:
-            return index.labelled_in_interval(node_type, test.target, low, high)
-        return index.typed_in_interval(node_type, low, high)
-    return None
-
-
-def _without_ancestors(candidates: list[Node], node: Node) -> list[Node]:
-    """Drop the (few) ancestors of ``node`` from a doc-ordered candidate list."""
-    ancestors = set(node.iter_ancestors())
-    if not ancestors:
-        return candidates
-    return [candidate for candidate in candidates if candidate not in ancestors]
-
-
 def step_candidates(node: Node, axis: Axis, test: NodeTest) -> list[Node]:
     """Nodes reachable from ``node`` via ``axis`` that satisfy ``test``.
 
     Returned in document order; use :func:`proximity_order` for positions.
     The interval axes (descendant, descendant-or-self, following, preceding)
-    answer name/kind tests by bisecting the label posting lists instead of
-    filtering every candidate.
+    draw their result from the test's posting list instead of filtering
+    every candidate.
     """
     document = node.document
-    if document is not None:
+    if document is not None and axis in _INTERVAL_AXES:
         index = document.index
-        if axis is Axis.DESCENDANT or axis is Axis.DESCENDANT_OR_SELF:
-            low = node.order if axis is Axis.DESCENDANT_OR_SELF else node.order + 1
-            high = index.subtree_end[node.order]
-            fast = _test_in_interval(index, test, axis, low, high)
-            if fast is not None:
-                # Note: a special (attribute/namespace) self can never appear
-                # here — posting lists for these tests are element/text/…
-                # typed and regular_interval excludes special nodes.
-                return fast
-        elif axis is Axis.FOLLOWING:
-            low = index.subtree_end[node.order] + 1
-            fast = _test_in_interval(index, test, axis, low, len(index.nodes) - 1)
-            if fast is not None:
-                return fast
-        elif axis is Axis.PRECEDING:
-            fast = _test_in_interval(index, test, axis, 0, node.order - 1)
-            if fast is not None:
-                return _without_ancestors(fast, node)
+        orders = axis_orders(index, axis, (node.order,), candidate_orders(index, test, axis))
+        return list(map(index.nodes.__getitem__, orders))
     return [candidate for candidate in axis_nodes(node, axis) if test.matches(candidate, axis)]
 
 
-# ----------------------------------------------------------------------
-# Set-at-a-time axis application (O(|dom|), interval queries where possible)
-# ----------------------------------------------------------------------
 def axis_set(document: Document, nodes: Iterable[Node], axis: Axis) -> set[Node]:
-    """χ(S) for a whole node set, in time O(|dom|).
-
-    The implementation mirrors Definition 3.1 (χ(X₀) = {x | ∃x₀ ∈ X₀ : x₀χx})
-    with the typing rule of Section 4 applied; descendant, following and
-    preceding are interval queries over the document index rather than
-    per-source tree walks.
-    """
-    source = nodes if isinstance(nodes, (set, frozenset)) else set(nodes)
-    if not source:
-        return set()
-    if axis is Axis.SELF:
-        return {node for node in source if not node.is_special_child}
-    if axis is Axis.ATTRIBUTE:
-        result: set[Node] = set()
-        for node in source:
-            result.update(node.attributes)
-        return result
-    if axis is Axis.NAMESPACE:
-        result = set()
-        for node in source:
-            result.update(node.namespaces)
-        return result
-    if axis is Axis.CHILD:
-        result = set()
-        for node in source:
-            result.update(node.children)
-        return result
-    if axis is Axis.PARENT:
-        return {
-            node.parent
-            for node in source
-            if node.parent is not None and not node.parent.is_special_child
-        }
-    if axis is Axis.DESCENDANT or axis is Axis.DESCENDANT_OR_SELF:
-        include_self = axis is Axis.DESCENDANT_OR_SELF
-        return set(document.index.descendant_nodes(source, include_self))
-    if axis is Axis.ANCESTOR or axis is Axis.ANCESTOR_OR_SELF:
-        return _ancestor_set(source, include_self=axis is Axis.ANCESTOR_OR_SELF)
-    if axis is Axis.FOLLOWING_SIBLING:
-        result = set()
-        for node in source:
-            sibling = node.next_sibling
-            while sibling is not None:
-                if not sibling.is_special_child:
-                    result.add(sibling)
-                sibling = sibling.next_sibling
-        return result
-    if axis is Axis.PRECEDING_SIBLING:
-        result = set()
-        for node in source:
-            sibling = node.prev_sibling
-            while sibling is not None:
-                if not sibling.is_special_child:
-                    result.add(sibling)
-                sibling = sibling.prev_sibling
-        return result
-    if axis is Axis.FOLLOWING:
-        index = document.index
-        threshold = min(index.subtree_end[node.order] for node in source)
-        return set(index.nodes_after(threshold))
-    if axis is Axis.PRECEDING:
-        index = document.index
-        threshold = max(node.order for node in source)
-        return set(index.nodes_with_subtree_before(threshold))
-    raise ValueError(f"unknown axis {axis}")  # pragma: no cover
+    """χ(S) for a whole node set, in time O(|dom|) (Lemma 3.3)."""
+    index = document.index
+    orders = axis_orders(index, axis, _source_orders(nodes), default_candidates(index, axis))
+    return _node_set(index, orders)
 
 
 def axis_test_set(
@@ -308,59 +432,20 @@ def axis_test_set(
 ) -> set[Node]:
     """χ(S) ∩ T(t): axis application fused with a node test.
 
-    For the interval axes the node test is answered by posting-list bisects
-    over the merged subtree intervals, so the cost is proportional to the
-    *matching* nodes rather than to every node the bare axis reaches.
+    The result is drawn from the test's posting list, so the interval axes
+    cost is proportional to the *matching* nodes rather than to every node
+    the bare axis reaches.
     """
-    source = nodes if isinstance(nodes, (set, frozenset)) else set(nodes)
-    if not source:
-        return set()
-    if axis is Axis.DESCENDANT or axis is Axis.DESCENDANT_OR_SELF:
-        index = document.index
-        include_self = axis is Axis.DESCENDANT_OR_SELF
-        result: set[Node] = set()
-        fused_failed = False
-        for low, high in index.merged_subtree_intervals(source, include_self):
-            fast = _test_in_interval(index, test, axis, low, high)
-            if fast is None:
-                fused_failed = True
-                break
-            result.update(fast)
-        if not fused_failed:
-            return result
-    elif axis is Axis.FOLLOWING:
-        index = document.index
-        threshold = min(index.subtree_end[node.order] for node in source)
-        fast = _test_in_interval(index, test, axis, threshold + 1, len(index.nodes) - 1)
-        if fast is not None:
-            return set(fast)
-    elif axis is Axis.PRECEDING:
-        index = document.index
-        threshold = max(node.order for node in source)
-        fast = _test_in_interval(index, test, axis, 0, threshold - 1)
-        if fast is not None:
-            return set(_without_ancestors(fast, index.nodes[threshold]))
-    return {node for node in axis_set(document, source, axis) if test.matches(node, axis)}
-
-
-def _ancestor_set(source: Iterable[Node], include_self: bool) -> set[Node]:
-    """All ancestors (or self) of nodes in ``source``; amortised O(|dom|)."""
-    result: set[Node] = set()
-    for start in source:
-        if include_self and not start.is_special_child:
-            result.add(start)
-        node = start.parent
-        while node is not None and node not in result:
-            result.add(node)
-            node = node.parent
-    return result
+    index = document.index
+    orders = axis_orders(
+        index, axis, _source_orders(nodes), candidate_orders(index, test, axis)
+    )
+    return _node_set(index, orders)
 
 
 def inverse_axis_set(document: Document, nodes: Iterable[Node], axis: Axis) -> set[Node]:
-    """χ⁻¹(S): apply the natural inverse of ``axis`` to the node set.
-
-    By Lemma 10.1, x χ y iff y χ⁻¹ x, so this is simply :func:`axis_set` on
-    the inverse axis.  Used by the Core XPath algebra (S←) and by the
-    backward propagation of the Extended Wadler evaluator (§11).
-    """
-    return axis_set(document, nodes, inverse_axis(axis))
+    """χ⁻¹(S) (see :func:`inverse_axis_orders`).  Used by the Core XPath
+    algebra (S←) and by the backward propagation of the Extended Wadler
+    evaluator (§11)."""
+    index = document.index
+    return _node_set(index, inverse_axis_orders(index, axis, _source_orders(nodes)))

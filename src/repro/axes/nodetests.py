@@ -11,17 +11,27 @@ A node test is either
 
 Both forms are represented by :class:`NodeTest` instances that know how to
 check a single node (``matches``) and how to enumerate T(t) over a whole
-document (``select``), the latter using the document's type/name indexes.
+document (``select``).
+
+T itself is computed over posting lists, once for every engine:
+:func:`select_orders` is T(t) as a sorted order array, and
+:func:`candidate_orders` is the posting list a fused axis step
+χ(S) ∩ T(t) draws from.  Both read the columns of a
+:class:`~repro.xmlmodel.index.DocumentIndex` (or of its mmap twin in the
+store); ``select`` maps their orders through the document's node table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..xmlmodel.document import Document
+from ..xmlmodel.index import DocumentIndex
 from ..xmlmodel.nodes import Node, NodeType
 from .regex import PRINCIPAL_NODE_TYPE, Axis
+
+Orders = Sequence[int]
 
 _PRINCIPAL_TYPE_MAP = {
     "element": NodeType.ELEMENT,
@@ -44,7 +54,8 @@ class NodeTest:
 
     def select(self, document: Document, axis: Axis) -> set[Node]:
         """T(t) relative to the principal node type of ``axis``."""
-        raise NotImplementedError
+        index = document.index
+        return set(map(index.nodes.__getitem__, select_orders(index, self, axis)))
 
     def is_wildcard(self) -> bool:
         """True for ``*`` and ``node()`` (no name restriction)."""
@@ -65,12 +76,6 @@ class NameTest(NodeTest):
         if node.node_type is not principal_node_type(axis):
             return False
         return self.name is None or node.name == self.name
-
-    def select(self, document: Document, axis: Axis) -> set[Node]:
-        node_type = principal_node_type(axis)
-        if self.name is None:
-            return set(document.nodes_of_type(node_type))
-        return set(document.nodes_of_type_and_name(node_type, self.name))
 
     def is_wildcard(self) -> bool:
         return self.name is None
@@ -105,14 +110,6 @@ class KindTest(NodeTest):
             return node.name == self.target
         return True
 
-    def select(self, document: Document, axis: Axis) -> set[Node]:
-        if self.kind == "node":
-            return document.dom_set
-        expected = self._KIND_TO_TYPE[self.kind]
-        if self.kind == "processing-instruction" and self.target is not None:
-            return set(document.nodes_of_type_and_name(expected, self.target))
-        return set(document.nodes_of_type(expected))
-
     def is_wildcard(self) -> bool:
         return self.kind == "node"
 
@@ -135,3 +132,41 @@ COMMENT_TEST = KindTest("comment")
 def node_test_function(document: Document, test: NodeTest, axis: Axis) -> set[Node]:
     """The paper's function T, relative to an axis' principal node type."""
     return test.select(document, axis)
+
+
+# ----------------------------------------------------------------------
+# T over posting lists
+# ----------------------------------------------------------------------
+def default_candidates(view: DocumentIndex, axis: Axis) -> Orders:
+    """The candidates of a bare ``axis`` step, i.e. under ``node()``.
+
+    The Section 4 typing rule: every navigational axis removes attribute
+    and namespace nodes, so its candidates are the *regular* orders; the
+    attribute and namespace axes draw from those special nodes themselves.
+    """
+    if axis is Axis.ATTRIBUTE or axis is Axis.NAMESPACE:
+        return view.type_orders(principal_node_type(axis))
+    return view.regular
+
+
+def candidate_orders(view: DocumentIndex, test: NodeTest, axis: Axis) -> Orders:
+    """Fused-step candidates: the posting list χ(S) ∩ T(t) is drawn from."""
+    if isinstance(test, NameTest):
+        node_type = principal_node_type(axis)
+        if test.name is None:
+            return view.type_orders(node_type)
+        return view.label_orders(node_type, test.name)
+    assert isinstance(test, KindTest)
+    if test.kind == "node":
+        return default_candidates(view, axis)
+    expected = KindTest._KIND_TO_TYPE[test.kind]
+    if test.kind == "processing-instruction" and test.target is not None:
+        return view.label_orders(expected, test.target)
+    return view.type_orders(expected)
+
+
+def select_orders(view: DocumentIndex, test: NodeTest, axis: Axis) -> Orders:
+    """Standalone T(t) as sorted orders: ``node()`` is all of dom."""
+    if isinstance(test, KindTest) and test.kind == "node":
+        return range(view.size)
+    return candidate_orders(view, test, axis)

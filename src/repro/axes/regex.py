@@ -47,6 +47,10 @@ class Axis(enum.Enum):
     ATTRIBUTE = "attribute"
     NAMESPACE = "namespace"
 
+    # Identity hash, as for NodeType: axis-table lookups and axis-set
+    # membership tests run once per step.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Axis.{self.value}"
 

@@ -10,12 +10,16 @@ memoised set-algebra plan of a :class:`CompiledQuery` (built by
 :class:`ArrayCompiler`, the XPatterns compiler plus those shapes) is
 *lowered* into a short linear :class:`ArrayProgram` — a register machine
 whose every instruction is an array operation over the flat
-:class:`~repro.xmlmodel.index.DocumentIndex` columns (interval slices over
-``subtree_end``, parent-chain walks, posting-list intersections, sorted
-merge-unions) — the very columns the tree engines read, or their
-zero-copy mmap twin :class:`~repro.store.StoredIndexArrays`.  Registers hold sorted
-arrays of document orders; no ``Node`` object is touched until the final
-result set is materialised.
+:class:`~repro.xmlmodel.index.DocumentIndex` columns, or over their
+zero-copy mmap twin :class:`~repro.store.StoredIndexArrays`.  Registers hold
+sorted arrays of document orders; no ``Node`` object is touched until the
+final result set is materialised.
+
+The axis, node-test and set instructions call the order-column kernel of
+:mod:`repro.axes` (``axis_orders``, ``inverse_axis_orders``, T over
+posting lists, ``intersect_orders`` / ``union_orders``) that the tree
+engines' axes run too.  This module keeps the lowering, :func:`execute_program`
+and the two instructions only arrays run, ``numfilter`` and ``position``.
 
 Lowering rules (one instruction per algebra operator):
 
@@ -30,8 +34,8 @@ algebra expression                      instruction
 ``χ(E) ∩ T(t)`` (same axis)             ``axis-test`` (fused, like the
                                         interpreter's posting-list fusion)
 ``χ(E)``                                ``axis``
-``χ⁻¹(E)``                              ``inverse-axis`` (Lemma 10.1:
-                                        evaluated as the inverse axis)
+``χ⁻¹(E)``                              ``inverse-axis`` (Lemma 10.1
+                                        under the typing rule)
 ``E1 ∩ E2`` / ``E1 ∪ E2``               ``intersect`` / ``union``
 ``dom ∖ E``                             ``complement``
 ``dom·[root ∈ E]``                      ``dom-if-root``
@@ -64,8 +68,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..axes.nodetests import KindTest, NameTest, NodeTest, principal_node_type
-from ..axes.regex import Axis, inverse_axis
+from ..axes.functions import (
+    axis_orders,
+    intersect_orders,
+    inverse_axis_orders,
+    union_orders,
+)
+from ..axes.nodetests import (
+    KindTest,
+    NodeTest,
+    candidate_orders,
+    default_candidates,
+    select_orders,
+)
+from ..axes.regex import Axis
 from ..errors import FragmentError
 from ..fragments.algebra import (
     AlgebraExpr,
@@ -84,7 +100,6 @@ from ..fragments.algebra import (
 )
 from ..fragments.xpatterns import XPATTERNS_AXES, XPatternsCompiler
 from ..xmlmodel.index import DocumentIndex, complement_orders
-from ..xmlmodel.nodes import NodeType
 from ..xpath.ast import (
     BinaryOp,
     ContextFunction,
@@ -572,208 +587,6 @@ def lower_plan(plan) -> ArrayProgram:
 
 
 # ----------------------------------------------------------------------
-# Sorted-order set primitives
-# ----------------------------------------------------------------------
-def _intersect(a: Orders, b: Orders) -> list[int]:
-    if len(a) > len(b):
-        a, b = b, a
-    out: list[int] = []
-    j = 0
-    limit = len(b)
-    for value in a:
-        j = bisect_left(b, value, j)
-        if j >= limit:
-            break
-        if b[j] == value:
-            out.append(value)
-            j += 1
-    return out
-
-
-def _union(a: Orders, b: Orders) -> list[int]:
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif y < x:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    out.extend(a[i:la])
-    out.extend(b[j:lb])
-    return out
-
-
-# ----------------------------------------------------------------------
-# Node-test candidate selection (posting-list columns)
-# ----------------------------------------------------------------------
-def _select_orders(view: DocumentIndex, test: NodeTest, axis: Axis) -> Orders:
-    """Standalone ``T(t)``: mirrors ``NodeTest.select`` (node() = dom)."""
-    if isinstance(test, KindTest) and test.kind == "node":
-        return range(view.size)
-    return _candidate_orders(view, test, axis)
-
-
-def _candidate_orders(view: DocumentIndex, test: NodeTest, axis: Axis) -> Orders:
-    """Fused-step candidates: the posting list the axis result is drawn from.
-
-    For ``node()`` this is the *regular* order array (the Section 4 typing
-    rule: every navigational axis removes attribute/namespace nodes) except
-    under the attribute/namespace axes, whose principal candidates are the
-    special nodes themselves.
-    """
-    if isinstance(test, NameTest):
-        node_type = principal_node_type(axis)
-        if test.name is None:
-            return view.type_orders(node_type)
-        return view.label_orders(node_type, test.name)
-    assert isinstance(test, KindTest)
-    if test.kind == "node":
-        if axis is Axis.ATTRIBUTE:
-            return view.type_orders(NodeType.ATTRIBUTE)
-        if axis is Axis.NAMESPACE:
-            return view.type_orders(NodeType.NAMESPACE)
-        return view.regular
-    expected = KindTest._KIND_TO_TYPE[test.kind]
-    if test.kind == "processing-instruction" and test.target is not None:
-        return view.label_orders(expected, test.target)
-    return view.type_orders(expected)
-
-
-# ----------------------------------------------------------------------
-# Array axis application: χ(S) ∩ candidates, entirely over order arrays
-# ----------------------------------------------------------------------
-def _default_candidates(view: DocumentIndex, axis: Axis) -> Orders:
-    if axis is Axis.ATTRIBUTE:
-        return view.type_orders(NodeType.ATTRIBUTE)
-    if axis is Axis.NAMESPACE:
-        return view.type_orders(NodeType.NAMESPACE)
-    return view.regular
-
-
-def _strict_ancestor_orders(view: DocumentIndex, order: int) -> set[int]:
-    ancestors: set[int] = set()
-    parent = view.parent
-    current = parent[order]
-    while current >= 0:
-        ancestors.add(current)
-        current = parent[current]
-    return ancestors
-
-
-def _axis_result(view: DocumentIndex, axis: Axis, source: Orders, cand: Orders) -> Orders:
-    """``χ(source) ∩ cand`` where both operands are sorted order arrays.
-
-    Implements the same semantics as :func:`repro.axes.functions.axis_set`
-    restricted to the candidate posting list (i.e. ``axis_test_set``): the
-    special-node typing rule is enforced by the candidate lists themselves
-    for the interval axes and explicitly where needed.
-    """
-    if not len(source) or not len(cand):
-        return _EMPTY
-
-    if axis is Axis.SELF:
-        return _intersect(source, cand)
-
-    if axis in (Axis.CHILD, Axis.ATTRIBUTE, Axis.NAMESPACE):
-        if axis is not Axis.CHILD:
-            # attribute/namespace results are exactly that node type; a
-            # kind test like text() must come back empty.
-            node_type = (
-                NodeType.ATTRIBUTE if axis is Axis.ATTRIBUTE else NodeType.NAMESPACE
-            )
-            cand = _intersect(cand, view.type_orders(node_type))
-            if not cand:
-                return _EMPTY
-        parent = view.parent
-        subtree_end = view.subtree_end
-        sources = set(source)
-        low = source[0] + 1
-        high = max(map(subtree_end.__getitem__, source))
-        lo = bisect_left(cand, low)
-        hi = bisect_right(cand, high)
-        return [c for c in cand[lo:hi] if parent[c] in sources]
-
-    if axis is Axis.PARENT:
-        parent = view.parent
-        parents = {parent[s] for s in source}
-        parents.discard(-1)
-        return _intersect(sorted(parents), cand)
-
-    if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-        include_self = axis is Axis.DESCENDANT_OR_SELF
-        subtree_end = view.subtree_end
-        out: list[int] = []
-        current_end = -1
-        for order in source:
-            if order <= current_end:
-                continue
-            current_end = subtree_end[order]
-            start = order if include_self else order + 1
-            if start > current_end:
-                continue
-            lo = bisect_left(cand, start)
-            hi = bisect_right(cand, current_end)
-            out.extend(cand[lo:hi])
-        return out
-
-    if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-        parent = view.parent
-        special = view.special
-        seen: set[int] = set()
-        for order in source:
-            if axis is Axis.ANCESTOR_OR_SELF and not special[order]:
-                seen.add(order)
-            current = parent[order]
-            while current >= 0 and current not in seen:
-                seen.add(current)
-                current = parent[current]
-        return _intersect(sorted(seen), cand)
-
-    if axis is Axis.FOLLOWING:
-        subtree_end = view.subtree_end
-        threshold = min(map(subtree_end.__getitem__, source))
-        return cand[bisect_right(cand, threshold) :]
-
-    if axis is Axis.PRECEDING:
-        threshold = source[-1]
-        prefix = cand[: bisect_left(cand, threshold)]
-        ancestors = _strict_ancestor_orders(view, threshold)
-        if not ancestors:
-            return prefix
-        return [c for c in prefix if c not in ancestors]
-
-    if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
-        following = axis is Axis.FOLLOWING_SIBLING
-        parent = view.parent
-        thresholds: dict[int, int] = {}
-        for s in source:
-            p = parent[s]
-            if p < 0:
-                continue
-            best = thresholds.get(p)
-            if best is None or (s < best if following else s > best):
-                thresholds[p] = s
-        if not thresholds:
-            return _EMPTY
-        out = []
-        for c in cand:
-            best = thresholds.get(parent[c])
-            if best is not None and (c > best if following else c < best):
-                out.append(c)
-        return out
-
-    raise FragmentError(f"axis {axis.value} has no array implementation")
-
-
-# ----------------------------------------------------------------------
 # numfilter and position: per-node numbers, per-group ranks
 # ----------------------------------------------------------------------
 def _number_filter(view: DocumentIndex, operand: Orders, op: str, number: float) -> Orders:
@@ -852,26 +665,21 @@ def execute_program(
         op = instruction.op
         srcs = instruction.srcs
         if op == "axis-test":
-            result = _axis_result(
-                view,
-                instruction.axis,
-                registers[srcs[0]],
-                _candidate_orders(view, instruction.test, instruction.axis),
+            axis = instruction.axis
+            result = axis_orders(
+                view, axis, registers[srcs[0]], candidate_orders(view, instruction.test, axis)
             )
         elif op == "intersect":
-            result = _intersect(registers[srcs[0]], registers[srcs[1]])
+            result = intersect_orders(registers[srcs[0]], registers[srcs[1]])
         elif op == "union":
-            result = _union(registers[srcs[0]], registers[srcs[1]])
+            result = union_orders(registers[srcs[0]], registers[srcs[1]])
         elif op == "axis":
             axis = instruction.axis
-            result = _axis_result(
-                view, axis, registers[srcs[0]], _default_candidates(view, axis)
+            result = axis_orders(
+                view, axis, registers[srcs[0]], default_candidates(view, axis)
             )
         elif op == "inverse-axis":
-            axis = inverse_axis(instruction.axis)
-            result = _axis_result(
-                view, axis, registers[srcs[0]], _default_candidates(view, axis)
-            )
+            result = inverse_axis_orders(view, instruction.axis, registers[srcs[0]])
         elif op == "context":
             result = tuple(sorted(set(context_orders)))
         elif op == "root":
@@ -879,7 +687,7 @@ def execute_program(
         elif op == "dom":
             result = range(size)
         elif op == "test":
-            result = _select_orders(view, instruction.test, instruction.axis)
+            result = select_orders(view, instruction.test, instruction.axis)
         elif op == "strmatch":
             result = view.string_match(instruction.value, instruction.negated)
         elif op == "numfilter":

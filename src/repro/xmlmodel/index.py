@@ -1,30 +1,29 @@
-"""Document-order index: interval queries and label postings (paper §3–§4).
+"""Document-order index: the order columns of one document (paper §3–§4).
 
 The paper's complexity results (Lemma 3.3's O(|dom|) set-at-a-time axes, the
 polynomial CVT engines of Sections 6–8, the O(|D|·|Q|) Core XPath algebra of
 Section 10) all assume that applying an axis is cheap.  This module turns
-document order itself into the primary data structure so that it is:
+document order itself into the primary data structure, as flat columns
+indexed by ``node.order``:
 
-* ``subtree_end`` is a flat list indexed by ``node.order``.  Because document
-  order is a preorder traversal of the child0 tree, every subtree occupies the
-  *contiguous* order interval ``[node.order, subtree_end[node.order]]`` — the
-  classic interval encoding of trees.
+* ``subtree_end``: because document order is a preorder traversal of the
+  child0 tree, every subtree occupies the *contiguous* order interval
+  ``[node.order, subtree_end[node.order]]`` — the classic interval
+  encoding of trees.
 * ``parent`` (the parent's order, -1 for the root) and ``special`` (1 for
-  attribute/namespace nodes) are flat columns indexed the same way, so the
-  compiled engine's array programs walk parent chains and apply the typing
-  rule without dereferencing a ``Node``.
-* ``regular`` is the sorted order array of the non-attribute/non-namespace
-  nodes, so the typed ``descendant``, ``following`` and ``preceding`` axes
-  become O(log n + output) bisect-and-slice queries instead of
-  full-document scans.
-* an inverted label index maps ``(node_type, name)`` and ``node_type`` to
-  sorted order arrays ("posting lists"), so a name or kind test over an
-  interval is a bisect of a posting list instead of a filter over every
-  candidate.
+  attribute/namespace nodes), so parent chains are walked and the typing
+  rule applied without dereferencing a ``Node``.
+* ``regular``: the sorted order array of the non-attribute/non-namespace
+  nodes, the candidates of every bare navigational step.
+* an inverted label index mapping ``(node_type, name)`` and ``node_type`` to
+  sorted order arrays ("posting lists"), so a name or kind test is a
+  posting list rather than a filter over every candidate.
 
-The index holds order columns only.  ``nodes`` is the document's own node
-table, the one ``Node`` container; every ``Node``-returning method maps an
-order slice through it (``list(map(nodes.__getitem__, orders))``).
+The index holds columns only: the typed axes over them live in
+:func:`repro.axes.functions.axis_orders`, the one implementation every
+engine runs.  ``nodes`` is the document's own node table, the one ``Node``
+container; its only ``Node`` views are ``nodes_of_type`` /
+``nodes_of_label``, which ``Document.nodes_of_type*`` return.
 
 Invariants (established by :meth:`~repro.xmlmodel.document.Document.freeze`):
 
@@ -36,23 +35,13 @@ Invariants (established by :meth:`~repro.xmlmodel.document.Document.freeze`):
   for the strict ancestors of ``nodes[threshold]`` (used by ``preceding``);
 * every posting list is strictly increasing (a sub-sequence of 0..n-1).
 
-Complexities (n = |dom|, d = tree depth, k = result size):
-
-=====================================  =================================
-operation                              cost
-=====================================  =================================
-build (lazy, once per document)        O(n)
-``descendants`` / ``nodes_after``      O(log n + k)
-``nodes_with_subtree_before``          O(log n + k + d)
-``labelled_in_interval``               O(log n + k)
-``descendant_set`` (m sources)         O(m log m + log n + k)
-=====================================  =================================
+The build is O(n), lazily once per document.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .nodes import SPECIAL_CHILD_TYPES, Node, NodeType
@@ -200,12 +189,10 @@ def _shift_orders(orders: list[int], threshold: int, delta: int) -> None:
 class DocumentIndex:
     """Per-document navigation index over document order.
 
-    The one in-memory column set, of order columns only: the compiled
-    engine's array programs (:func:`~repro.engines.compiled.execute_program`)
-    read them as plain order arrays, and the interpreting engines' axis
-    functions read ``Node`` views that map an order slice through
-    ``nodes``.  ``nodes`` is the document's own node table, not a copy,
-    and the only ``Node`` container the index holds.
+    The one in-memory column set, of order columns only, which every
+    engine's axes read through :func:`~repro.axes.functions.axis_orders`.
+    ``nodes`` is the document's own node table, not a copy, and the only
+    ``Node`` container the index holds.
 
     Built by the first :attr:`Document.index` read or the first edit,
     whichever comes first; the document must be frozen.
@@ -451,97 +438,13 @@ class DocumentIndex:
             del self._by_label_orders[label]
 
     # ------------------------------------------------------------------
-    # Interval queries over the regular (non attribute/namespace) nodes
-    # ------------------------------------------------------------------
-    def _nodes_at(self, orders: Sequence[int]) -> list[Node]:
-        """The ``Node`` view of an order slice, mapped through ``nodes``."""
-        return list(map(self.nodes.__getitem__, orders))
-
-    def regular_interval(self, low: int, high: int) -> list[Node]:
-        """Regular nodes with ``low <= order <= high``, in document order."""
-        orders = self.regular
-        return self._nodes_at(orders[bisect_left(orders, low) : bisect_right(orders, high)])
-
-    def descendants(self, node: Node, include_self: bool = False) -> list[Node]:
-        """Typed descendant(-or-self) of one node as an interval slice."""
-        start = node.order if include_self else node.order + 1
-        return self.regular_interval(start, self.subtree_end[node.order])
-
-    def nodes_after(self, order: int) -> list[Node]:
-        """All regular nodes with document order strictly greater than ``order``."""
-        return self._nodes_at(self.regular[bisect_right(self.regular, order) :])
-
-    def nodes_with_subtree_before(self, order: int) -> list[Node]:
-        """All regular nodes whose whole subtree precedes ``order``.
-
-        The candidates are the prefix of the order array below ``order``; by
-        laminarity the only prefix nodes whose extent reaches ``order`` are
-        the strict ancestors of ``nodes[order]``, so they are subtracted in
-        O(depth) instead of testing ``subtree_end`` for every candidate.
-        """
-        orders = self.regular[: bisect_left(self.regular, order)]
-        if order < len(self.nodes):
-            ancestors = {node.order for node in self.nodes[order].iter_ancestors()}
-            if ancestors:
-                orders = [o for o in orders if o not in ancestors]
-        return self._nodes_at(orders)
-
-    # ------------------------------------------------------------------
-    # Label postings (the function T of Section 4, as sorted order arrays)
+    # Node views of the posting lists (``Document.nodes_of_type*``)
     # ------------------------------------------------------------------
     def nodes_of_type(self, node_type: NodeType) -> list[Node]:
         """T(τ()) — all nodes of the given type, in document order."""
-        return self._nodes_at(self._by_type_orders[node_type])
+        return list(map(self.nodes.__getitem__, self._by_type_orders[node_type]))
 
     def nodes_of_label(self, node_type: NodeType, name: str) -> list[Node]:
         """T(τ(n)) — all nodes of the given type carrying the given name."""
-        return self._nodes_at(self._by_label_orders.get((node_type, name), _EMPTY_ORDERS))
-
-    def typed_in_interval(self, node_type: NodeType, low: int, high: int) -> list[Node]:
-        """Posting-list slice: nodes of ``node_type`` with order in [low, high]."""
-        orders = self._by_type_orders[node_type]
-        return self._nodes_at(orders[bisect_left(orders, low) : bisect_right(orders, high)])
-
-    def labelled_in_interval(
-        self, node_type: NodeType, name: str, low: int, high: int
-    ) -> list[Node]:
-        """Posting-list slice: ``(node_type, name)`` nodes with order in [low, high]."""
         orders = self._by_label_orders.get((node_type, name), _EMPTY_ORDERS)
-        return self._nodes_at(orders[bisect_left(orders, low) : bisect_right(orders, high)])
-
-    # ------------------------------------------------------------------
-    # Set-at-a-time building blocks
-    # ------------------------------------------------------------------
-    def merged_subtree_intervals(
-        self, sources: Iterable[Node], include_self: bool
-    ) -> list[tuple[int, int]]:
-        """Disjoint, sorted order intervals covering the sources' subtrees.
-
-        A source whose order falls inside an earlier interval is skipped —
-        by laminarity its whole subtree is already covered (this is the
-        working replacement for the dead "already covered" shortcut the old
-        ``_descendant_set`` attempted over arbitrary set iteration order).
-        """
-        intervals: list[tuple[int, int]] = []
-        current_end = -1
-        for order in sorted(node.order for node in sources):
-            if order <= current_end:
-                continue
-            current_end = self.subtree_end[order]
-            start = order if include_self else order + 1
-            if start <= current_end:
-                intervals.append((start, current_end))
-        return intervals
-
-    def descendant_nodes(self, sources: Iterable[Node], include_self: bool) -> list[Node]:
-        """Typed descendant(-or-self) of a node set, in document order.
-
-        ``include_self`` keeps a source only when it is a regular node (the
-        Section 4 typing rule removes attribute/namespace nodes from every
-        axis result except ``attribute``/``namespace`` themselves).
-        """
-        regular = self.regular
-        orders: list[int] = []
-        for start, end in self.merged_subtree_intervals(sources, include_self):
-            orders.extend(regular[bisect_left(regular, start) : bisect_right(regular, end)])
-        return self._nodes_at(orders)
+        return list(map(self.nodes.__getitem__, orders))

@@ -43,6 +43,11 @@ class NodeType(enum.Enum):
     NAMESPACE = "namespace"
     PROCESSING_INSTRUCTION = "processing-instruction"
 
+    # Members are singletons compared by identity, so the identity hash
+    # (in C) replaces Enum's, which hashes the name in Python on every
+    # posting-list lookup.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeType.{self.name}"
 

@@ -5,7 +5,8 @@ and posting-list intersections over :class:`repro.xmlmodel.index.DocumentIndex`)
 must be node-for-node identical to the retained pre-index reference
 implementations in :mod:`repro.axes.reference` — across all thirteen axes,
 for every context node of random documents, including attribute and namespace
-context nodes (the Section 4 typing edge cases).
+context nodes (the Section 4 typing edge cases).  The inverse axes χ⁻¹ of the
+set algebra are checked against the definition through the reference χ.
 
 The :class:`OrderSet` / :class:`NodeSet` merge-based algebra is likewise
 checked against plain ``frozenset`` semantics.
@@ -21,6 +22,7 @@ from repro.axes.functions import (
     axis_nodes,
     axis_set,
     axis_test_set,
+    inverse_axis_set,
     proximity_order,
     proximity_sorted,
     step_candidates,
@@ -76,6 +78,30 @@ def test_indexed_axis_set_matches_reference(document, axis, seed):
     if not sample:
         sample = [document.root]
     assert axis_set(document, sample, axis) == reference_axis_set(document, sample, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        random_document,
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_depth=st.integers(min_value=1, max_value=4),
+        max_children=st.integers(min_value=1, max_value=4),
+        with_namespaces=st.just(True),
+    ),
+    st.sampled_from(ALL_AXES),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_inverse_axis_set_matches_reference(document, axis, seed):
+    """χ⁻¹(S) = {x ∈ dom | χ(x) ∩ S ≠ ∅} with the reference χ (Lemma 10.1
+    under the typing rule), for operands holding attribute and namespace
+    nodes."""
+    rng = random.Random(seed)
+    sample = {node for node in document.dom if rng.random() < 0.35} or {document.root}
+    expected = {
+        node for node in document.dom if sample.intersection(reference_axis_nodes(node, axis))
+    }
+    assert inverse_axis_set(document, sample, axis) == expected
 
 
 @settings(max_examples=40, deadline=None)

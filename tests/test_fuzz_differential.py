@@ -281,6 +281,33 @@ def test_extended_family_covers_every_shape():
     assert any(re.search(r"\[(\d|last\(\))\]\[", q) for q in EXTENDED_QUERIES)
 
 
+#: Fixed cases for Lemma 10.1 under the typing rule, as (document, query).
+#: The set-algebra engines run predicate paths backwards through χ⁻¹, which
+#: must not feed attribute nodes into a navigational axis (the three on the
+#: first document and the two on Figure 8) and must keep the attributes
+#: whose axis reaches the operand (the four ``//@n`` cases).
+INVERSE_AXIS_CASES = [
+    ("<a><b/><c x='1'/></a>", "//c[node()]"),
+    ("<a><b/><c x='1'/></a>", "//*[not(node())]"),
+    ("<a><b/><c x='1'/></a>", "//*[attribute::node()]"),
+    ("<a><b n='1'><c/></b></a>", "//@n[parent::b]"),
+    ("<a><b n='1'><c/></b></a>", "//@n[ancestor::a]"),
+    ("<a><b n='1'><c/></b></a>", "//@n[following::c]"),
+    ("<a><b n='1'><c/></b></a>", "//@n[following-sibling::c]"),
+    ("figure8", "//preceding-sibling::*[attribute::text()]"),
+    ("figure8", "//preceding-sibling::b[following::*][not(preceding::node())]"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, query", INVERSE_AXIS_CASES, ids=range(len(INVERSE_AXIS_CASES))
+)
+def test_inverse_axis_cases_all_engines_agree(source, query):
+    document = DOCUMENTS[source] if source in DOCUMENTS else parse_xml(source)
+    answers = {engine: _answer(engine, query, document) for engine in _engines_for(query)}
+    assert len({tuple(answer) for answer in answers.values()}) == 1, (query, answers)
+
+
 def test_generation_is_deterministic_for_fixed_seed():
     assert _generate("core", 10) == _generate("core", 10)
     assert _generate("xpatterns", 5) == _generate("xpatterns", 5)
@@ -391,10 +418,13 @@ def test_streaming_matches_every_tree_engine(query):
             )
 
 
+LIMIT_PARITY_QUERIES = STREAMABLE_QUERIES[
+    : max(MIN_STREAMABLE_CASES, len(STREAMABLE_QUERIES) // 2)
+]
+
+
 @pytest.mark.parametrize(
-    "query",
-    STREAMABLE_QUERIES[: max(MIN_STREAMABLE_CASES, len(STREAMABLE_QUERIES) // 2)],
-    ids=range(max(MIN_STREAMABLE_CASES, len(STREAMABLE_QUERIES) // 2)),
+    "query", LIMIT_PARITY_QUERIES, ids=range(len(LIMIT_PARITY_QUERIES))
 )
 def test_streaming_limit_parity(query):
     """ResourceLimitExceeded parity between the backends.

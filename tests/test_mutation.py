@@ -11,8 +11,8 @@ The repair≡rebuild *property* tests live here too: a random edit script is
 replayed onto a twin document that is never queried (its first edit builds
 its index), and onto a serialize→reparse round trip, and all index columns
 must agree; random edit scripts keep every cached string match equal to a
-fresh scan, and every ``Node`` view the index derives from its order
-columns equal to a filter over ``dom``.
+fresh scan, and the interval axes over the repaired columns, like the
+index's ``Node`` views, equal to a filter over ``dom``.
 """
 
 import pickle
@@ -22,6 +22,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro import api
+from repro.axes.functions import axis_nodes, axis_set
+from repro.axes.regex import Axis
 from repro.errors import StaleResultError
 from repro.parallel import ParallelExecutor
 from repro.session import XPathSession
@@ -553,7 +555,8 @@ class TestStringMatchCacheRepair:
 
 
 # ----------------------------------------------------------------------
-# The index derives its Node views from its order columns (property test)
+# The axes over the repaired columns, and the index's Node views (property
+# test)
 # ----------------------------------------------------------------------
 VIEW_SEEDS = (3, 5, 18, 26, 41)
 
@@ -565,8 +568,9 @@ def _descendants(node: Node, include_self: bool) -> list[Node]:
 
 
 def _assert_views_match_dom(document: Document, rng: random.Random) -> None:
-    """Every ``Node``-returning index method, at random bounds, equals a
-    filter over ``document.dom`` by order, type and name."""
+    """The interval axes, which run on the index's order columns, and the
+    index's ``Node`` views, at random probes, equal a filter over
+    ``document.dom`` by order, type and name."""
     index = document.index
     dom = document.dom
     size = len(dom)
@@ -576,34 +580,25 @@ def _assert_views_match_dom(document: Document, rng: random.Random) -> None:
         for node in dom
     ]
 
-    def within(nodes, low, high):
-        return [node for node in nodes if low <= node.order <= high]
-
     for _ in range(6):
-        low, high = sorted(rng.randrange(-1, size + 1) for _ in range(2))
         probe = rng.choice(dom)
         node_type, name = probe.node_type, probe.name or "nope"
         typed = [node for node in dom if node.node_type is node_type]
         labelled = [node for node in typed if node.name == name]
-        threshold = rng.randrange(size + 1)
         include_self = rng.random() < 0.5
+        descendant = Axis.DESCENDANT_OR_SELF if include_self else Axis.DESCENDANT
         sources = rng.sample(dom, rng.randrange(1, min(size, 5) + 1))
-        assert index.regular_interval(low, high) == within(regular, low, high)
-        assert index.descendants(probe, include_self) == _descendants(probe, include_self)
-        assert index.nodes_after(low) == [node for node in regular if node.order > low]
-        assert index.nodes_with_subtree_before(threshold) == [
-            node for node in regular if subtree_last[node.order] < threshold
+        assert axis_nodes(probe, descendant) == _descendants(probe, include_self)
+        assert axis_nodes(probe, Axis.FOLLOWING) == [
+            node for node in regular if node.order > subtree_last[probe.order]
+        ]
+        assert axis_nodes(probe, Axis.PRECEDING) == [
+            node for node in regular if subtree_last[node.order] < probe.order
         ]
         assert index.nodes_of_type(node_type) == typed
         assert index.nodes_of_label(node_type, name) == labelled
-        assert index.typed_in_interval(node_type, low, high) == within(typed, low, high)
-        assert index.labelled_in_interval(node_type, name, low, high) == within(
-            labelled, low, high
-        )
         reached = {item for source in sources for item in _descendants(source, include_self)}
-        assert index.descendant_nodes(sources, include_self) == sorted(
-            reached, key=lambda node: node.order
-        )
+        assert axis_set(document, sources, descendant) == reached
 
 
 class TestDerivedNodeViews:
