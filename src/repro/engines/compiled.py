@@ -33,6 +33,9 @@ algebra expression                      instruction
 ``{x | strval(x) = s}``                 ``strmatch``
 ``χ(E) ∩ T(t)`` (same axis)             ``axis-test`` (fused, like the
                                         interpreter's posting-list fusion)
+``child(dos(E) ∩ T(node())) ∩ T(t)``    ``axis-test[descendant]`` (``//t``:
+                                        child ∘ descendant-or-self is
+                                        descendant under the typing rule)
 ``χ(E)``                                ``axis``
 ``χ⁻¹(E)``                              ``inverse-axis`` (Lemma 10.1
                                         under the typing rule)
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..axes.functions import (
     axis_orders,
@@ -75,6 +78,7 @@ from ..axes.functions import (
     union_orders,
 )
 from ..axes.nodetests import (
+    ANY_NODE,
     KindTest,
     NodeTest,
     candidate_orders,
@@ -235,6 +239,10 @@ class CompilabilityReport:
 
     compilable: bool
     violations: tuple[str, ...] = ()
+    #: The dry run's :class:`ArrayCompiler` algebra (``None`` when refused),
+    #: which :func:`repro.plan.compile_plan` hands to plans that resolve to
+    #: this engine so their lowering does not compile it again.
+    algebra: object = field(default=None, repr=False, compare=False)
 
 
 def analyze_compilability(expression: Expression) -> CompilabilityReport:
@@ -250,18 +258,22 @@ def analyze_compilability(expression: Expression) -> CompilabilityReport:
     shape.  The lowering accepts every plan the compiler builds.
     """
     try:
-        ArrayCompiler().compile_query(expression)
+        algebra = ArrayCompiler().compile_query(expression)
     except FragmentError as refusal:
         return CompilabilityReport(compilable=False, violations=(str(refusal),))
-    return CompilabilityReport(compilable=True)
+    return CompilabilityReport(compilable=True, algebra=algebra)
 
 
 # ----------------------------------------------------------------------
 # The program IR
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Instruction:
-    """One array operation: ``dest ← op(srcs…)`` plus static operands."""
+class Instruction(NamedTuple):
+    """One array operation: ``dest ← op(srcs…)`` plus static operands.
+
+    A named tuple rather than a frozen dataclass, which sets its ten fields
+    one ``object.__setattr__`` call at a time: every plan-cache miss lowers
+    a fresh program.
+    """
 
     op: str
     dest: int
@@ -453,6 +465,22 @@ class ArrayCompiler(XPatternsCompiler):
 # ----------------------------------------------------------------------
 # Lowering (set algebra → ArrayProgram)
 # ----------------------------------------------------------------------
+def _axis_and_test(expression) -> Optional[tuple[AxisApply, NodeTest]]:
+    """``(χ(E), t)`` when ``expression`` is ``χ(E) ∩ T(t)`` over one axis."""
+    if not isinstance(expression, Intersect):
+        return None
+    left, right = expression.left, expression.right
+    if isinstance(right, AxisApply) and isinstance(left, TestSet):
+        left, right = right, left
+    if (
+        isinstance(left, AxisApply)
+        and isinstance(right, TestSet)
+        and right.axis is left.axis
+    ):
+        return left, right.test
+    return None
+
+
 class _Lowering:
     def __init__(self) -> None:
         self.instructions: list[Instruction] = []
@@ -537,23 +565,28 @@ class _Lowering:
     def _fused_axis_test(self, expression: Intersect) -> Optional[int]:
         """Fuse ``χ(E) ∩ T(t)`` into one ``axis-test`` instruction.
 
-        Mirrors the interpreter's posting-list fusion exactly (same pattern,
-        same axis-identity condition), so the compiled backend's candidate
-        selection matches ``axis_test_set`` node-for-node.
+        Mirrors the interpreter's posting-list fusion (same pattern, same
+        axis-identity condition), so the compiled backend's candidate
+        selection matches ``axis_test_set`` node-for-node.  One step further:
+        the normalised ``//t``, ``child(dos(E) ∩ T(node())) ∩ T(t)``, is
+        ``descendant(E) ∩ T(t)`` as a set of orders, so it reads one slice
+        of t's posting list per subtree of E instead of first building
+        every regular order under E.
         """
-        left, right = expression.left, expression.right
-        if isinstance(left, AxisApply) and isinstance(right, TestSet):
-            apply_expr, test_expr = left, right
-        elif isinstance(right, AxisApply) and isinstance(left, TestSet):
-            apply_expr, test_expr = right, left
-        else:
+        fused = _axis_and_test(expression)
+        if fused is None:
             return None
-        if test_expr.axis is not apply_expr.axis:
-            return None
-        operand = self.lower(apply_expr.operand)
-        return self.emit(
-            "axis-test", (operand,), axis=apply_expr.axis, test=test_expr.test
-        )
+        apply_expr, test = fused
+        axis, operand = apply_expr.axis, apply_expr.operand
+        if axis is Axis.CHILD:
+            inner = _axis_and_test(operand)
+            if (
+                inner is not None
+                and inner[0].axis is Axis.DESCENDANT_OR_SELF
+                and inner[1] == ANY_NODE
+            ):
+                axis, operand = Axis.DESCENDANT, inner[0].operand
+        return self.emit("axis-test", (self.lower(operand),), axis=axis, test=test)
 
     def _fused_number_filter(self, expression: Intersect) -> Optional[int]:
         """Fuse ``E ∩ {x | number(strval(x)) op N}`` into ``numfilter(E)``:

@@ -25,13 +25,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
+from ..engines.relevance import compute_relevance
 from ..streaming import analyze_streamability
 from ..xpath.ast import Expression
 from ..xpath.normalize import compile_query
 from .core_xpath import CoreXPathEngine, is_core_xpath
-from .wadler import is_extended_wadler, wadler_violations
+from .wadler import wadler_violations
 from .xpatterns import XPatternsEngine, is_xpatterns
+
+if TYPE_CHECKING:
+    from ..engines.compiled import CompilabilityReport
 
 
 class Fragment(enum.Enum):
@@ -83,47 +88,56 @@ class Classification:
 
 def classify(query) -> Classification:
     """Classify a query (string or AST) into the Figure-1 lattice."""
-    return classify_normalized(compile_query(query))
+    # Deferred: the engines package imports this module's siblings at load
+    # time, so a module-level import here would be a cycle.
+    from ..engines.compiled import analyze_compilability
+
+    expression = compile_query(query)
+    return classify_normalized(
+        expression, compute_relevance(expression), analyze_compilability(expression)
+    )
 
 
-def classify_normalized(expression: Expression) -> Classification:
+def classify_normalized(
+    expression: Expression,
+    relevance: Mapping[Expression, frozenset[str]],
+    compilability: "CompilabilityReport",
+) -> Classification:
     """Classify an already-normalised AST (the plan pipeline's entry point).
 
-    :func:`repro.plan.compile_plan` normalises exactly once and calls this,
-    so plan compilation never re-parses; :func:`classify` stays as the
-    convenience front end for strings and raw ASTs.
+    ``relevance`` is the query's Relev(N) table (Section 8.2) and
+    ``compilability`` its :func:`~repro.engines.compiled.analyze_compilability`
+    report.  :func:`repro.plan.compile_plan` normalises once and runs both
+    analyses once for the whole plan, so a plan compile never repeats one;
+    :func:`classify` stays as the convenience front end for strings and raw
+    ASTs.
     """
     core = is_core_xpath(expression)
     xpatterns = is_xpatterns(expression)
-    wadler = is_extended_wadler(expression)
+    violations = tuple(wadler_violations(expression, relevance))
     if core:
         fragment = Fragment.CORE_XPATH
         engine = CoreXPathEngine.name
     elif xpatterns:
         fragment = Fragment.XPATTERNS
         engine = XPatternsEngine.name
-    elif wadler:
+    elif not violations:
         fragment = Fragment.EXTENDED_WADLER
         engine = "optmincontext"
     else:
         fragment = Fragment.FULL_XPATH
         engine = "optmincontext"
     streamability = analyze_streamability(expression)
-    # Deferred: the engines package imports this module's siblings at load
-    # time, so a module-level import here would be a cycle.
-    from ..engines.compiled import CompiledEngine, analyze_compilability
-
-    compilability = analyze_compilability(expression)
     if compilability.compilable:
-        engine = CompiledEngine.name
+        engine = "compiled"
     return Classification(
         fragment=fragment,
         in_core_xpath=core,
         in_xpatterns=xpatterns,
-        in_extended_wadler=wadler,
+        in_extended_wadler=not violations,
         complexity=COMPLEXITY_BOUNDS[fragment],
         recommended_engine=engine,
-        wadler_violations=tuple(wadler_violations(expression)),
+        wadler_violations=violations,
         streamable=streamability.streamable,
         streaming_violations=streamability.violations,
         compilable=compilability.compilable,

@@ -25,6 +25,8 @@ fragment (useful in the examples and for query authors).
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 from ..xpath.ast import (
     BinaryOp,
     ContextFunction,
@@ -69,10 +71,18 @@ def is_extended_wadler(expression: Expression) -> bool:
     return not wadler_violations(expression)
 
 
-def wadler_violations(expression: Expression) -> list[str]:
-    """All reasons why ``expression`` falls outside the fragment (empty if none)."""
+def wadler_violations(
+    expression: Expression,
+    relevance: Optional[Mapping[Expression, frozenset[str]]] = None,
+) -> list[str]:
+    """All reasons why ``expression`` falls outside the fragment (empty if none).
+
+    ``relevance`` is the query's Relev(N) table (Section 8.2) when the
+    caller already has it; otherwise it is computed here.
+    """
     violations: list[str] = []
-    relevance = compute_relevance(expression)
+    if relevance is None:
+        relevance = compute_relevance(expression)
     parents = parent_map(expression)
 
     for node in walk(expression):

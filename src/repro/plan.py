@@ -13,7 +13,9 @@ immutable, reusable *plan*:
 * the relevant-context analysis Relev(N) of Section 8.2, precomputed so the
   CVT engines do not redo it per evaluation;
 * lazily memoised set-algebra plans for the linear-time fragment engines
-  (Section 10), keyed by compiler class;
+  (Section 10), keyed by compiler class; a plan that resolves to
+  ``compiled`` starts with the ``ArrayCompiler`` algebra its compilability
+  check built;
 * the free-variable and function-library signatures that key the cache.
 
 :class:`PlanCache` is a bounded LRU over ``(query, engine, library,
@@ -283,13 +285,19 @@ def compile_plan(
     if engine is None:
         engine = DEFAULT_ENGINE
 
-    from .engines.relevance import compute_relevance  # avoid an import cycle
+    # Deferred, to avoid an import cycle.
+    from .engines.compiled import ArrayCompiler, analyze_compilability
+    from .engines.relevance import compute_relevance
 
     source = query if isinstance(query, str) else None
     expression = normalize_query(query)
-    classification = classify_normalized(expression)
+    # Relev(N) and the compilability dry run feed both the classification
+    # and the plan, so each runs once per compile.
+    relevance = compute_relevance(expression)
+    compilability = analyze_compilability(expression)
+    classification = classify_normalized(expression, relevance, compilability)
     resolved = classification.recommended_engine if engine == "auto" else engine
-    return CompiledQuery(
+    plan = CompiledQuery(
         source=source,
         expression=expression,
         classification=classification,
@@ -298,8 +306,13 @@ def compile_plan(
         variable_names=referenced_variables(expression),
         variables_signature=_variables_signature(variables),
         library_signature=library_signature,
-        relevance=compute_relevance(expression),
+        relevance=relevance,
     )
+    if resolved == "compiled" and compilability.compilable:
+        # The dry run's algebra is what lowering needs; plans for other
+        # engines drop it rather than hold an algebra they never lower.
+        plan._algebra_plans[ArrayCompiler] = compilability.algebra
+    return plan
 
 
 def _resolve_existing(plan: CompiledQuery, engine: Optional[str]) -> CompiledQuery:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import XPathSyntaxError
 
@@ -50,6 +49,10 @@ class TokenType(enum.Enum):
     GE = ">="
     EOF = "eof"
 
+    # Identity hash, as for NodeType and Axis: the lexer's operand-ending
+    # test hashes one token kind per token.
+    __hash__ = object.__hash__
+
 
 #: Token types after which a ``*`` / name is interpreted as an operator.
 _OPERAND_ENDING = frozenset(
@@ -68,12 +71,41 @@ _OPERAND_ENDING = frozenset(
 
 _OPERATOR_NAMES = frozenset({"and", "or", "div", "mod"})
 
+#: Punctuation, longest match first: the two-character tokens, then the
+#: one-character ones (``*`` and ``.`` need context and are read apart).
+_TWO_CHAR_TOKENS = {
+    "//": TokenType.DOUBLE_SLASH,
+    "::": TokenType.COLONCOLON,
+    "!=": TokenType.NEQ,
+    "<=": TokenType.LE,
+    ">=": TokenType.GE,
+    "..": TokenType.DOTDOT,
+}
+_ONE_CHAR_TOKENS = {
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "[": TokenType.LBRACKET,
+    "]": TokenType.RBRACKET,
+    "@": TokenType.AT,
+    ",": TokenType.COMMA,
+    "/": TokenType.SLASH,
+    "|": TokenType.PIPE,
+    "+": TokenType.PLUS,
+    "-": TokenType.MINUS,
+    "=": TokenType.EQ,
+    "<": TokenType.LT,
+    ">": TokenType.GT,
+}
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (0-based offset)."""
+class Token(NamedTuple):
+    """One lexical token with its source position (0-based offset).
+
+    A named tuple rather than a frozen dataclass, which sets its fields one
+    ``object.__setattr__`` call at a time: every query makes one per token.
+    """
 
     kind: TokenType
     text: str
@@ -128,45 +160,15 @@ class XPathLexer:
             return self._emit(TokenType.EOF, "", start)
         ch = text[self._pos]
 
-        # Multi-character punctuation first.
         two = text[self._pos : self._pos + 2]
-        if two == "//":
+        kind = _TWO_CHAR_TOKENS.get(two)
+        if kind is not None:
             self._pos += 2
-            return self._emit(TokenType.DOUBLE_SLASH, two, start)
-        if two == "::":
-            self._pos += 2
-            return self._emit(TokenType.COLONCOLON, two, start)
-        if two == "!=":
-            self._pos += 2
-            return self._emit(TokenType.NEQ, two, start)
-        if two == "<=":
-            self._pos += 2
-            return self._emit(TokenType.LE, two, start)
-        if two == ">=":
-            self._pos += 2
-            return self._emit(TokenType.GE, two, start)
-        if two == "..":
-            self._pos += 2
-            return self._emit(TokenType.DOTDOT, two, start)
-
-        single = {
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            "[": TokenType.LBRACKET,
-            "]": TokenType.RBRACKET,
-            "@": TokenType.AT,
-            ",": TokenType.COMMA,
-            "/": TokenType.SLASH,
-            "|": TokenType.PIPE,
-            "+": TokenType.PLUS,
-            "-": TokenType.MINUS,
-            "=": TokenType.EQ,
-            "<": TokenType.LT,
-            ">": TokenType.GT,
-        }
-        if ch in single:
+            return self._emit(kind, two, start)
+        kind = _ONE_CHAR_TOKENS.get(ch)
+        if kind is not None:
             self._pos += 1
-            return self._emit(single[ch], ch, start)
+            return self._emit(kind, ch, start)
 
         if ch == "*":
             self._pos += 1

@@ -44,6 +44,13 @@ _NODE_TYPE_NAMES = frozenset({"node", "text", "comment", "processing-instruction
 
 _AXIS_NAMES = frozenset(axis.value for axis in Axis)
 
+_RELATIONAL_OPS = {
+    TokenType.LT: "<",
+    TokenType.LE: "<=",
+    TokenType.GT: ">",
+    TokenType.GE: ">=",
+}
+
 
 def parse_xpath(text: str) -> Expression:
     """Parse an XPath 1.0 expression string into an AST."""
@@ -52,7 +59,9 @@ def parse_xpath(text: str) -> Expression:
 
 class _Parser:
     def __init__(self, tokens: list[Token], source: str):
-        self._tokens = tokens
+        # The index never moves past the EOF token, so one more EOF lets
+        # _peek(1) look ahead without a bounds check.
+        self._tokens = tokens + tokens[-1:]
         self._source = source
         self._index = 0
 
@@ -60,8 +69,7 @@ class _Parser:
     # Token helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._index + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -119,15 +127,9 @@ class _Parser:
         return left
 
     def _parse_relational(self) -> Expression:
-        mapping = {
-            TokenType.LT: "<",
-            TokenType.LE: "<=",
-            TokenType.GT: ">",
-            TokenType.GE: ">=",
-        }
         left = self._parse_additive()
-        while self._peek().kind in mapping:
-            op = mapping[self._advance().kind]
+        while self._peek().kind in _RELATIONAL_OPS:
+            op = _RELATIONAL_OPS[self._advance().kind]
             left = BinaryOp(op, left, self._parse_additive())
         return left
 

@@ -165,18 +165,17 @@ class TestCliExplain:
             "/preceding-sibling::book[(position() = 1)])",
             "fragment:   Full XPath  [time O(|D|⁴·|Q|²), space O(|D|²·|Q|²)]",
             "streaming:  no (FunctionCall is not a streamable location path)",
-            "compiled:   yes (10-instruction array program)",
+            "compiled:   yes (9-instruction array program)",
             "              r0 = root()",
-            "              r1 = axis-test[descendant-or-self](r0, T(node()))",
-            "              r2 = axis-test[child](r1, T(book))",
-            "              r3 = test[child](T(price))",
-            "              r4 = numfilter(r3, > 40)",
-            "              r5 = inverse-axis[child](r4)",
-            "              r6 = intersect(r2, r5)",
-            "              r7 = position[child](r6, last)",
-            "              r8 = axis-test[preceding-sibling](r7, T(book))",
-            "              r9 = position[preceding-sibling](r7, r8, 1)",
-            "              result: count(r9)",
+            "              r1 = axis-test[descendant](r0, T(book))",
+            "              r2 = test[child](T(price))",
+            "              r3 = numfilter(r2, > 40)",
+            "              r4 = inverse-axis[child](r3)",
+            "              r5 = intersect(r1, r4)",
+            "              r6 = position[child](r5, last)",
+            "              r7 = axis-test[preceding-sibling](r6, T(book))",
+            "              r8 = position[preceding-sibling](r6, r7, 1)",
+            "              result: count(r8)",
             "engine:     compiled  (recommended for this fragment)",
             "limits:     unlimited",
         ]

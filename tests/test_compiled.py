@@ -172,10 +172,40 @@ def test_refusal_names_the_shape(query, reason):
 # ----------------------------------------------------------------------
 class TestLowering:
     def test_steps_fuse_into_axis_test_instructions(self):
-        program = plan_for("//b", cache=None).array_program()
+        program = plan_for("//b/c", cache=None).array_program()
         assert [i.op for i in program.instructions] == ["root", "axis-test", "axis-test"]
         assert len(program) == 3
         assert program.result_register == program.instructions[-1].dest
+
+    @pytest.mark.parametrize(
+        "query, steps",
+        [
+            # child(dos(root) ∩ T(node())) ∩ T(b) = descendant(root) ∩ T(b).
+            ("//b", []),
+            # The position groups the descendant step's nodes by parent.
+            ("//b[1]", ["r2 = position[child](r1, 1)"]),
+        ],
+    )
+    def test_descendant_shorthand_lowers_to_one_descendant_step(self, query, steps):
+        program = plan_for(query, cache=None).array_program()
+        assert [i.render() for i in program.instructions] == [
+            "r0 = root()",
+            "r1 = axis-test[descendant](r0, T(b))",
+            *steps,
+        ]
+
+    @pytest.mark.parametrize(
+        "query, step",
+        [
+            ("//@n", "axis-test[attribute](r1, T(n))"),
+            ("//following-sibling::b", "axis-test[following-sibling](r1, T(b))"),
+            ("//..", "axis-test[parent](r1, T(node()))"),
+        ],
+    )
+    def test_only_a_child_step_absorbs_the_descendant_or_self_step(self, query, step):
+        lines = plan_for(query, cache=None).array_program().render().splitlines()
+        assert lines[1] == "r1 = axis-test[descendant-or-self](r0, T(node()))"
+        assert lines[2] == f"r2 = {step}"
 
     def test_program_is_memoised_and_carried_by_retarget(self):
         plan = plan_for("//b/c", engine="topdown", cache=None)
@@ -189,7 +219,7 @@ class TestLowering:
 
     def test_render_names_registers_and_operands(self):
         text = plan_for("//b[@n = '2']", cache=None).array_program().render()
-        assert "axis-test[descendant-or-self]" in text
+        assert "axis-test[descendant](r0, T(b))" in text
         assert "strmatch(='2')" in text
         assert text.splitlines()[-1].startswith("result: r")
 
@@ -210,9 +240,7 @@ class TestLowering:
         # every node of the document (2.5x slower on bench_compiled's
         # numeric-filter).
         program = plan_for("//b[. > 1]", cache=None).array_program()
-        assert [i.op for i in program.instructions] == [
-            "root", "axis-test", "axis-test", "numfilter"
-        ]
+        assert [i.op for i in program.instructions] == ["root", "axis-test", "numfilter"]
         # Attributes have no self::node() (Section 4 typing): the general
         # backward path, whose self axis drops them, keeps that semantics.
         text = plan_for("//b/@n[. > 1]", cache=None).array_program().render()
@@ -220,20 +248,20 @@ class TestLowering:
 
     def test_render_numfilter_keeps_its_operator(self):
         text = plan_for("//b[@n > 1999]", cache=None).array_program().render()
-        assert "numfilter(r3, > 1999)" in text
+        assert "numfilter(r2, > 1999)" in text
         text = plan_for("//b[1999 > @n]", cache=None).array_program().render()
-        assert "numfilter(r3, < 1999)" in text
+        assert "numfilter(r2, < 1999)" in text
         text = plan_for("//b[. != 1.5]", cache=None).array_program().render()
-        assert "numfilter(r2, != 1.5)" in text
+        assert "numfilter(r1, != 1.5)" in text
 
     def test_render_positions_and_count(self):
         program = plan_for(
             "count(//b[last()]/preceding-sibling::b[1])", cache=None
         ).array_program()
         lines = program.render().splitlines()
-        assert lines[3] == "r3 = position[child](r2, last)"
-        assert lines[5] == "r5 = position[preceding-sibling](r3, r4, 1)"
-        assert lines[-1] == "result: count(r5)"
+        assert lines[2] == "r2 = position[child](r1, last)"
+        assert lines[4] == "r4 = position[preceding-sibling](r2, r3, 1)"
+        assert lines[-1] == "result: count(r4)"
         assert program.count
 
     def test_positional_chain_lowers_each_step_once(self):
@@ -241,7 +269,7 @@ class TestLowering:
         # sub-plans lower once, so k steps cost O(k) instructions.
         query = "//b" + "/following-sibling::b[1]" * 12
         program = plan_for(query, cache=None).array_program()
-        assert len(program) == 3 + 2 * 12
+        assert len(program) == 2 + 2 * 12
         assert program.register_count == len(program)
 
     def test_id_apply_raises_fragment_error(self):
@@ -415,6 +443,8 @@ def test_positions_from_each_context_node():
             "preceding-sibling::item[2]",
             "following-sibling::*[last()]",
             "item[1]",
+            ".//c",
+            "descendant-or-self::node()/child::b[1]",
         ):
             assert _compiled_orders(query, WIDE, context) == _reference_orders(
                 query, WIDE, context
@@ -424,7 +454,13 @@ def test_positions_from_each_context_node():
 def test_relative_query_uses_the_context_node():
     b_nodes = api.select("//b", DOC)
     for context in b_nodes:
-        for query in ("c", "following-sibling::b", "self::b[@n]"):
+        for query in (
+            "c",
+            "following-sibling::b",
+            "self::b[@n]",
+            ".//c",
+            "descendant-or-self::node()/child::b[1]",
+        ):
             assert _compiled_orders(query, context=context) == _reference_orders(
                 query, context=context
             ), (query, context.order)
@@ -432,7 +468,13 @@ def test_relative_query_uses_the_context_node():
 
 def test_attribute_context_node():
     attr = api.select("//b/attribute::n", DOC)[0]
-    for query in ("self::node()", "ancestor::a", "following::c"):
+    for query in (
+        "self::node()",
+        "ancestor::a",
+        "following::c",
+        ".//c",
+        "descendant-or-self::node()/child::b[1]",
+    ):
         assert _compiled_orders(query, context=attr) == _reference_orders(
             query, context=attr
         ), query
@@ -580,8 +622,9 @@ class TestCompiledEngine:
         session = XPathSession(engine="compiled")
         result = session.run("//b", DOC)
         counters = result.stats.as_dict()
-        assert counters["compiled_instructions"] == 3
-        assert counters["array_cells"] >= 3
+        # root (1 cell), then the descendant step's three b elements.
+        assert counters["compiled_instructions"] == 2
+        assert counters["array_cells"] == 1 + 3
         assert "compiled_fallbacks" not in counters
 
     def test_fallback_outside_the_fragment(self):
@@ -667,14 +710,14 @@ def test_compiled_request_on_an_id_plan_answers_like_xpatterns():
 class TestExplain:
     def test_compilable_line_without_program_dump(self):
         explanation = XPathSession(engine="topdown").explain("//b")
-        assert "compiled:   yes (3-instruction array program)" in explanation
+        assert "compiled:   yes (2-instruction array program)" in explanation
         assert "axis-test" not in explanation
 
     def test_compiled_engine_dumps_the_program(self):
         explanation = XPathSession(engine="compiled").explain("//b")
-        assert "compiled:   yes (3-instruction array program)" in explanation
-        assert "axis-test[descendant-or-self]" in explanation
-        assert "result: r2" in explanation
+        assert "compiled:   yes (2-instruction array program)" in explanation
+        assert "axis-test[descendant](r0, T(b))" in explanation
+        assert "result: r1" in explanation
 
     def test_non_compilable_reports_the_reason(self):
         explanation = XPathSession().explain("id('r')")

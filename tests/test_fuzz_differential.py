@@ -196,10 +196,35 @@ EXTENDED_QUERIES = _generate("extended", EXTENDED_QUERY_COUNT) + [
     "//item[3]/preceding-sibling::item[1]",
     "//*[item[. > 2] = '4']",
     "//*['3' != c[@id > 11]]",
+    "count(//b)",
 ]
 COUNT_QUERIES = [query for query in EXTENDED_QUERIES if query.startswith("count(")]
 EXTENDED_NODE_SET_QUERIES = [
     query for query in EXTENDED_QUERIES if query not in COUNT_QUERIES
+]
+#: A fixed family of ``//`` shapes, the same at every seed.  The compiled
+#: engine lowers ``child`` over the normalised ``descendant-or-self::node()``
+#: step to one ``descendant`` step; these pin that against every engine,
+#: with positions (which group the step's nodes by parent), nested and
+#: relative ``//``, and the ``//@a`` / sibling steps that keep the
+#: descendant-or-self step.  Ten of them stream, which keeps the streaming
+#: sweep above its floor whatever the grammar seed yields.
+DESCENDANT_QUERIES = [
+    "//b",
+    "//b[1]",
+    "//b[last()]",
+    "//*[2]",
+    "//node()",
+    "//text()",
+    "//c[@id]",
+    "//a//b",
+    "//*[b][1]",
+    "/a//b[c]",
+    "//b[. > 3]",
+    "//b/following-sibling::*[1]",
+    "//@id",
+    "//a/descendant-or-self::node()/child::c",
+    "descendant-or-self::node()/child::b",
 ]
 
 
@@ -281,6 +306,13 @@ def test_extended_family_covers_every_shape():
     assert any(re.search(r"\[(\d|last\(\))\]\[", q) for q in EXTENDED_QUERIES)
 
 
+@pytest.mark.parametrize(
+    "query", DESCENDANT_QUERIES, ids=range(len(DESCENDANT_QUERIES))
+)
+def test_descendant_family_all_engines_agree(query):
+    _assert_engines_agree(query, _engines_for(query))
+
+
 #: Fixed cases for Lemma 10.1 under the typing rule, as (document, query).
 #: The set-algebra engines run predicate paths backwards through χ⁻¹, which
 #: must not feed attribute nodes into a navigational axis (the three on the
@@ -322,7 +354,9 @@ def test_generation_is_deterministic_for_fixed_seed():
 # documents, and must match the serial batch result node-for-node,
 # per-document failures included.
 # ----------------------------------------------------------------------
-ALL_QUERIES = CORE_QUERIES + XPATTERNS_QUERIES + EXTENDED_NODE_SET_QUERIES
+ALL_QUERIES = (
+    CORE_QUERIES + XPATTERNS_QUERIES + EXTENDED_NODE_SET_QUERIES + DESCENDANT_QUERIES
+)
 
 #: A dedicated session so the parallel sweep shares plans across the three
 #: evaluations of each (query, engine) pair without touching the default

@@ -7,6 +7,9 @@ hit/miss counters, eviction at capacity, clear() — and the api/cli/engines
 all consult it transparently.
 """
 
+import importlib
+from collections import Counter
+
 import pytest
 
 from repro import api
@@ -88,6 +91,49 @@ class TestCompiledQuery:
         plan = compile_plan("/descendant::b", engine="corexpath")
         first = plan.algebra_plan(CoreXPathCompiler)
         assert plan.algebra_plan(CoreXPathCompiler) is first
+
+    def test_a_miss_runs_each_front_end_analysis_once(self, monkeypatch):
+        # Over compile_plan(q, engine="auto") plus the first lowering:
+        # Relev(N) (Section 8.2), the Extended Wadler check (Section 11.1)
+        # and the ArrayCompiler algebra each run exactly once.
+        from repro.engines.compiled import ArrayCompiler
+
+        # By module name: the fragments package re-exports a function
+        # called classify, which shadows the submodule as an attribute.
+        relevance_module = importlib.import_module("repro.engines.relevance")
+        classify_module = importlib.import_module("repro.fragments.classify")
+        wadler_module = importlib.import_module("repro.fragments.wadler")
+
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        relevance = counted("relevance", relevance_module.compute_relevance)
+        monkeypatch.setattr(relevance_module, "compute_relevance", relevance)
+        monkeypatch.setattr(wadler_module, "compute_relevance", relevance)
+        violations = counted("wadler", wadler_module.wadler_violations)
+        monkeypatch.setattr(wadler_module, "wadler_violations", violations)
+        monkeypatch.setattr(classify_module, "wadler_violations", violations)
+        monkeypatch.setattr(
+            ArrayCompiler, "compile_query", counted("algebra", ArrayCompiler.compile_query)
+        )
+        plan = compile_plan("//a[b = '2']/c", engine="auto")
+        assert plan.engine_name == "compiled"
+        assert plan.array_program() is not None
+        assert calls == {"relevance": 1, "wadler": 1, "algebra": 1}
+
+    def test_only_compiled_plans_keep_the_dry_run_algebra(self):
+        from repro.engines.compiled import ArrayCompiler
+
+        plan = compile_plan("//a[b = '2']/c", engine="topdown")
+        assert plan.classification.compilable
+        assert ArrayCompiler not in plan._algebra_plans
+        assert ArrayCompiler in compile_plan("//a[b = '2']/c", engine="auto")._algebra_plans
 
     def test_retarget_preserves_ast_and_classification(self):
         plan = compile_plan("//b", engine="topdown")

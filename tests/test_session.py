@@ -84,7 +84,7 @@ class TestQueryResult:
             normalized: /descendant-or-self::node()/child::b
             fragment:   Core XPath  [time O(|D|·|Q|)]
             streaming:  yes (single-pass, O(depth) state)
-            compiled:   yes (3-instruction array program)
+            compiled:   yes (2-instruction array program)
             engine:     topdown  (fragment recommends compiled)
             cache:      miss (compiled)
             limits:     unlimited
@@ -102,16 +102,15 @@ class TestQueryResult:
             normalized: /descendant-or-self::node()/child::b
             fragment:   Core XPath  [time O(|D|·|Q|)]
             streaming:  yes (single-pass, O(depth) state)
-            compiled:   yes (3-instruction array program)
+            compiled:   yes (2-instruction array program)
                           r0 = root()
-                          r1 = axis-test[descendant-or-self](r0, T(node()))
-                          r2 = axis-test[child](r1, T(b))
-                          result: r2
+                          r1 = axis-test[descendant](r0, T(b))
+                          result: r1
             engine:     compiled  (resolved from 'auto', recommended for this fragment)
             cache:      miss (compiled)
             limits:     unlimited
             result:     node-set, 2 node(s)
-            stats:      compiled_instructions=3, array_cells=9"""
+            stats:      compiled_instructions=2, array_cells=3"""
         )
         assert result.explain(include_timing=False) == expected
 

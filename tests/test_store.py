@@ -205,6 +205,15 @@ class TestEngineParity:
             "//b[. = 'three']",
             "/lib/a//b",
             "//*[@id]",
+            # The // shapes: one descendant step where child follows the
+            # descendant-or-self step, the two-step form elsewhere.
+            "//node()",
+            "//text()",
+            "//a//b",
+            "descendant-or-self::node()/child::a",
+            "//@id",
+            "//following-sibling::*",
+            "//..",
         ],
     )
     def test_compiled_runs_off_the_map_without_a_tree(self, query, tmp_path):
@@ -231,6 +240,9 @@ class TestEngineParity:
             "//b[@n != 5][last()]",
             "//*[@id >= 0]",
             "//a[. != 5]",
+            "//b[1]",
+            "//*[2]",
+            "//a//b[last()]",
         ],
     )
     def test_column_path_matches_in_memory_past_xpatterns(self, query, tmp_path):
