@@ -74,7 +74,7 @@ def test_repeated_query_warm(benchmark, library_doc):
 
 
 #: Acceptance bar for the warm/cold separation.  5× is the recorded local
-#: acceptance number (measured ~6.7×, see DESIGN.md); CI sets
+#: acceptance number (measured ~14×, see DESIGN.md); CI sets
 #: REPRO_PLAN_SPEEDUP_BAR lower because shared runners add wall-clock noise
 #: that has nothing to do with the plan layer.
 SPEEDUP_BAR = float(os.environ.get("REPRO_PLAN_SPEEDUP_BAR", "5.0"))

@@ -8,7 +8,7 @@ mmap twin.  Document order is a preorder, so every subtree is a contiguous
 order interval: ``descendant``, ``following`` and ``preceding`` are
 bisect-and-slice queries, O(log |dom| + output), and every axis applied to
 a set is O(|dom|) (Lemma 3.3).  :func:`inverse_axis_orders` is χ⁻¹ (Lemma
-10.1).  The compiled engine's array programs call both directly.
+10.1).  The array programs of the set-algebra engines call both directly.
 
 The interpreters reach the kernel through thin ``Node`` adapters, which take
 the source nodes' orders in and hand nodes out through ``index.nodes``:
@@ -444,8 +444,7 @@ def axis_test_set(
 
 
 def inverse_axis_set(document: Document, nodes: Iterable[Node], axis: Axis) -> set[Node]:
-    """χ⁻¹(S) (see :func:`inverse_axis_orders`).  Used by the Core XPath
-    algebra (S←) and by the backward propagation of the Extended Wadler
-    evaluator (§11)."""
+    """χ⁻¹(S) (see :func:`inverse_axis_orders`).  Used by the backward
+    propagation of the Extended Wadler evaluator (§11)."""
     index = document.index
     return _node_set(index, inverse_axis_orders(index, axis, _source_orders(nodes)))

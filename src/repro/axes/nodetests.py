@@ -110,13 +110,6 @@ class KindTest(NodeTest):
             return node.name == self.target
         return True
 
-    def select(self, document: Document, axis: Axis) -> set[Node]:
-        if self.kind == "node":
-            # T(node()) is all of dom: the node table itself, with no order
-            # to map through it.
-            return set(document.index.nodes)
-        return super().select(document, axis)
-
     def is_wildcard(self) -> bool:
         return self.kind == "node"
 

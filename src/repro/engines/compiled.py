@@ -1,25 +1,26 @@
-"""Compiled array-program backend: set algebra lowered to flat index ops.
+"""Array programs: the one evaluator of the Section-10 set algebra.
 
-The eight tree engines interpret queries node-at-a-time over ``Node``
-objects.  This module adds a ninth engine that compiles the linear-time
-fragment (Core XPath ⊆ XPatterns, Section 10 / Table VI) one level
-further, and reaches past it with four array-only shapes: ``count(π)`` as
-the whole query, ``π op N`` numeric comparisons, and ``[k]`` /
-``[last()]`` on child and sibling steps of the outermost path.  The
-memoised set-algebra plan of a :class:`CompiledQuery` (built by
-:class:`ArrayCompiler`, the XPatterns compiler plus those shapes) is
-*lowered* into a short linear :class:`ArrayProgram` — a register machine
-whose every instruction is an array operation over the flat
-:class:`~repro.xmlmodel.index.DocumentIndex` columns, or over their
-zero-copy mmap twin :class:`~repro.store.StoredIndexArrays`.  Registers hold
-sorted arrays of document orders; no ``Node`` object is touched until the
-final result set is materialised.
+A fragment compiler builds a query's set-algebra plan: Core XPath,
+XPatterns (Section 10 / Table VI), or :class:`ArrayCompiler`, which is
+XPatterns minus ``id()`` plus four array-only shapes: ``count(π)`` as the
+whole query, ``π op N`` numeric comparisons, and ``[k]`` / ``[last()]`` on
+child and sibling steps of the outermost path.  The memoised plan of a
+:class:`CompiledQuery` is *lowered* into a short linear
+:class:`ArrayProgram` — a register machine whose every instruction is an
+array operation over the flat :class:`~repro.xmlmodel.index.DocumentIndex`
+columns, or over their zero-copy mmap twin
+:class:`~repro.store.StoredIndexArrays` — and :func:`execute_program` runs
+it for the ``corexpath``, ``xpatterns`` and ``compiled`` engines alike, so
+they differ only in grammar.  Registers hold sorted arrays of document
+orders; only the id instructions and the final result touch ``Node``
+objects.
 
 The axis, node-test and set instructions call the order-column kernel of
 :mod:`repro.axes` (``axis_orders``, ``inverse_axis_orders``, T over
 posting lists, ``intersect_orders`` / ``union_orders``) that the tree
 engines' axes run too.  This module keeps the lowering, :func:`execute_program`
-and the two instructions only arrays run, ``numfilter`` and ``position``.
+and the instructions no tree engine shares: ``numfilter``, ``position`` and
+the id axis.
 
 Lowering rules (one instruction per algebra operator):
 
@@ -31,8 +32,8 @@ algebra expression                      instruction
 ``dom``                                 ``dom``
 ``T(t)``                                ``test``
 ``{x | strval(x) = s}``                 ``strmatch``
-``χ(E) ∩ T(t)`` (same axis)             ``axis-test`` (fused, like the
-                                        interpreter's posting-list fusion)
+``χ(E) ∩ T(t)`` (same axis)             ``axis-test`` (fused: t's posting
+                                        list is the candidate list)
 ``child(dos(E) ∩ T(node())) ∩ T(t)``    ``axis-test[descendant]`` (``//t``:
                                         child ∘ descendant-or-self is
                                         descendant under the typing rule)
@@ -49,20 +50,26 @@ algebra expression                      instruction
                                         child, per context node on the
                                         sibling axes)
 ``count(E)``                            ``result: count(r)``
+``id(E)`` / ``id⁻¹(E)``                 ``id`` / ``id-inverse`` (the ref
+                                        relation of Theorem 10.7)
+``id('k1 k2 …')``                       ``id-literal``
 =====================================  ==================================
 
-``engine="auto"`` resolves to this engine for every compilable plan (see
-:mod:`repro.fragments.classify`); ``fragment`` and ``complexity`` keep
-reporting the Figure-1 lattice, so ``//b[2]`` is still Extended Wadler.
-Everything else — ``id(…)`` (the identifier relation is a ``Node``-level
-structure), positions on other axes or inside predicates, arithmetic,
-string functions — is refused by :class:`ArrayCompiler` with one reason
-per shape (:func:`analyze_compilability` is a dry run of that compiler, so
-the analysis and the lowering cannot disagree), and :class:`CompiledEngine`
+``engine="auto"`` resolves to the ``compiled`` engine for every
+compilable plan (see :mod:`repro.fragments.classify`); ``fragment`` and
+``complexity`` keep reporting the Figure-1 lattice, so ``//b[2]`` is still
+Extended Wadler.  Everything else — ``id(…)`` (its instructions read the
+document's ID map and ref relation, which are not index columns, so a
+store's column view could not run them), positions on other axes or
+inside predicates, arithmetic, string functions — is refused by
+:class:`ArrayCompiler` with one reason per shape
+(:func:`analyze_compilability` is a dry run of that compiler, so the
+analysis and the lowering cannot disagree), and :class:`CompiledEngine`
 falls back transparently to the classification's recommendation, so
-``engine="compiled"`` is always safe to request.  Every program preserves the interpreter's semantics
-node-for-node (the differential fuzz suite gates this against all eight
-tree engines and the streaming evaluator).
+``engine="compiled"`` is always safe to request.  Every program preserves
+the tree engines' semantics node-for-node (the differential fuzz suite
+gates this against them and the streaming evaluator), except for the id
+axis over mixed text, the one exception DESIGN.md records.
 """
 
 from __future__ import annotations
@@ -95,6 +102,7 @@ from ..fragments.algebra import (
     DomIfNonempty,
     DomIfRoot,
     DomSet,
+    IdApply,
     Intersect,
     InverseAxisApply,
     RootSet,
@@ -102,7 +110,14 @@ from ..fragments.algebra import (
     TestSet,
     UnionOp,
 )
-from ..fragments.xpatterns import XPATTERNS_AXES, XPatternsCompiler
+from ..fragments.xpatterns import (
+    XPATTERNS_AXES,
+    XPatternsCompiler,
+    XPatternsEngine,
+    _IdLiteral,
+)
+from ..xmlmodel.document import Document
+from ..xmlmodel.ids import ref_relation_for
 from ..xmlmodel.index import DocumentIndex, complement_orders
 from ..xpath.ast import (
     BinaryOp,
@@ -118,9 +133,8 @@ from ..xpath.ast import (
     StringLiteral,
     find_steps,
 )
-from ..xpath.context import Context, StaticContext
 from ..xpath.functions import NUMBER_COMPARISONS, _flip
-from ..xpath.values import NodeSet, XPathValue, format_number, string_to_number
+from ..xpath.values import XPathValue, format_number, string_to_number
 from .base import EvaluationStats, XPathEngine
 
 Orders = Sequence[int]
@@ -132,7 +146,7 @@ LAST = -1
 
 _POSITION_AXES = frozenset({Axis.CHILD, Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING})
 
-_ID_REFUSAL = "id() needs the identifier relation (tree engines only)"
+_ID_REFUSAL = "id() needs the identifier relation, which is not an index column"
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +306,9 @@ class Instruction(NamedTuple):
         args = [f"r{src}" for src in self.srcs]
         if self.test is not None:
             args.append(f"T({self.test.to_xpath()})")
-        if self.value is not None:
+        if self.op == "id-literal":
+            args.append(repr(self.value))
+        elif self.value is not None:
             args.append(f"{'!=' if self.negated else '='}{self.value!r}")
         if self.comparison is not None:
             args.append(f"{self.comparison} {format_number(self.number)}")
@@ -558,6 +574,11 @@ class _Lowering:
         if isinstance(expression, DomIfNonempty):
             operand = self.lower(expression.operand)
             return self.emit("dom-if-nonempty", (operand,))
+        if isinstance(expression, IdApply):
+            operand = self.lower(expression.operand)
+            return self.emit("id-inverse" if expression.inverse else "id", (operand,))
+        if isinstance(expression, _IdLiteral):
+            return self.emit("id-literal", value=expression.value)
         raise FragmentError(
             f"algebra operator {type(expression).__name__} has no array lowering"
         )
@@ -565,9 +586,9 @@ class _Lowering:
     def _fused_axis_test(self, expression: Intersect) -> Optional[int]:
         """Fuse ``χ(E) ∩ T(t)`` into one ``axis-test`` instruction.
 
-        Mirrors the interpreter's posting-list fusion (same pattern, same
-        axis-identity condition), so the compiled backend's candidate
-        selection matches ``axis_test_set`` node-for-node.  One step further:
+        The axis routine then scans t's posting list, not every node the
+        bare axis reaches; the axes must be the same, because the test's
+        typing axis picks the posting list.  One step further:
         the normalised ``//t``, ``child(dos(E) ∩ T(node())) ∩ T(t)``, is
         ``descendant(E) ∩ T(t)`` as a set of orders, so it reads one slice
         of t's posting list per subtree of E instead of first building
@@ -612,11 +633,6 @@ def lower_algebra(expression) -> ArrayProgram:
         register_count=lowering.next_register,
         count=count,
     )
-
-
-def lower_plan(plan) -> ArrayProgram:
-    """Lower a compilable :class:`CompiledQuery` via its memoised algebra plan."""
-    return lower_algebra(plan.algebra_plan(ArrayCompiler))
 
 
 # ----------------------------------------------------------------------
@@ -681,12 +697,17 @@ def execute_program(
     view: DocumentIndex,
     context_orders: Orders,
     stats: Optional[EvaluationStats] = None,
+    document: Optional[Document] = None,
 ) -> Orders:
     """Run the program; returns the result register (sorted orders).
 
     A ``count`` program's answer is the length of that register.
     ``view`` is a document's :class:`DocumentIndex` or a store's
     :class:`~repro.store.StoredIndexArrays` (the same columns over a mmap).
+    The ``id`` / ``id-inverse`` / ``id-literal`` instructions of XPatterns
+    programs also read ``document`` (the one ``view`` indexes), whose ID
+    map and ref relation are not columns; the compiled fragment's programs
+    contain none of them.
     Per instruction the executor bumps ``compiled_instructions`` and
     ``array_cells`` (cells written) and checkpoints the evaluation guard,
     so operation budgets and timeouts abort mid-program exactly like the
@@ -745,6 +766,13 @@ def execute_program(
             result = range(size) if len(operand) and operand[0] == 0 else _EMPTY
         elif op == "dom-if-nonempty":
             result = range(size) if len(registers[srcs[0]]) else _EMPTY
+        elif op == "id" or op == "id-inverse":
+            relation = ref_relation_for(document)
+            id_axis = relation.id_axis if op == "id" else relation.id_axis_inverse
+            nodes = id_axis(set(map(view.nodes.__getitem__, registers[srcs[0]])))
+            result = sorted(node.order for node in nodes)
+        elif op == "id-literal":
+            result = [node.order for node in document.deref_ids(instruction.value)]
         else:  # pragma: no cover - lowering emits a closed opcode set
             raise FragmentError(f"unknown array opcode {op!r}")
         registers[instruction.dest] = result
@@ -758,8 +786,9 @@ def execute_program(
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class CompiledEngine(XPathEngine):
-    """Array-program evaluation of compilable plans, tree fallback otherwise.
+class CompiledEngine(XPatternsEngine):
+    """Array-program evaluation of :class:`ArrayCompiler` plans, fallback
+    otherwise.
 
     ``engine="auto"`` picks this engine for every compilable plan, which
     includes ``count(π)``, ``π op N``, and ``[k]`` / ``[last()]`` on the
@@ -773,33 +802,23 @@ class CompiledEngine(XPathEngine):
     """
 
     name = "compiled"
+    compiler_class = ArrayCompiler
 
     def __init__(self) -> None:
         super().__init__()
         self._fallbacks: dict[str, XPathEngine] = {}
 
-    def _evaluate(
-        self,
-        plan,
-        static_context: StaticContext,
-        context: Context,
-        stats: EvaluationStats,
-    ) -> XPathValue:
-        program = plan.array_program()
-        if program is None:
-            stats.bump("compiled_fallbacks")
-            fallback = self._fallback_engine(plan)
-            return fallback._evaluate(plan, static_context, context, stats)
-        index = static_context.document.index
-        orders = execute_program(program, index, (context.node.order,), stats)
-        if program.count:
-            return float(len(orders))
-        nodes = index.nodes
-        return NodeSet.from_sorted(nodes[order] for order in orders)
+    def _accepts_plan(self, plan) -> bool:
+        return plan.classification.compilable
+
+    def _outside_fragment(self, plan, static_context, context, stats) -> XPathValue:
+        stats.bump("compiled_fallbacks")
+        fallback = self._fallback_engine(plan)
+        return fallback._evaluate(plan, static_context, context, stats)
 
     def _fallback_engine(self, plan) -> XPathEngine:
         # Only non-compilable plans fall back, and classify recommends this
-        # engine exactly for the compilable ones: the pick is a tree engine.
+        # engine exactly for the compilable ones: the pick is another engine.
         name = plan.classification.recommended_engine
         engine = self._fallbacks.get(name)
         if engine is None:

@@ -8,7 +8,6 @@
 """
 
 from .algebra import (
-    AlgebraEvaluator,
     algebra_size,
     first_of_any,
     first_of_type,
@@ -21,7 +20,6 @@ from .wadler import is_extended_wadler, wadler_fragment_summary, wadler_violatio
 from .xpatterns import XPatternsCompiler, XPatternsEngine, is_xpatterns
 
 __all__ = [
-    "AlgebraEvaluator",
     "Classification",
     "CoreXPathCompiler",
     "CoreXPathEngine",

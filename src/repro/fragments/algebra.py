@@ -4,11 +4,12 @@ Core XPath queries are rewritten into expressions over the operations
 
     χ (axis application), χ⁻¹ (inverse axis), ∩, ∪, ‘−’, and dom/root(S),
 
-as in Definition 10.2 and Example 10.3's "query tree".  This module defines a
-tiny algebra IR plus an evaluator; the compiler from Core XPath ASTs into the
-IR lives in :mod:`repro.fragments.core_xpath`.  Every operation evaluates in
-O(|dom|), so an algebra expression of size O(|Q|) evaluates in O(|D|·|Q|)
-(Theorem 10.5).
+as in Definition 10.2 and Example 10.3's "query tree".  This module defines
+that algebra as a tiny IR; the compiler from Core XPath ASTs into the IR
+lives in :mod:`repro.fragments.core_xpath`, and every engine that runs it
+lowers it to one array instruction per operation and runs that program
+(:mod:`repro.engines.compiled`).  Every operation evaluates in O(|dom|), so
+an algebra expression of size O(|Q|) evaluates in O(|D|·|Q|) (Theorem 10.5).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..axes.functions import axis_set, axis_test_set, inverse_axis_set
 from ..axes.nodetests import NodeTest
 from ..axes.regex import Axis
 from ..xmlmodel.document import Document
@@ -66,9 +66,10 @@ class StringMatchSet:
     """The unary predicate "= s": nodes whose string value equals ``value``.
 
     Used by the XPatterns extension (Table VI); computable by a linear scan
-    of the document before query evaluation.  The evaluator reads that scan
-    from :meth:`~repro.xmlmodel.index.DocumentIndex.string_match`, which
-    keeps it per document until the next edit.
+    of the document before query evaluation.  Its ``strmatch`` instruction
+    reads that scan from
+    :meth:`~repro.xmlmodel.index.DocumentIndex.string_match`, which keeps
+    it per document until the next edit.
     """
 
     value: str
@@ -194,107 +195,6 @@ def algebra_size(expression: AlgebraExpr) -> int:
     elif isinstance(expression, (Intersect, UnionOp)):
         children = [expression.left, expression.right]
     return 1 + sum(algebra_size(child) for child in children)
-
-
-class AlgebraEvaluator:
-    """Evaluate algebra expressions over one document.
-
-    ``operations_performed`` counts O(|dom|) set operations — the quantity
-    bounded by O(|Q|) in Theorem 10.5.  When ``stats`` is given (the
-    fragment engines pass their :class:`~repro.engines.base.EvaluationStats`),
-    each operation is also bumped there as ``algebra_evaluations`` and
-    checkpointed, so resource limits interrupt algebra evaluation
-    cooperatively.
-    """
-
-    def __init__(self, document: Document, stats=None):
-        self.document = document
-        self.operations_performed = 0
-        self.stats = stats
-
-    def evaluate(self, expression: AlgebraExpr, context_set: frozenset[Node]) -> set[Node]:
-        self.operations_performed += 1
-        if self.stats is not None:
-            self.stats.bump("algebra_evaluations")
-            self.stats.checkpoint()
-        if isinstance(expression, Intersect):
-            fused = self._fused_axis_test(expression, context_set)
-            if fused is not None:
-                return fused
-        if isinstance(expression, ContextSet):
-            return set(context_set)
-        if isinstance(expression, RootSet):
-            return {self.document.root}
-        if isinstance(expression, DomSet):
-            return self.document.dom_set
-        if isinstance(expression, TestSet):
-            return expression.test.select(self.document, expression.axis)
-        if isinstance(expression, StringMatchSet):
-            # The document index's per-literal scan, shared with the
-            # compiled engine and cached across queries until an edit.
-            index = self.document.index
-            orders = index.string_match(expression.value, expression.negated)
-            return set(map(index.nodes.__getitem__, orders))
-        if isinstance(expression, AxisApply):
-            return axis_set(self.document, self.evaluate(expression.operand, context_set), expression.axis)
-        if isinstance(expression, InverseAxisApply):
-            return inverse_axis_set(
-                self.document, self.evaluate(expression.operand, context_set), expression.axis
-            )
-        if isinstance(expression, IdApply):
-            from ..xmlmodel.ids import ref_relation_for
-
-            relation = ref_relation_for(self.document)
-            operand = self.evaluate(expression.operand, context_set)
-            if expression.inverse:
-                return relation.id_axis_inverse(operand)
-            return relation.id_axis(operand)
-        if isinstance(expression, Intersect):
-            return self.evaluate(expression.left, context_set) & self.evaluate(
-                expression.right, context_set
-            )
-        if isinstance(expression, UnionOp):
-            return self.evaluate(expression.left, context_set) | self.evaluate(
-                expression.right, context_set
-            )
-        if isinstance(expression, Complement):
-            return self.document.dom_set - self.evaluate(expression.operand, context_set)
-        if isinstance(expression, DomIfRoot):
-            inner = self.evaluate(expression.operand, context_set)
-            return self.document.dom_set if self.document.root in inner else set()
-        if isinstance(expression, DomIfNonempty):
-            inner = self.evaluate(expression.operand, context_set)
-            return self.document.dom_set if inner else set()
-        raise TypeError(f"unknown algebra expression {expression!r}")  # pragma: no cover
-
-    def _fused_axis_test(
-        self, expression: Intersect, context_set: frozenset[Node]
-    ) -> Optional[set[Node]]:
-        """χ(S) ∩ T(t) answered from the document index's posting lists.
-
-        The compiler emits every location step as ``Intersect(AxisApply(χ, …),
-        TestSet(t))``; fusing the pair lets the interval axes intersect with a
-        bisect of the (type, name) posting list instead of materialising χ(S)
-        in full.  Both fused plan operations are still counted — the fusion
-        changes constants, not the O(|Q|) operation bound of Theorem 10.5.
-        """
-        left, right = expression.left, expression.right
-        if isinstance(left, AxisApply) and isinstance(right, TestSet):
-            apply_expr, test_expr = left, right
-        elif isinstance(right, AxisApply) and isinstance(left, TestSet):
-            apply_expr, test_expr = right, left
-        else:
-            return None
-        if test_expr.axis is not apply_expr.axis:
-            # The test's typing axis must match the applied axis for the
-            # posting-list answer to be the same as matches() filtering.
-            return None
-        self.operations_performed += 2
-        if self.stats is not None:
-            self.stats.bump("algebra_evaluations", 2)
-            self.stats.checkpoint()
-        operand = self.evaluate(apply_expr.operand, context_set)
-        return axis_test_set(self.document, operand, apply_expr.axis, test_expr.test)
 
 
 # ----------------------------------------------------------------------

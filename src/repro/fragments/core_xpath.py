@@ -37,8 +37,11 @@ from ..xpath.ast import (
 from ..xpath.context import Context, StaticContext
 from ..xpath.values import NodeSet, XPathValue
 from ..engines.base import EvaluationStats, XPathEngine
+
+# engines.compiled imports this module while it loads: bind the module, whose
+# execute_program exists by the time an engine runs.
+from ..engines import compiled as _compiled
 from .algebra import (
-    AlgebraEvaluator,
     AlgebraExpr,
     AxisApply,
     Complement,
@@ -50,7 +53,6 @@ from .algebra import (
     RootSet,
     TestSet,
     UnionOp,
-    algebra_size,
 )
 
 #: Axes available in Core XPath (all of them except the attribute/namespace
@@ -181,11 +183,16 @@ class CoreXPathCompiler:
 # Engine
 # ----------------------------------------------------------------------
 class CoreXPathEngine(XPathEngine):
-    """Linear-time evaluation of Core XPath queries via the set algebra."""
+    """Linear-time evaluation of Core XPath queries via the set algebra.
+
+    The algebra plan runs as an array program of one O(|D|) instruction per
+    operation (Theorem 10.5).  Subclasses change only the grammar: the
+    compiler class and the fragment membership test.
+    """
 
     name = "corexpath"
 
-    #: Compiler class; the XPatterns engine overrides this.
+    #: Compiler class; the XPatterns and compiled engines override this.
     compiler_class = CoreXPathCompiler
 
     def _evaluate(
@@ -196,22 +203,28 @@ class CoreXPathEngine(XPathEngine):
         stats: EvaluationStats,
     ) -> XPathValue:
         if not self._accepts_plan(plan):
-            raise FragmentError(
-                f"query is outside the {self.name} fragment: {plan.to_xpath()}"
-            )
-        # The algebra plan is memoised on the compiled query, so repeated
-        # evaluations (plan-cache hits, Collection batches) skip compilation.
-        algebra_plan = plan.algebra_plan(self.compiler_class)
-        stats.bump("algebra_operations", algebra_size(algebra_plan))
-        # The evaluator bumps algebra_evaluations (and checkpoints resource
-        # limits) per operation as it runs.
-        evaluator = AlgebraEvaluator(static_context.document, stats)
-        result = evaluator.evaluate(algebra_plan, frozenset({context.node}))
-        return NodeSet(result)
+            return self._outside_fragment(plan, static_context, context, stats)
+        # The program is memoised on the plan per compiler class, so plan-cache
+        # hits and Collection batches skip compilation and lowering.
+        program = plan.array_program(self.compiler_class)
+        document = static_context.document
+        index = document.index
+        orders = _compiled.execute_program(
+            program, index, (context.node.order,), stats, document
+        )
+        if program.count:
+            return float(len(orders))
+        return NodeSet.from_sorted(map(index.nodes.__getitem__, orders))
 
     def _accepts_plan(self, plan) -> bool:
         """Fragment membership, read off the plan's classification."""
         return plan.classification.in_core_xpath
+
+    def _outside_fragment(self, plan, static_context, context, stats) -> XPathValue:
+        """Answer a plan outside the fragment: this engine refuses it."""
+        raise FragmentError(
+            f"query is outside the {self.name} fragment: {plan.to_xpath()}"
+        )
 
     def compile(self, expression: Expression) -> AlgebraExpr:
         """Expose the algebra plan (used by examples and tests)."""

@@ -25,7 +25,7 @@ fragment (useful in the examples and for query authors).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from ..xpath.ast import (
     BinaryOp,
@@ -40,8 +40,6 @@ from ..xpath.ast import (
     Step,
     StringLiteral,
     UnionExpr,
-    parent_map,
-    walk,
 )
 from ..engines.relevance import compute_relevance
 from ..xpath.typing import static_type
@@ -83,9 +81,8 @@ def wadler_violations(
     violations: list[str] = []
     if relevance is None:
         relevance = compute_relevance(expression)
-    parents = parent_map(expression)
 
-    for node in walk(expression):
+    for node, parent in _walk_with_parents(expression):
         # Restriction 1: data-selecting functions.
         if isinstance(node, FunctionCall) and node.name in DATA_SELECTING_FUNCTIONS:
             violations.append(f"Restriction 1: {node.name}() is not allowed")
@@ -124,7 +121,6 @@ def wadler_violations(
         # positions (outermost path, inside a path, boolean(), id(), or as the
         # node-set side of an allowed comparison).
         if _is_node_set_expression(node):
-            parent = parents.get(node)
             if parent is None:
                 continue  # the outermost location path
             if isinstance(parent, (LocationPath, Step, FilterExpr, PathExpr, UnionExpr)):
@@ -148,6 +144,15 @@ def wadler_violations(
                 f"{type(parent).__name__}, which the fragment does not allow"
             )
     return violations
+
+
+def _walk_with_parents(
+    expression: Expression, parent: Optional[Expression] = None
+) -> Iterator[tuple[Expression, Optional[Expression]]]:
+    """Every node of the parse tree with its parent, pre-order."""
+    yield expression, parent
+    for child in expression.children():
+        yield from _walk_with_parents(child, expression)
 
 
 def _is_node_set_expression(expression: Expression) -> bool:

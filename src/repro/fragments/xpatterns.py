@@ -135,8 +135,8 @@ class _IdLiteral:
     """The node set id('k1 k2 …') — context independent algebra leaf.
 
     Kept out of :mod:`repro.fragments.algebra` so the base algebra stays
-    exactly the paper's operator set; the XPatterns engine extends the
-    evaluator to understand this leaf.
+    exactly the paper's operator set; the lowering turns it into the
+    ``id-literal`` instruction, which reads the document's ID map.
     """
 
     value: str
@@ -240,6 +240,9 @@ class XPatternsCompiler(CoreXPathCompiler):
                 # *every* node iff the referenced nodes intersect the
                 # downstream requirement, and nowhere otherwise.
                 return DomIfNonempty(Intersect(_IdLiteral(argument.value), downstream))
+            if isinstance(argument, FunctionCall):
+                # id(id(…)): the inner call's nodes must reach ``inner``.
+                return self._backward_id_start(argument, inner)
             return self._backward_with_target(argument, inner)
         raise FragmentError(f"unsupported path start in XPatterns: {start.to_xpath()}")
 
@@ -252,29 +255,3 @@ class XPatternsEngine(CoreXPathEngine):
 
     def _accepts_plan(self, plan) -> bool:
         return plan.classification.in_xpatterns
-
-    def _evaluate(self, plan, static_context, context, stats):
-        # Patch the algebra evaluator to understand _IdLiteral leaves.
-        from ..xpath.values import NodeSet
-        from .algebra import AlgebraEvaluator, algebra_size
-
-        if not self._accepts_plan(plan):
-            raise FragmentError(
-                f"query is outside the {self.name} fragment: {plan.to_xpath()}"
-            )
-        algebra_plan = plan.algebra_plan(self.compiler_class)
-
-        class _Evaluator(AlgebraEvaluator):
-            def evaluate(self, algebra_expression, context_set):
-                if isinstance(algebra_expression, _IdLiteral):
-                    self.operations_performed += 1
-                    if self.stats is not None:
-                        self.stats.bump("algebra_evaluations")
-                        self.stats.checkpoint()
-                    return set(self.document.deref_ids(algebra_expression.value))
-                return super().evaluate(algebra_expression, context_set)
-
-        stats.bump("algebra_operations", algebra_size(algebra_plan))
-        evaluator = _Evaluator(static_context.document, stats)
-        result = evaluator.evaluate(algebra_plan, frozenset({context.node}))
-        return NodeSet(result)

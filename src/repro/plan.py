@@ -13,9 +13,9 @@ immutable, reusable *plan*:
 * the relevant-context analysis Relev(N) of Section 8.2, precomputed so the
   CVT engines do not redo it per evaluation;
 * lazily memoised set-algebra plans for the linear-time fragment engines
-  (Section 10), keyed by compiler class; a plan that resolves to
-  ``compiled`` starts with the ``ArrayCompiler`` algebra its compilability
-  check built;
+  (Section 10) and their lowered array programs, both keyed by compiler
+  class; a plan that resolves to ``compiled`` starts with the
+  ``ArrayCompiler`` algebra its compilability check built;
 * the free-variable and function-library signatures that key the cache.
 
 :class:`PlanCache` is a bounded LRU over ``(query, engine, library,
@@ -117,7 +117,7 @@ class CompiledQuery:
     _stream_automata: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
-    #: Memoised array program (one-slot dict; see array_program()).
+    #: Memoised array programs, keyed by compiler class (see array_program()).
     _array_programs: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -171,8 +171,8 @@ class CompiledQuery:
     def algebra_plan(self, compiler_class):
         """The set-algebra plan compiled by ``compiler_class``, memoised.
 
-        Used by the Core XPath / XPatterns engines so that repeated
-        evaluations of one plan skip algebra compilation as well.
+        :meth:`array_program` lowers it, so repeated evaluations of one
+        plan skip algebra compilation as well.
 
         Safe under concurrent evaluation: the get/set pair on the memo dict
         is atomic, so two threads racing a cold plan at worst compile the
@@ -203,21 +203,25 @@ class CompiledQuery:
             self._stream_automata["automaton"] = automaton
         return automaton
 
-    def array_program(self):
-        """The plan's lowered :class:`~repro.engines.compiled.ArrayProgram`.
+    def array_program(self, compiler_class=None):
+        """The :meth:`algebra_plan` of ``compiler_class`` lowered to an
+        :class:`~repro.engines.compiled.ArrayProgram`, memoised per class like
+        :meth:`algebra_plan`.
 
-        ``None`` when the plan is outside the compiled fragment (the
-        classification records why in ``compile_violations``); memoised
-        with the same benign one-slot race as :meth:`stream_automaton`.
+        Without a class: ``ArrayCompiler``'s program (the same object), or
+        ``None`` outside the compiled fragment (``compile_violations`` says why).
         """
-        if not self.classification.compilable:
-            return None
-        program = self._array_programs.get("program")
+        program = self._array_programs.get(compiler_class)
         if program is None:
-            from .engines.compiled import lower_plan  # deferred: cycle-free
+            if compiler_class is None and not self.classification.compilable:
+                return None
+            from .engines.compiled import ArrayCompiler, lower_algebra  # deferred: cycle-free
 
-            program = lower_plan(self)
-            self._array_programs["program"] = program
+            if compiler_class is None:
+                program = self.array_program(ArrayCompiler)
+            else:
+                program = lower_algebra(self.algebra_plan(compiler_class))
+            self._array_programs[compiler_class] = program
         return program
 
     # ------------------------------------------------------------------

@@ -74,8 +74,7 @@ class StringMatchCache:
 
     Both column sets (:class:`DocumentIndex` and the store's
     ``StoredIndexArrays``) answer ``string_match`` through one of these, so
-    the compiled engine and the set-algebra interpreters share one scan per
-    literal.  Only ``=`` results are stored: entries for distinct literals
+    the set-algebra engines' queries share one scan per literal.  Only ``=`` results are stored: entries for distinct literals
     are disjoint, so together they hold at most ``size`` orders.  ``!=`` is
     their complement, computed on each call.  At most
     :data:`STRING_MATCH_CACHE_SIZE` literals are kept, oldest first out.

@@ -25,7 +25,7 @@ The full XPath 1.0 expression grammar is represented:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from ..axes.nodetests import NodeTest
 from ..axes.regex import Axis
@@ -280,12 +280,3 @@ def is_path_like(expression: Expression) -> bool:
 def query_size(expression: Expression) -> int:
     """Alias of :func:`subexpression_count`, matching the paper's |Q|."""
     return subexpression_count(expression)
-
-
-def parent_map(expression: Expression) -> dict[Expression, Optional[Expression]]:
-    """Map every node of the parse tree to its parent (root maps to None)."""
-    mapping: dict[Expression, Optional[Expression]] = {expression: None}
-    for node in walk(expression):
-        for child in node.children():
-            mapping[child] = node
-    return mapping

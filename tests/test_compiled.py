@@ -33,6 +33,7 @@ from repro.fragments.algebra import (
     UnionOp,
 )
 from repro.fragments.classify import Fragment
+from repro.fragments.xpatterns import XPatternsCompiler
 from repro.plan import plan_for
 from repro.session import XPathSession
 from repro.store import DocumentStore
@@ -217,6 +218,20 @@ class TestLowering:
     def test_non_compilable_plan_has_no_program(self):
         assert plan_for("//b[count(c) = 2]", cache=None).array_program() is None
 
+    def test_programs_are_memoised_per_compiler_class(self):
+        # The compiled engine asks for ArrayCompiler's program by class.
+        plan = plan_for("//b/c", cache=None)
+        assert plan.array_program(ArrayCompiler) is plan.array_program()
+        # An id plan has no compiled program, but lowers under XPatterns.
+        id_plan = plan_for("id('r')/b", cache=None)
+        assert id_plan.array_program() is None
+        program = id_plan.array_program(XPatternsCompiler)
+        assert id_plan.array_program(XPatternsCompiler) is program
+        assert program.render().splitlines()[:2] == [
+            "r0 = id-literal('r')",
+            "r1 = axis-test[child](r0, T(b))",
+        ]
+
     def test_render_names_registers_and_operands(self):
         text = plan_for("//b[@n = '2']", cache=None).array_program().render()
         assert "axis-test[descendant](r0, T(b))" in text
@@ -272,17 +287,28 @@ class TestLowering:
         assert len(program) == 2 + 2 * 12
         assert program.register_count == len(program)
 
-    def test_id_apply_raises_fragment_error(self):
-        with pytest.raises(FragmentError):
-            lower_algebra(IdApply(RootSet()))
+    def test_id_apply_lowers_but_id_stays_uncompilable(self):
+        # XPatterns plans lower their id axis; the compiled fragment still
+        # refuses id(), so auto's routing and the store's column path keep
+        # away from it.
+        program = lower_algebra(IdApply(IdApply(RootSet()), inverse=True))
+        assert program.render().splitlines() == [
+            "r0 = root()",
+            "r1 = id(r0)",
+            "r2 = id-inverse(r1)",
+            "result: r2",
+        ]
+        report = analyze_compilability(normalize_query("id('k')/a"))
+        assert not report.compilable
+        assert report.violations[0].startswith("id() needs the identifier relation")
 
     def test_unlowerable_leaf_raises_fragment_error(self):
         with pytest.raises(FragmentError):
             lower_algebra(object())
 
     def test_dom_if_nonempty_lowering_and_execution(self):
-        # Only id-starts emit DomIfNonempty and those never compile, so this
-        # opcode is exercised through the algebra directly.
+        # Only id-starts emit DomIfNonempty, and those run as XPatterns
+        # programs, never compiled ones: exercise the opcode directly.
         view = DOC.index
         program = lower_algebra(DomIfNonempty(RootSet()))
         assert list(execute_program(program, view, (0,))) == list(range(view.size))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.errors import FragmentError
 from repro.fragments import (
     CoreXPathEngine,
@@ -129,6 +130,12 @@ class TestXPatternsMembership:
             assert is_xpatterns(expression)
 
 
+#: Each book's r child names the other book.
+NESTED_REF_DOC = parse_xml(
+    "<lib><book id='b1'><r>b2</r></book><book id='b2'><r>b1</r></book></lib>"
+)
+
+
 class TestXPatternsEngine:
     def test_string_equality_predicate(self, figure8):
         query = "//*[child::text() = '100']"
@@ -199,6 +206,54 @@ class TestXPatternsEngine:
     def test_rejects_positional_queries(self, figure8):
         with pytest.raises(FragmentError):
             XPatternsEngine().evaluate("//a[position() = 1]", figure8)
+
+    @pytest.mark.parametrize(
+        "query", ["//book[id(id(r))]", "//*[id(id(.))]", "//*[id(id('b2'))]"]
+    )
+    def test_nested_id_predicates_compile(self, query):
+        # The membership test accepts id(id(…)) predicates; the compiler
+        # used to fail an assertion on the inner call under every engine
+        # that runs XPatterns plans.
+        answers = {
+            engine: [node.order for node in api.select(query, NESTED_REF_DOC, engine=engine)]
+            for engine in ("auto", "compiled", "xpatterns")
+        }
+        assert answers["auto"] == answers["compiled"] == answers["xpatterns"]
+        assert answers["xpatterns"]
+
+    @pytest.mark.parametrize("query", ["//book[id(id(r))]", "//*[id(id('b2'))]"])
+    def test_nested_id_predicates_agree_with_tree_engines(self, query):
+        linear = XPatternsEngine().select(query, NESTED_REF_DOC)
+        assert linear == TopDownEngine().select(query, NESTED_REF_DOC)
+
+
+class TestIdAxisRefRelationOrStringValue:
+    """ROADMAP open item "The id axis: the ref relation or the string value".
+
+    The set-algebra engines follow the paper's ref relation (Theorem 10.7:
+    the ID tokens of each node's direct text, over descendant-or-self); the
+    tree engines tokenise the XPath string value, which concatenates text
+    nodes.  The two differ when an ID token touches another text node.
+    Settling the item changes one side of these assertions.
+    """
+
+    def test_id_token_touching_another_text_node(self):
+        # book b1's string value is "xb2": no token names b2.
+        document = parse_xml(
+            "<lib><book id='b1'><t>x</t><r>b2</r></book><book id='b2'/></lib>"
+        )
+        for query, ids in (("id(//book)", ["b2"]), ("//book[id(.)]", ["b1"])):
+            linear = XPatternsEngine().select(query, document)
+            assert [node.attribute_value("id") for node in linear] == ids
+            assert TopDownEngine().select(query, document) == []
+
+    def test_nested_id_over_the_document_element(self):
+        # lib's string value "b2b1" joins two text nodes.
+        query = "//*[id(id(.))]"
+        linear = XPatternsEngine().select(query, NESTED_REF_DOC)
+        general = TopDownEngine().select(query, NESTED_REF_DOC)
+        assert [node.name for node in linear] == ["lib", "book", "r", "book", "r"]
+        assert [node.name for node in general] == ["book", "r", "book", "r"]
 
 
 class TestUnaryPredicateSets:
