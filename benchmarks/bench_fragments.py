@@ -36,3 +36,13 @@ def test_figure1_xpatterns_workload(benchmark, engine):
 @pytest.mark.parametrize("engine", ["xpatterns", "topdown"])
 def test_figure1_id_axis_workload(benchmark, engine):
     benchmark(run_query, engine, xpatterns_id_query("bk42"), LIBRARY)
+
+
+#: The id axis backwards (id⁻¹), which splits every node's string value
+#: once, where the workload above looks up one ID.
+ID_INVERSE_QUERY = "//book[id(related)/title]"
+
+
+@pytest.mark.parametrize("engine", ["compiled", "topdown"])
+def test_figure1_id_inverse_workload(benchmark, engine):
+    benchmark(run_query, engine, ID_INVERSE_QUERY, LIBRARY)

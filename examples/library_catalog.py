@@ -23,7 +23,6 @@ import repro
 from repro.engines import NaiveEngine, TopDownEngine
 from repro.fragments import XPatternsEngine, classify
 from repro.workloads.documents import doc_library
-from repro.xmlmodel.ids import ref_relation_for
 
 
 def main() -> None:
@@ -45,15 +44,12 @@ def main() -> None:
     print("Query:", query, "→ fragment:", classify(query).fragment.value)
     print("Title of bk3:", [n.string_value() for n in repro.select(query, library)])
 
-    # Books cited by bk3, resolved through the precomputed ref relation.
-    relation = ref_relation_for(library)
-    bk3 = library.element_by_id("bk3")
-    cited = relation.id_axis({bk3})
-    print("Books cited by bk3: ", sorted(node.attribute_value("id") for node in cited))
-    citing = relation.id_axis_inverse({bk3})
-    print("Entries citing bk3: ", sorted(
-        node.attribute_value("id") for node in citing if node.is_element and node.name == "book"
-    ))
+    # The id axis forwards (the books bk3's related field names) and
+    # backwards (the books whose related field names bk3).
+    cited = repro.select("id(id('bk3')/related)", library)
+    print("Books cited by bk3: ", [node.attribute_value("id") for node in cited])
+    citing = repro.select("//book[id(related)/@id = 'bk3']", library)
+    print("Books citing bk3:   ", [node.attribute_value("id") for node in citing])
 
     # The same information through the XPatterns engine.
     xpatterns = XPatternsEngine()

@@ -77,7 +77,6 @@ from .plan import (
     CompiledQuery,
     PlanCache,
     compile_plan,
-    plan_for,
 )
 from .session import (
     ENGINE_CLASSES,
@@ -156,10 +155,9 @@ def engine_for_query(query: Union[str, object]) -> XPathEngine:
     """The engine ``engine="auto"`` picks for the query.
 
     That is the classification's recommendation: ``compiled`` for
-    compilable plans, ``xpatterns`` for ``id()`` plans and
-    ``optmincontext`` for the rest.  Served from the default
-    session's engine pool — repeated calls that resolve to the same engine
-    return the same instance.
+    compilable plans and ``optmincontext`` for the rest.  Served from the
+    default session's engine pool — repeated calls that resolve to the
+    same engine return the same instance.
     """
     classification = classify(query)
     return _DEFAULT_SESSION.engine(classification.recommended_engine)

@@ -17,12 +17,6 @@ table7             Table VII, Section 12                            topdown & mi
 figure1_fragments  Figure 1 fragment lattice                        corexpath / xpatterns / optmincontext
 =================  ===============================================  =====================
 
-Beyond the paper, two drivers cover the plan-cache / batch layer of this
-reproduction: ``repeated_query_experiment`` (cold front end vs. warm plan
-cache on one repeated query) and ``collection_experiment`` (one compiled
-plan over an N-document :class:`~repro.collection.Collection` vs. N cold
-per-document evaluations).
-
 All drivers accept size limits and time budgets so they can run both as
 fast smoke benchmarks (pytest-benchmark) and as fuller sweeps from the
 examples / the command line.
@@ -280,118 +274,6 @@ def fragment_classification_report(
     return report
 
 
-def repeated_query_experiment(
-    repetitions: Sequence[int] = (1, 10, 50, 100),
-    query_size: int = 8,
-    document_size: int = 10,
-) -> ExperimentResult:
-    """Plan-cache experiment: a repeated query served cold vs. warm.
-
-    The "cold" series re-runs the whole front-end pipeline on every call
-    (the pre-plan behaviour); the "warm" series compiles once into a
-    :class:`~repro.plan.CompiledQuery` via a :class:`~repro.plan.PlanCache`
-    and reuses the plan.  Both series report total seconds for the given
-    number of repetitions; the gap is pure front-end amortisation.
-    """
-    from ..plan import PlanCache, plan_for
-
-    query = experiment2_query(query_size)
-    document = doc_flat(document_size)
-
-    def run_cold(count: int) -> float:
-        start = time.perf_counter()
-        for _ in range(count):
-            plan_for(query, engine="auto", cache=None).evaluate(document)
-        return time.perf_counter() - start
-
-    def run_warm(count: int) -> float:
-        cache = PlanCache()
-        cache.get_or_compile(query, engine="auto").evaluate(document)  # prime
-        start = time.perf_counter()
-        for _ in range(count):
-            cache.get_or_compile(query, engine="auto").evaluate(document)
-        return time.perf_counter() - start
-
-    series = []
-    for name, runner in (("cold", run_cold), ("warm", run_warm)):
-        engine_series = EngineSeries(engine_name=name)
-        for count in repetitions:
-            engine_series.points.append(
-                Measurement(parameter=count, seconds=runner(count), work=0, counters={})
-            )
-        series.append(engine_series)
-    return ExperimentResult(
-        experiment_id="PLAN",
-        title=f"Repeated query, cold front end vs. plan cache (|Q|={query_size})",
-        parameter_name="repetitions",
-        parameters=list(repetitions),
-        series=series,
-        notes="warm = one compilation amortised over all repetitions",
-    )
-
-
-def collection_experiment(
-    collection_sizes: Sequence[int] = (10, 50, 100),
-    document_size: int = 20,
-    query: str = "//b[position() = last()]",
-) -> ExperimentResult:
-    """Batch experiment: one compiled plan over N documents vs. N cold calls.
-
-    The "batch" series uses :meth:`~repro.collection.Collection.select` (one
-    plan, every document's :class:`~repro.xmlmodel.index.DocumentIndex`
-    reused); the "per-document" series compiles the query from scratch for
-    every document, the traffic shape of a client without the plan layer.
-    """
-    from ..collection import Collection
-    from ..plan import plan_for
-    from ..workloads.documents import doc_flat_source
-
-    def make_collection(size: int) -> Collection:
-        return Collection.from_sources(doc_flat_source(document_size) for _ in range(size))
-
-    series = []
-    collections = {size: make_collection(size) for size in collection_sizes}
-
-    batch = EngineSeries(engine_name="batch")
-    for size in collection_sizes:
-        start = time.perf_counter()
-        results = collections[size].select(query)
-        elapsed = time.perf_counter() - start
-        batch.points.append(
-            Measurement(
-                parameter=size,
-                seconds=elapsed,
-                work=0,
-                counters={},
-                result_size=sum(len(r.nodes) for r in results if r.ok),
-            )
-        )
-    series.append(batch)
-
-    per_document = EngineSeries(engine_name="per-document")
-    for size in collection_sizes:
-        start = time.perf_counter()
-        total = 0
-        for document in collections[size]:
-            total += len(plan_for(query, cache=None).select(document))
-        elapsed = time.perf_counter() - start
-        per_document.points.append(
-            Measurement(
-                parameter=size, seconds=elapsed, work=0, counters={}, result_size=total
-            )
-        )
-    series.append(per_document)
-
-    return ExperimentResult(
-        experiment_id="BATCH",
-        title=f"Collection batch vs. per-document evaluation, DOC({document_size})",
-        parameter_name="collection size",
-        parameters=list(collection_sizes),
-        series=series,
-        notes="both series return identical node counts; the gap is plan reuse",
-    )
-
-
 def time_raw_cached_path(query: str, document, count: int) -> float:
     """Seconds for ``count`` warm evaluations on the raw cached-plan path.
 
@@ -462,25 +344,6 @@ def session_overhead_experiment(
         series=series,
         notes="the gap is QueryResult construction + stats aggregation + timing",
     )
-
-
-def all_experiments(*, quick: bool = True) -> list[ExperimentResult]:
-    """Run every experiment driver (quick sizes by default) and return results."""
-    results: list[ExperimentResult] = [
-        experiment1(),
-        experiment2(),
-        experiment3(),
-        experiment4(document_sizes=(50, 100, 200) if quick else (50, 100, 200, 400, 800)),
-        experiment5_following(),
-        experiment5_descendant(),
-        table5_datapool(),
-        figure1_fragments(),
-    ]
-    results.extend(table7(document_sizes=(10, 20) if quick else (10, 20, 200)))
-    results.append(repeated_query_experiment(repetitions=(1, 10) if quick else (1, 10, 50, 100)))
-    results.append(collection_experiment(collection_sizes=(10, 25) if quick else (10, 50, 100)))
-    results.append(session_overhead_experiment(repetitions=(50,) if quick else (100, 500)))
-    return results
 
 
 _ = doc_library  # re-exported for examples that import from this module

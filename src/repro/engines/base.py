@@ -28,7 +28,6 @@ from ..xmlmodel.document import Document
 from ..xmlmodel.nodes import Node
 from ..xpath.ast import Expression
 from ..xpath.context import Context, StaticContext, root_context
-from ..xpath.functions import FunctionLibrary
 from ..xpath.values import NodeSet, XPathValue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -329,10 +328,6 @@ class XPathEngine:
         if isinstance(context, Context):
             return context
         return Context(context, 1, 1)
-
-    @staticmethod
-    def _function_library(static_context: StaticContext) -> FunctionLibrary:
-        return FunctionLibrary(static_context)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} ({self.name})>"

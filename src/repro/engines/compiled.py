@@ -1,19 +1,18 @@
 """Array programs: the one evaluator of the Section-10 set algebra.
 
-A fragment compiler builds a query's set-algebra plan: Core XPath,
-XPatterns (Section 10 / Table VI), or :class:`ArrayCompiler`, which is
-XPatterns minus ``id()`` plus four array-only shapes: ``count(π)`` as the
-whole query, ``π op N`` numeric comparisons, and ``[k]`` / ``[last()]`` on
-child and sibling steps of the outermost path.  The memoised plan of a
-:class:`CompiledQuery` is *lowered* into a short linear
+:class:`ArrayCompiler` builds a query's set-algebra plan: XPatterns
+(Section 10 / Table VI, Core XPath included) plus four array-only shapes:
+``count(π)`` as the whole query, ``π op N`` numeric comparisons, and
+``[k]`` / ``[last()]`` on child and sibling steps of the outermost path.
+The plan is *lowered* once per :class:`CompiledQuery` into a short linear
 :class:`ArrayProgram` — a register machine whose every instruction is an
 array operation over the flat :class:`~repro.xmlmodel.index.DocumentIndex`
 columns, or over their zero-copy mmap twin
 :class:`~repro.store.StoredIndexArrays` — and :func:`execute_program` runs
-it for the ``corexpath``, ``xpatterns`` and ``compiled`` engines alike, so
-they differ only in grammar.  Registers hold sorted arrays of document
-orders; only the id instructions and the final result touch ``Node``
-objects.
+that one program for the ``corexpath``, ``xpatterns`` and ``compiled``
+engines alike, so they differ only in which plans they accept.  Registers
+hold sorted arrays of document orders; only the id instructions read the
+document beside them.
 
 The axis, node-test and set instructions call the order-column kernel of
 :mod:`repro.axes` (``axis_orders``, ``inverse_axis_orders``, T over
@@ -50,26 +49,24 @@ algebra expression                      instruction
                                         child, per context node on the
                                         sibling axes)
 ``count(E)``                            ``result: count(r)``
-``id(E)`` / ``id⁻¹(E)``                 ``id`` / ``id-inverse`` (the ref
-                                        relation of Theorem 10.7)
+``id(E)`` / ``id⁻¹(E)``                 ``id`` / ``id-inverse`` (the ID
+                                        tokens of string values, as
+                                        Table II's ``id()``)
 ``id('k1 k2 …')``                       ``id-literal``
 =====================================  ==================================
 
 ``engine="auto"`` resolves to the ``compiled`` engine for every
 compilable plan (see :mod:`repro.fragments.classify`); ``fragment`` and
 ``complexity`` keep reporting the Figure-1 lattice, so ``//b[2]`` is still
-Extended Wadler.  Everything else — ``id(…)`` (its instructions read the
-document's ID map and ref relation, which are not index columns, so a
-store's column view could not run them), positions on other axes or
-inside predicates, arithmetic, string functions — is refused by
+Extended Wadler.  Everything else — positions on other axes or inside
+predicates, arithmetic, string functions — is refused by
 :class:`ArrayCompiler` with one reason per shape
 (:func:`analyze_compilability` is a dry run of that compiler, so the
 analysis and the lowering cannot disagree), and :class:`CompiledEngine`
-falls back transparently to the classification's recommendation, so
-``engine="compiled"`` is always safe to request.  Every program preserves
-the tree engines' semantics node-for-node (the differential fuzz suite
-gates this against them and the streaming evaluator), except for the id
-axis over mixed text, the one exception DESIGN.md records.
+falls back transparently to ``optmincontext``, so ``engine="compiled"`` is
+always safe to request.  Every program preserves the tree engines'
+semantics node-for-node; the differential fuzz suite gates this against
+them and the streaming evaluator.
 """
 
 from __future__ import annotations
@@ -117,7 +114,6 @@ from ..fragments.xpatterns import (
     _IdLiteral,
 )
 from ..xmlmodel.document import Document
-from ..xmlmodel.ids import ref_relation_for
 from ..xmlmodel.index import DocumentIndex, complement_orders
 from ..xpath.ast import (
     BinaryOp,
@@ -146,7 +142,8 @@ LAST = -1
 
 _POSITION_AXES = frozenset({Axis.CHILD, Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING})
 
-_ID_REFUSAL = "id() needs the identifier relation, which is not an index column"
+#: The instructions that read the document's ID map, which is not a column.
+_ID_OPS = frozenset({"id", "id-inverse", "id-literal"})
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +234,6 @@ def _mentions_position(expression: Expression) -> bool:
 def _refusal(expression: Expression) -> str:
     """Why an expression that is neither a path nor a lowered predicate
     shape has no array form."""
-    if _calls(expression, "id"):
-        return _ID_REFUSAL
     if _calls(expression, "count"):
         return "count() inside a larger expression: it lowers only as the whole query"
     return f"{_shown(expression)} has no array lowering"
@@ -263,12 +258,11 @@ def analyze_compilability(expression: Expression) -> CompilabilityReport:
     """Check whether the normalised AST lowers to an :class:`ArrayProgram`.
 
     A dry run of :class:`ArrayCompiler`, which is the compiled fragment's
-    only grammar: XPatterns minus the id axis — everything with a linear
-    set-algebra plan whose leaves are index columns — plus four shapes
-    outside XPatterns: ``count(π)`` as the whole query, ``π op N``
-    predicates against a number literal, and ``[k]`` / ``[last()]`` on the
-    child and sibling steps of the outermost path (at most one per sibling
-    step).  A refused query gets the compiler's reason, which names its
+    only grammar: XPatterns — everything with a linear set-algebra plan,
+    the id axis included — plus four shapes outside XPatterns: ``count(π)``
+    as the whole query, ``π op N`` predicates against a number literal, and
+    ``[k]`` / ``[last()]`` on the child and sibling steps of the outermost
+    path (at most one per sibling step).  A refused query gets the compiler's reason, which names its
     shape.  The lowering accepts every plan the compiler builds.
     """
     try:
@@ -334,6 +328,11 @@ class ArrayProgram:
     def result_register(self) -> int:
         return self.instructions[-1].dest
 
+    @property
+    def reads_document(self) -> bool:
+        """Whether an id instruction reads ``execute_program``'s ``document``."""
+        return any(instruction.op in _ID_OPS for instruction in self.instructions)
+
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -380,8 +379,7 @@ class CountOf:
 
 
 class ArrayCompiler(XPatternsCompiler):
-    """The XPatterns compiler minus ``id()``, plus the shapes only the array
-    engine runs.
+    """The XPatterns compiler plus the shapes only the array engine runs.
 
     It is also the compiled fragment's grammar: every shape it cannot
     lower raises :class:`FragmentError` with a reason naming the shape,
@@ -394,7 +392,11 @@ class ArrayCompiler(XPatternsCompiler):
                 raise FragmentError(f"the {step.axis.value} axis has no array lowering")
         count = isinstance(expression, FunctionCall) and expression.name == "count"
         path = expression.args[0] if count else expression
-        if not isinstance(path, LocationPath):
+        start = path.start if isinstance(path, PathExpr) else path
+        if not (
+            isinstance(path, LocationPath)
+            or (isinstance(start, FunctionCall) and start.name == "id")
+        ):
             raise FragmentError(_refusal(path))
         plan = super().compile_query(path)
         return CountOf(plan) if count else plan
@@ -473,9 +475,6 @@ class ArrayCompiler(XPatternsCompiler):
                 "positions lower on the outermost path only"
             )
         raise FragmentError(_refusal(expression))
-
-    def _backward_id_start(self, start: Expression, downstream: AlgebraExpr) -> AlgebraExpr:
-        raise FragmentError(_ID_REFUSAL)
 
 
 # ----------------------------------------------------------------------
@@ -690,6 +689,34 @@ def _sibling_position(
 
 
 # ----------------------------------------------------------------------
+# id and id⁻¹: the ID tokens of string values (Table II's id())
+# ----------------------------------------------------------------------
+def _id(view: DocumentIndex, document: Document, sources: Orders) -> Orders:
+    """The nodes whose IDs occur among the tokens of a source's string value."""
+    string_value = view.string_value
+    deref_ids = document.deref_ids
+    return sorted(
+        {node.order for order in sources for node in deref_ids(string_value(order))}
+    )
+
+
+def _id_inverse(view: DocumentIndex, document: Document, targets: Orders) -> Orders:
+    """The nodes whose string value has a token that is the ID of a target
+    (``document.element_by_id(token)`` is one): one split of every node's
+    string value."""
+    owners = set(targets)
+    keys = {key for key, node in document.id_map().items() if node.order in owners}
+    if not keys:
+        return _EMPTY
+    string_value = view.string_value
+    return [
+        order
+        for order in range(view.size)
+        if not keys.isdisjoint(string_value(order).split())
+    ]
+
+
+# ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 def execute_program(
@@ -704,10 +731,8 @@ def execute_program(
     A ``count`` program's answer is the length of that register.
     ``view`` is a document's :class:`DocumentIndex` or a store's
     :class:`~repro.store.StoredIndexArrays` (the same columns over a mmap).
-    The ``id`` / ``id-inverse`` / ``id-literal`` instructions of XPatterns
-    programs also read ``document`` (the one ``view`` indexes), whose ID
-    map and ref relation are not columns; the compiled fragment's programs
-    contain none of them.
+    The ``id`` / ``id-inverse`` / ``id-literal`` instructions also read
+    ``document`` (the one ``view`` indexes), whose ID map is not a column.
     Per instruction the executor bumps ``compiled_instructions`` and
     ``array_cells`` (cells written) and checkpoints the evaluation guard,
     so operation budgets and timeouts abort mid-program exactly like the
@@ -766,11 +791,10 @@ def execute_program(
             result = range(size) if len(operand) and operand[0] == 0 else _EMPTY
         elif op == "dom-if-nonempty":
             result = range(size) if len(registers[srcs[0]]) else _EMPTY
-        elif op == "id" or op == "id-inverse":
-            relation = ref_relation_for(document)
-            id_axis = relation.id_axis if op == "id" else relation.id_axis_inverse
-            nodes = id_axis(set(map(view.nodes.__getitem__, registers[srcs[0]])))
-            result = sorted(node.order for node in nodes)
+        elif op == "id":
+            result = _id(view, document, registers[srcs[0]])
+        elif op == "id-inverse":
+            result = _id_inverse(view, document, registers[srcs[0]])
         elif op == "id-literal":
             result = [node.order for node in document.deref_ids(instruction.value)]
         else:  # pragma: no cover - lowering emits a closed opcode set
@@ -790,19 +814,18 @@ class CompiledEngine(XPatternsEngine):
     """Array-program evaluation of :class:`ArrayCompiler` plans, fallback
     otherwise.
 
-    ``engine="auto"`` picks this engine for every compilable plan, which
-    includes ``count(π)``, ``π op N``, and ``[k]`` / ``[last()]`` on the
-    child and sibling steps of the outermost path.  Requesting
-    ``engine="compiled"`` is always safe: plans outside the compiled
-    fragment (id(), arithmetic, positions on other axes or inside
+    ``engine="auto"`` picks this engine for every compilable plan: every
+    XPatterns query, ``id()`` included, plus ``count(π)``, ``π op N``, and
+    ``[k]`` / ``[last()]`` on the child and sibling steps of the outermost
+    path.  Requesting ``engine="compiled"`` is always safe: plans outside
+    the compiled fragment (arithmetic, positions on other axes or inside
     predicates, …) are delegated to the classification's recommended
-    engine — ``xpatterns`` for id() plans, ``optmincontext`` outside
-    XPatterns — bumping ``compiled_fallbacks`` in the stats, so batch
-    traffic can pin the compiled backend without pre-sorting its queries.
+    engine, ``optmincontext``, bumping ``compiled_fallbacks`` in the stats,
+    so batch traffic can pin the compiled backend without pre-sorting its
+    queries.
     """
 
     name = "compiled"
-    compiler_class = ArrayCompiler
 
     def __init__(self) -> None:
         super().__init__()

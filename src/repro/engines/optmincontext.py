@@ -35,10 +35,16 @@ from ..xpath.ast import (
     walk,
 )
 from ..xpath.context import Context, StaticContext
-from ..xpath.values import NodeSet, XPathValue, predicate_truth, to_number, to_string
+from ..xpath.functions import _compare_booleans, _compare_numbers, _compare_strings, _flip
+from ..xpath.values import (
+    NodeSet,
+    XPathValue,
+    predicate_truth,
+    string_to_number,
+    to_string,
+)
 from .base import EvaluationStats
 from .mincontext import MinContextEngine, MinContextEvaluator
-from .relevance import CN
 
 _COMPARISON_OPS = EQUALITY_OPS | RELATIONAL_OPS
 
@@ -128,7 +134,7 @@ class OptMinContextEvaluator(MinContextEvaluator):
         else:
             self.eval_by_cnode_only(scalar, {self.document.root})
             scalar_value = self._table_value(scalar, self.document.root)
-            effective_op = op if path_on_left else _mirror(op)
+            effective_op = op if path_on_left else _flip(op)
             if isinstance(scalar_value, bool):
                 boolean_mode = True
                 initial = set(self.document.dom)
@@ -137,26 +143,31 @@ class OptMinContextEvaluator(MinContextEvaluator):
                 initial = {
                     node
                     for node in self.document.dom
-                    if any(_compare(effective_op, node.string_value(), target) for target in targets)
+                    if any(
+                        _compare_strings(effective_op, node.string_value(), target)
+                        for target in targets
+                    )
                 }
             elif isinstance(scalar_value, (int, float)):
                 initial = {
                     node
                     for node in self.document.dom
-                    if _compare_numeric(effective_op, to_number(node.string_value()), float(scalar_value))
+                    if _compare_numbers(
+                        effective_op, string_to_number(node.string_value()), float(scalar_value)
+                    )
                 }
             else:
                 initial = {
                     node
                     for node in self.document.dom
-                    if _compare(effective_op, node.string_value(), to_string(scalar_value))
+                    if _compare_strings(effective_op, node.string_value(), to_string(scalar_value))
                 }
 
         # Step 2: propagate Y backwards through the location path.
         reachable_from = self.propagate_path_backwards(initial, path)
 
         # Step 3: fill the context-value table of the whole subexpression.
-        effective_op = op if path_on_left else _mirror(op) if op else None
+        effective_op = op if path_on_left else _flip(op) if op else None
         for node in self.document.dom:
             holds = node in reachable_from
             if boolean_mode:
@@ -218,42 +229,3 @@ class OptMinContextEvaluator(MinContextEvaluator):
             if any(node in targets for node in survivors):
                 result.add(origin)
         return result
-
-
-# ----------------------------------------------------------------------
-# Comparison helpers for the initial node set
-# ----------------------------------------------------------------------
-def _mirror(op: Optional[str]) -> Optional[str]:
-    if op is None:
-        return None
-    return {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}[op]
-
-
-def _compare(op: str, left: str, right: str) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    return _compare_numeric(op, to_number(left), to_number(right))
-
-
-def _compare_numeric(op: str, left: float, right: float) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
-def _compare_booleans(op: str, left: bool, right: bool) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    return _compare_numeric(op, float(left), float(right))

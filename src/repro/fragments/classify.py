@@ -8,12 +8,11 @@ Given a query, determine the smallest fragment of Figure 1 that contains it:
 
 and recommend an engine for it (what ``engine="auto"`` resolves to):
 
-* ``compiled`` whenever the query is compilable — the linear-time fragment
-  minus ``id()`` (the same O(|D|·|Q|) algebra, run over flat columns),
-  plus ``count(π)``, ``π op N`` and ``[k]`` / ``[last()]`` on child and
+* ``compiled`` whenever the query is compilable — the whole linear-time
+  fragment (the same O(|D|·|Q|) algebra, run over flat columns), plus
+  ``count(π)``, ``π op N`` and ``[k]`` / ``[last()]`` on child and
   sibling steps, whose array forms are linear too (see
   :func:`repro.engines.compiled.analyze_compilability`);
-* ``xpatterns`` for the rest of XPatterns (plans that use ``id()``);
 * ``optmincontext`` for the rest (it adheres to the per-fragment bounds by
   construction).
 
@@ -31,9 +30,9 @@ from ..engines.relevance import compute_relevance
 from ..streaming import analyze_streamability
 from ..xpath.ast import Expression
 from ..xpath.normalize import compile_query
-from .core_xpath import CoreXPathEngine, is_core_xpath
+from .core_xpath import is_core_xpath
 from .wadler import wadler_violations
-from .xpatterns import XPatternsEngine, is_xpatterns
+from .xpatterns import is_xpatterns
 
 if TYPE_CHECKING:
     from ..engines.compiled import CompilabilityReport
@@ -67,7 +66,7 @@ class Classification:
     in_extended_wadler: bool
     complexity: str
     #: What ``engine="auto"`` resolves to: ``compiled`` when ``compilable``,
-    #: else ``xpatterns`` inside XPatterns, else ``optmincontext``.
+    #: else ``optmincontext``.
     recommended_engine: str
     wadler_violations: tuple[str, ...]
     #: Whether the streaming backend can evaluate the query in one pass over
@@ -78,7 +77,7 @@ class Classification:
     #: Why the query is not streamable (empty when it is).
     streaming_violations: tuple[str, ...] = ()
     #: Whether the compiled array-program backend can lower the query
-    #: (XPatterns minus the id axis, plus count(), numeric comparisons and
+    #: (all of XPatterns, plus count(), numeric comparisons and
     #: child/sibling positions; see
     #: :func:`repro.engines.compiled.analyze_compilability`).
     compilable: bool = False
@@ -117,26 +116,20 @@ def classify_normalized(
     violations = tuple(wadler_violations(expression, relevance))
     if core:
         fragment = Fragment.CORE_XPATH
-        engine = CoreXPathEngine.name
     elif xpatterns:
         fragment = Fragment.XPATTERNS
-        engine = XPatternsEngine.name
     elif not violations:
         fragment = Fragment.EXTENDED_WADLER
-        engine = "optmincontext"
     else:
         fragment = Fragment.FULL_XPATH
-        engine = "optmincontext"
     streamability = analyze_streamability(expression)
-    if compilability.compilable:
-        engine = "compiled"
     return Classification(
         fragment=fragment,
         in_core_xpath=core,
         in_xpatterns=xpatterns,
         in_extended_wadler=not violations,
         complexity=COMPLEXITY_BOUNDS[fragment],
-        recommended_engine=engine,
+        recommended_engine="compiled" if compilability.compilable else "optmincontext",
         wadler_violations=violations,
         streamable=streamability.streamable,
         streaming_violations=streamability.violations,

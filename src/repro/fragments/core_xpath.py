@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..axes.nodetests import KindTest, NameTest
-from ..axes.regex import Axis, inverse_axis
+from ..axes.regex import Axis
 from ..errors import FragmentError
 from ..xpath.ast import (
     BinaryOp,
@@ -32,7 +32,6 @@ from ..xpath.ast import (
     FunctionCall,
     LocationPath,
     Step,
-    UnionExpr,
 )
 from ..xpath.context import Context, StaticContext
 from ..xpath.values import NodeSet, XPathValue
@@ -185,15 +184,12 @@ class CoreXPathCompiler:
 class CoreXPathEngine(XPathEngine):
     """Linear-time evaluation of Core XPath queries via the set algebra.
 
-    The algebra plan runs as an array program of one O(|D|) instruction per
-    operation (Theorem 10.5).  Subclasses change only the grammar: the
-    compiler class and the fragment membership test.
+    The plan's one array program runs, one O(|D|) instruction per algebra
+    operation (Theorem 10.5).  Subclasses change only which plans they
+    accept: the fragment membership test.
     """
 
     name = "corexpath"
-
-    #: Compiler class; the XPatterns and compiled engines override this.
-    compiler_class = CoreXPathCompiler
 
     def _evaluate(
         self,
@@ -204,9 +200,9 @@ class CoreXPathEngine(XPathEngine):
     ) -> XPathValue:
         if not self._accepts_plan(plan):
             return self._outside_fragment(plan, static_context, context, stats)
-        # The program is memoised on the plan per compiler class, so plan-cache
-        # hits and Collection batches skip compilation and lowering.
-        program = plan.array_program(self.compiler_class)
+        # The program is memoised on the plan, so plan-cache hits and
+        # Collection batches skip compilation and lowering.
+        program = plan.array_program()
         document = static_context.document
         index = document.index
         orders = _compiled.execute_program(
@@ -227,13 +223,6 @@ class CoreXPathEngine(XPathEngine):
         )
 
     def compile(self, expression: Expression) -> AlgebraExpr:
-        """Expose the algebra plan (used by examples and tests)."""
-        return self.compiler_class().compile_query(expression)
-
-
-def core_xpath_union(expressions: Sequence[Expression]) -> Expression:
-    """Helper used by tests: union several Core XPath queries."""
-    result: Expression = expressions[0]
-    for expression in expressions[1:]:
-        result = UnionExpr(result, expression)
-    return result
+        """Expose the algebra plan that the engine's program lowers (used
+        by examples and tests)."""
+        return _compiled.ArrayCompiler().compile_query(expression)

@@ -38,7 +38,6 @@ from ..xpath.ast import (
     PathExpr,
     RELATIONAL_OPS,
     Step,
-    StringLiteral,
     UnionExpr,
 )
 from ..engines.relevance import compute_relevance

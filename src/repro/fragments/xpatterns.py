@@ -3,9 +3,9 @@
 Section 10.2 extends the linear-time fragment with
 
 * the **id axis**: ``id(...)`` at the start of a path (``id('k')/π``,
-  ``id(π2)`` as a path start), realised through the precomputed ``ref``
-  relation of Theorem 10.7 so that both ``id`` and ``id⁻¹`` are linear-time
-  set operations;
+  ``id(π2)`` as a path start), whose ``id`` and ``id⁻¹`` set operations
+  tokenise string values exactly as Table II's ``id()`` does, not the
+  direct text of Theorem 10.7's ``ref`` relation;
 * **unary predicates** (Table VI): attribute tests (``@n``, ``@*``),
   ``text()`` / ``comment()`` / ``processing-instruction()`` tests, and the
   string-equality test ``π = 's'`` (and its ``!=`` variant), whose extension
@@ -15,7 +15,9 @@ Section 10.2 extends the linear-time fragment with
   :mod:`repro.fragments.algebra` (they are not XPath syntax, as the paper
   notes).
 
-Theorem 10.8: XPatterns queries still evaluate in time O(|D|·|Q|).
+Theorem 10.8: XPatterns queries still evaluate in time O(|D|·|Q|), with
+the ``ref`` relation.  Over string values an ``id⁻¹`` splits every node's
+string value, O(Σ|strval(x)|), the cost the ``π = 's'`` scan pays too.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ from ..xpath.ast import (
 )
 from .algebra import (
     AlgebraExpr,
-    AxisApply,
-    ContextSet,
     DomIfNonempty,
+    DomIfRoot,
     DomSet,
     IdApply,
     Intersect,
     InverseAxisApply,
-    RootSet,
     StringMatchSet,
     TestSet,
 )
@@ -52,7 +52,6 @@ from .core_xpath import (
     CoreXPathCompiler,
     CoreXPathEngine,
     _is_core_predicate,
-    _is_core_step,
     is_core_xpath,
 )
 
@@ -150,16 +149,18 @@ class XPatternsCompiler(CoreXPathCompiler):
 
     # -- S→ with id() path starts --------------------------------------
     def compile_query(self, expression: Expression) -> AlgebraExpr:
-        if isinstance(expression, (FunctionCall, FilterExpr)) and _is_id_start(
-            expression if isinstance(expression, FunctionCall) else expression.primary
-        ):
-            return self._compile_id_start(expression)
         if isinstance(expression, PathExpr):
-            plan = self._compile_id_start(expression.start)
-            for step in expression.path.steps:
-                plan = self._forward_step(plan, step)
-            return plan
+            return self._compile_id_path(expression)
+        if isinstance(expression, (FunctionCall, FilterExpr)):
+            return self._compile_id_start(expression)
         return super().compile_query(expression)
+
+    def _compile_id_path(self, expression: PathExpr) -> AlgebraExpr:
+        """S→ of ``id(…)/π``: the id start, then π's steps forwards."""
+        plan = self._compile_id_start(expression.start)
+        for step in expression.path.steps:
+            plan = self._forward_step(plan, step)
+        return plan
 
     def _compile_id_start(self, expression: Expression) -> AlgebraExpr:
         if isinstance(expression, FilterExpr):
@@ -171,15 +172,15 @@ class XPatternsCompiler(CoreXPathCompiler):
             raise FragmentError(f"not an id(...) path start: {expression.to_xpath()}")
         argument = expression.args[0]
         if isinstance(argument, StringLiteral):
-            # id('k1 k2 …'): seed with the nodes whose direct text mentions the
-            # ids — equivalently, apply the id axis to the root of a synthetic
-            # "virtual" node carrying that text.  We model it directly via the
-            # document's ID index through a StringMatch-free special case.
+            # id('k1 k2 …'): a context-independent leaf, the literal's IDs
+            # looked up in the document's ID map.
             return _IdLiteral(argument.value)
-        if isinstance(argument, FunctionCall) and argument.name == "id":
-            return IdApply(self._compile_id_start(argument))
         # id(π): π evaluated forward from the context set, then the id axis.
-        return IdApply(super().compile_query(argument) if isinstance(argument, LocationPath) else self.compile_query(argument))
+        if isinstance(argument, LocationPath):
+            return IdApply(super().compile_query(argument))
+        if isinstance(argument, PathExpr):
+            return IdApply(self._compile_id_path(argument))
+        return IdApply(self._compile_id_start(argument))
 
     # -- E1 extension: "π = 's'" ----------------------------------------
     def compile_predicate(self, expression: Expression) -> AlgebraExpr:
@@ -226,8 +227,6 @@ class XPatternsCompiler(CoreXPathCompiler):
                     matched = Intersect(plan, matched)
                 plan = InverseAxisApply(step.axis, matched)
         if path.absolute:
-            from .algebra import DomIfRoot
-
             return DomIfRoot(plan)
         return plan
 
@@ -251,7 +250,6 @@ class XPatternsEngine(CoreXPathEngine):
     """Linear-time evaluation of XPatterns queries."""
 
     name = "xpatterns"
-    compiler_class = XPatternsCompiler
 
     def _accepts_plan(self, plan) -> bool:
         return plan.classification.in_xpatterns

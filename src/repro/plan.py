@@ -12,10 +12,10 @@ immutable, reusable *plan*:
   engine resolved from it (``engine="auto"`` is decided at compile time);
 * the relevant-context analysis Relev(N) of Section 8.2, precomputed so the
   CVT engines do not redo it per evaluation;
-* lazily memoised set-algebra plans for the linear-time fragment engines
-  (Section 10) and their lowered array programs, both keyed by compiler
-  class; a plan that resolves to ``compiled`` starts with the
-  ``ArrayCompiler`` algebra its compilability check built;
+* the plan's one array program — its Section-10 set algebra, lowered —
+  memoised on first use and run by the ``corexpath``, ``xpatterns`` and
+  ``compiled`` engines alike; a plan that resolves to one of them starts
+  with the algebra its compilability check built;
 * the free-variable and function-library signatures that key the cache.
 
 :class:`PlanCache` is a bounded LRU over ``(query, engine, library,
@@ -60,6 +60,9 @@ CORE_LIBRARY_SIGNATURE: str = "core/" + str(len(FUNCTION_RETURN_TYPES))
 #: module means "no preference": strings compile for this default, while an
 #: existing plan is used exactly as compiled.
 DEFAULT_ENGINE: str = "topdown"
+
+#: The engines that run a plan's array program (:meth:`CompiledQuery.array_program`).
+_ARRAY_ENGINES = frozenset({"corexpath", "xpatterns", "compiled"})
 
 QueryLike = Union[str, Expression, "CompiledQuery"]
 
@@ -109,16 +112,13 @@ class CompiledQuery:
     library_signature: str = CORE_LIBRARY_SIGNATURE
     #: Relev(N) for every node of the parse tree (Section 8.2), precomputed.
     relevance: Mapping[Expression, frozenset[str]] = field(default_factory=dict)
-    #: Memoised fragment-algebra plans, keyed by compiler class.
-    _algebra_plans: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
     #: Memoised streaming automaton (one-slot dict; see stream_automaton()).
     _stream_automata: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
-    #: Memoised array programs, keyed by compiler class (see array_program()).
-    _array_programs: dict = field(
+    #: The memoised array program (one-slot dict; see array_program()),
+    #: under ``"algebra"`` the compilability dry run's plan until lowered.
+    _array_program: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
 
@@ -166,31 +166,14 @@ class CompiledQuery:
         )
 
     # ------------------------------------------------------------------
-    # Fragment-algebra plans (Section 10)
+    # Memoised back-end forms
     # ------------------------------------------------------------------
-    def algebra_plan(self, compiler_class):
-        """The set-algebra plan compiled by ``compiler_class``, memoised.
-
-        :meth:`array_program` lowers it, so repeated evaluations of one
-        plan skip algebra compilation as well.
-
-        Safe under concurrent evaluation: the get/set pair on the memo dict
-        is atomic, so two threads racing a cold plan at worst compile the
-        (side-effect-free, equivalent) algebra twice; each keeps a valid
-        plan and one of them wins the memo slot.
-        """
-        plan = self._algebra_plans.get(compiler_class)
-        if plan is None:
-            plan = compiler_class().compile_query(self.expression)
-            self._algebra_plans[compiler_class] = plan
-        return plan
-
     def stream_automaton(self):
-        """The plan's streaming automaton, memoised like the algebra plans.
+        """The plan's streaming automaton, memoised like the array program.
 
         A batch over N sources reuses one automaton per plan instead of
         re-walking the AST N times.  The same benign get/set race as
-        :meth:`algebra_plan` applies: automata are immutable and
+        :meth:`array_program` applies: automata are immutable and
         equivalent, so the worst case is one redundant compilation.
         Raises :class:`~repro.errors.XPathEvaluationError` when the plan
         is not streamable.
@@ -203,25 +186,28 @@ class CompiledQuery:
             self._stream_automata["automaton"] = automaton
         return automaton
 
-    def array_program(self, compiler_class=None):
-        """The :meth:`algebra_plan` of ``compiler_class`` lowered to an
-        :class:`~repro.engines.compiled.ArrayProgram`, memoised per class like
-        :meth:`algebra_plan`.
+    def array_program(self):
+        """The plan's one :class:`~repro.engines.compiled.ArrayProgram`, the
+        ``ArrayCompiler`` algebra lowered once and memoised, or ``None``
+        outside the compiled fragment (``compile_violations`` says why).
 
-        Without a class: ``ArrayCompiler``'s program (the same object), or
-        ``None`` outside the compiled fragment (``compile_violations`` says why).
+        The ``corexpath``, ``xpatterns`` and ``compiled`` engines and the
+        store's column path all run this program.  Safe under concurrent
+        evaluation: the get/set pair on the memo dict is atomic, so two
+        threads racing a cold plan at worst lower the (side-effect-free,
+        equivalent) program twice, and one of them wins the slot.
         """
-        program = self._array_programs.get(compiler_class)
+        program = self._array_program.get("program")
         if program is None:
-            if compiler_class is None and not self.classification.compilable:
+            if not self.classification.compilable:
                 return None
             from .engines.compiled import ArrayCompiler, lower_algebra  # deferred: cycle-free
 
-            if compiler_class is None:
-                program = self.array_program(ArrayCompiler)
-            else:
-                program = lower_algebra(self.algebra_plan(compiler_class))
-            self._array_programs[compiler_class] = program
+            algebra = self._array_program.pop("algebra", None)
+            if algebra is None:
+                algebra = ArrayCompiler().compile_query(self.expression)
+            program = lower_algebra(algebra)
+            self._array_program["program"] = program
         return program
 
     # ------------------------------------------------------------------
@@ -290,7 +276,7 @@ def compile_plan(
         engine = DEFAULT_ENGINE
 
     # Deferred, to avoid an import cycle.
-    from .engines.compiled import ArrayCompiler, analyze_compilability
+    from .engines.compiled import analyze_compilability
     from .engines.relevance import compute_relevance
 
     source = query if isinstance(query, str) else None
@@ -312,10 +298,10 @@ def compile_plan(
         library_signature=library_signature,
         relevance=relevance,
     )
-    if resolved == "compiled" and compilability.compilable:
+    if resolved in _ARRAY_ENGINES and compilability.compilable:
         # The dry run's algebra is what lowering needs; plans for other
-        # engines drop it rather than hold an algebra they never lower.
-        plan._algebra_plans[ArrayCompiler] = compilability.algebra
+        # engines drop it rather than hold an algebra they may never lower.
+        plan._array_program["algebra"] = compilability.algebra
     return plan
 
 
@@ -344,11 +330,10 @@ def _retarget(plan: CompiledQuery, engine: str) -> CompiledQuery:
         library_signature=plan.library_signature,
         relevance=plan.relevance,
     )
-    # The algebra plans and the streaming automaton depend only on the
+    # The array program and the streaming automaton depend only on the
     # AST, so they carry over.
-    retargeted._algebra_plans.update(plan._algebra_plans)
     retargeted._stream_automata.update(plan._stream_automata)
-    retargeted._array_programs.update(plan._array_programs)
+    retargeted._array_program.update(plan._array_program)
     return retargeted
 
 

@@ -301,11 +301,12 @@ class StoredDocument:
         Runs the plan's array program over the mapped columns with the
         virtual root as context — no tree, no ``Node`` objects.  Returns
         the result node orders, or ``None`` when the plan is outside the
-        compiled fragment or its answer is a number (``count(…)``);
+        compiled fragment, its answer is a number (``count(…)``), or it
+        reads the ID map (``id(…)``), which the columns do not hold;
         callers then fall back to :meth:`materialize`.
         """
         program = plan.array_program()
-        if program is None or program.count:
+        if program is None or program.count or program.reads_document:
             return None
         from ..engines.compiled import execute_program  # deferred: cycle-free
 

@@ -11,13 +11,11 @@ attribute) are interned into one shared, deduplicated table.
 from __future__ import annotations
 
 import os
-import struct
 import zlib
 from array import array
 from typing import IO, Iterable, Optional, Sequence
 
 from ..xmlmodel.document import Document
-from ..xmlmodel.nodes import NodeType
 from . import format as fmt
 
 

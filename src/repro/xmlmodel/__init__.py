@@ -14,7 +14,7 @@ provides everything the paper assumes about XML documents:
 
 from .builder import TreeBuilder, build_document, build_fragment
 from .document import Document, MutationStats
-from .ids import RefRelation, deref_ids, ref_relation_for
+from .ids import deref_ids
 from .index import DocumentIndex
 from .lexer import XMLLexer, XMLToken, XMLTokenType
 from .nodes import Node, NodeType
@@ -27,7 +27,6 @@ __all__ = [
     "MutationStats",
     "Node",
     "NodeType",
-    "RefRelation",
     "TreeBuilder",
     "XMLLexer",
     "XMLToken",
@@ -36,7 +35,6 @@ __all__ = [
     "build_fragment",
     "deref_ids",
     "parse_xml",
-    "ref_relation_for",
     "serialize",
     "serialize_node",
 ]

@@ -8,8 +8,7 @@ mapping each node test to the subset of ``dom`` satisfying it.  A
 * ``dom`` — all nodes in document order (list and set views);
 * the frozen ``first_child`` / ``next_sibling`` / ``prev_sibling`` links;
 * node-test indexes (by type, and by (type, name));
-* ID lookup used by ``id()`` / ``deref_ids`` and the ``ref`` relation of
-  XPatterns (Section 10.2).
+* ID lookup used by ``id()`` / ``deref_ids`` (Section 4).
 
 Mutation (the generation model)
 -------------------------------
@@ -164,7 +163,6 @@ class Document:
         self._nodes: list[Node] = []
         self._ids: dict[str, Node] = {}
         self._index: Optional[DocumentIndex] = None
-        self._ref_relation = None  # built lazily by ids.ref_relation_for
         self._frozen = False
         #: Monotone edit epoch: 0 at parse, +1 per successful edit.
         self.generation = 0
@@ -263,7 +261,6 @@ class Document:
             stack.extend(reversed(seq))
         self._nodes = nodes
         self._build_indexes()
-        self._ref_relation = None
 
     def _build_indexes(self) -> None:
         ids: dict[str, Node] = {}
@@ -333,7 +330,6 @@ class Document:
             pinned._nodes = self._nodes
             pinned._ids = self._ids
             pinned._index = self._index
-            pinned._ref_relation = self._ref_relation
             pinned._frozen = True
             pinned.generation = self.generation
             pinned.mutation_stats = self.mutation_stats
@@ -645,7 +641,6 @@ class Document:
         """
         if id_rescan:
             self._build_indexes()
-        self._ref_relation = None
         for node in changed:
             node._string_value = None
         self._index.repair_string_matches(changed)
@@ -840,7 +835,7 @@ class Document:
         return self.index.nodes_of_label(node_type, name)
 
     # ------------------------------------------------------------------
-    # IDs (paper Section 4, deref_ids; Section 10.2, ref relation)
+    # IDs (paper Section 4, deref_ids)
     # ------------------------------------------------------------------
     def element_by_id(self, identifier: str) -> Optional[Node]:
         """Return the element whose ID attribute equals ``identifier``."""

@@ -1,162 +1,18 @@
-"""ID/IDREF support and the ``ref`` relation of XPatterns (paper §4, §10.2).
+"""ID/IDREF support: the paper's ``deref_ids`` function (§4).
 
-Two pieces live here:
-
-* :func:`deref_ids` — the paper's function mapping a whitespace-separated
-  string of IDs to the set of referenced nodes (a thin wrapper over the
-  document's ID index, kept as a free function to mirror the paper).
-* :class:`RefRelation` — the auxiliary binary relation "ref" of Theorem 10.7:
-  ``(x, y) ∈ ref`` iff the text *directly* inside ``x`` (not inside its
-  descendants) contains a whitespace-separated token equal to the ID of
-  ``y``.  It supports the linear-time ``id`` axis and its inverse used by the
-  XPatterns engine.
+:func:`deref_ids` maps a whitespace-separated string of IDs to the set of
+referenced nodes.  It is a thin wrapper over the document's ID index, kept
+as a free function to mirror the paper.  ``id()`` over a node set applies
+it to each node's string value (Table II), in the tree engines and in the
+array programs' ``id`` / ``id-inverse`` instructions alike.
 """
 
 from __future__ import annotations
 
 from .document import Document
-from .nodes import Node, NodeType
+from .nodes import Node
 
 
 def deref_ids(document: Document, value: str) -> list[Node]:
     """Return the nodes whose IDs occur in the whitespace-separated ``value``."""
     return document.deref_ids(value)
-
-
-class RefRelation:
-    """The precomputed ``ref`` relation and the derived ``id`` axis.
-
-    The relation is computed in a single pass over the document (linear time
-    in the size of the document text, as required by Theorem 10.7) and is
-    cached per document by :func:`ref_relation_for`.
-    """
-
-    def __init__(self, document: Document):
-        self.document = document
-        self._forward: dict[Node, list[Node]] = {}
-        self._backward: dict[Node, list[Node]] = {}
-        # id() over a node set dereferences each node's *string value*
-        # (XPath §4.1); for attribute and text nodes that value is the node's
-        # own text, which the element-level ref relation does not cover.
-        # These side tables keep the paper's relation (pairs()/referenced_from)
-        # untouched while making the id axis agree with the other engines on
-        # queries like id(//review/@of).
-        self._value_forward: dict[Node, list[Node]] = {}
-        self._value_backward: dict[Node, list[Node]] = {}
-        self._build()
-
-    def _build(self) -> None:
-        id_map = self.document.id_map()
-        for node in self.document.dom:
-            if node.node_type in (NodeType.ATTRIBUTE, NodeType.TEXT):
-                targets = self._resolve_tokens(id_map, node.value or "")
-                if targets:
-                    self._value_forward[node] = targets
-                    for target in targets:
-                        self._value_backward.setdefault(target, []).append(node)
-                continue
-            if node.node_type not in (NodeType.ELEMENT, NodeType.ROOT):
-                continue
-            direct_text = "".join(
-                child.value or ""
-                for child in node.children
-                if child.node_type is NodeType.TEXT
-            )
-            if not direct_text.strip():
-                continue
-            targets = self._resolve_tokens(id_map, direct_text)
-            if targets:
-                self._forward[node] = targets
-                for target in targets:
-                    self._backward.setdefault(target, []).append(node)
-
-    @staticmethod
-    def _resolve_tokens(id_map, text: str) -> list[Node]:
-        """Distinct nodes whose IDs occur as whitespace tokens of ``text``."""
-        targets: list[Node] = []
-        seen: set[Node] = set()
-        for token in text.split():
-            target = id_map.get(token)
-            if target is not None and target not in seen:
-                seen.add(target)
-                targets.append(target)
-        return targets
-
-    # ------------------------------------------------------------------
-    # Relation views
-    # ------------------------------------------------------------------
-    def pairs(self) -> list[tuple[Node, Node]]:
-        """All (x, y) pairs of the relation, in document order of x then y."""
-        result: list[tuple[Node, Node]] = []
-        for source in sorted(self._forward, key=lambda n: n.order):
-            for target in self._forward[source]:
-                result.append((source, target))
-        return result
-
-    def referenced_from(self, node: Node) -> list[Node]:
-        """Nodes whose IDs are referenced by the direct text of ``node``."""
-        return list(self._forward.get(node, []))
-
-    def referencing(self, node: Node) -> list[Node]:
-        """Nodes whose direct text references the ID of ``node``."""
-        return list(self._backward.get(node, []))
-
-    # ------------------------------------------------------------------
-    # The id "axis" of Section 10.2
-    # ------------------------------------------------------------------
-    def id_axis(self, nodes: set[Node]) -> set[Node]:
-        """``id(S)``: nodes referenced from S or any descendant of S.
-
-        Mirrors the paper's definition
-        ``id(S) := {y | x ∈ descendant-or-self(S), (x, y) ∈ ref}``.
-        """
-        result: set[Node] = set()
-        for start in nodes:
-            for node in start.iter_self_and_descendants():
-                targets = self._forward.get(node)
-                if targets:
-                    result.update(targets)
-            # descendant-or-self of an attribute/namespace node is itself only.
-            targets = self._forward.get(start)
-            if targets:
-                result.update(targets)
-            # Attribute/text nodes dereference their own string value.
-            targets = self._value_forward.get(start)
-            if targets:
-                result.update(targets)
-        return result
-
-    def id_axis_inverse(self, nodes: set[Node]) -> set[Node]:
-        """``id⁻¹(S)``: the nodes x with id({x}) ∩ S ≠ ∅.
-
-        For element sources that is the ancestor-or-self closure of the
-        referencing nodes (id() of an ancestor sees the descendant's text).
-        Attribute sources contribute only themselves, because an element's
-        string value never includes attribute text; text-node sources are
-        already covered through their parent element's ref entry.
-        """
-        sources: set[Node] = set()
-        for target in nodes:
-            sources.update(self._backward.get(target, ()))
-        result: set[Node] = set()
-        for source in sources:
-            result.add(source)
-            result.update(source.iter_ancestors())
-        for target in nodes:
-            result.update(self._value_backward.get(target, ()))
-        return result
-
-
-def ref_relation_for(document: Document) -> RefRelation:
-    """Return the per-document :class:`RefRelation`, building it on first use.
-
-    The relation is stored on the document itself (like the navigation
-    index), so it is garbage-collected together with its document — the old
-    module-level cache was keyed by ``id(document)`` and leaked relations for
-    every document ever queried.
-    """
-    relation = document._ref_relation
-    if relation is None:
-        relation = RefRelation(document)
-        document._ref_relation = relation
-    return relation

@@ -278,13 +278,6 @@ class Node:
             yield node
             node = node.parent
 
-    def subtree_size0(self) -> int:
-        """Number of nodes in this node's child0 subtree, including itself."""
-        count = 1
-        for _ in self.iter_descendants(include_special=True):
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
     # Mutation support (used by Document's edit API)
     # ------------------------------------------------------------------

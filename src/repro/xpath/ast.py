@@ -194,9 +194,6 @@ class Step(Expression):
     def children(self) -> Iterator[Expression]:
         return iter(self.predicates)
 
-    def with_predicates(self, predicates: Sequence[Expression]) -> "Step":
-        return Step(self.axis, self.node_test, predicates)
-
     def to_xpath(self) -> str:
         preds = "".join(f"[{p.to_xpath()}]" for p in self.predicates)
         return f"{self.axis.value}::{self.node_test.to_xpath()}{preds}"
@@ -270,11 +267,6 @@ def subexpression_count(expression: Expression) -> int:
 def find_steps(expression: Expression) -> list[Step]:
     """All location steps occurring anywhere in the expression."""
     return [node for node in walk(expression) if isinstance(node, Step)]
-
-
-def is_path_like(expression: Expression) -> bool:
-    """True for expressions that denote node sets purely structurally."""
-    return isinstance(expression, (LocationPath, FilterExpr, PathExpr, UnionExpr))
 
 
 def query_size(expression: Expression) -> int:

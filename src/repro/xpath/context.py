@@ -39,10 +39,6 @@ class Context:
                 f"invalid context: position {self.position} not in 1..{self.size}"
             )
 
-    def with_node(self, node: Node) -> "Context":
-        """A context with the same position/size but a different node."""
-        return Context(node, self.position, self.size)
-
     def triple(self) -> tuple[Node, int, int]:
         return (self.node, self.position, self.size)
 

@@ -156,8 +156,3 @@ def check_function_call(expression: FunctionCall) -> None:
         raise XPathTypeError(
             f"{expression.name}() called with {count} argument(s), expected {expected}"
         )
-
-
-def is_node_set_typed(expression: Expression) -> bool:
-    """True when the expression's static type is (or may be) a node set."""
-    return static_type(expression) in (ValueType.NODE_SET, ValueType.UNKNOWN)

@@ -281,10 +281,6 @@ class NodeSet:
             self._nodes = frozenset(self._ordered)
         return self._nodes
 
-    def as_order_set(self) -> OrderSet:
-        """The document-order array view of this node set."""
-        return OrderSet(self.in_document_order(), presorted=True)
-
     # ------------------------------------------------------------------
     # Set algebra (merge-based when both operands know their order)
     # ------------------------------------------------------------------
@@ -465,11 +461,6 @@ def to_boolean(value: XPathValue) -> bool:
     if isinstance(value, NodeSet):
         return len(value) > 0
     raise TypeError(f"cannot convert {value!r} to a boolean")
-
-
-def node_string_value(node: Node) -> str:
-    """strval(x): the string value of a single node (paper Section 4)."""
-    return node.string_value()
 
 
 def node_number_value(node: Node) -> float:

@@ -33,7 +33,6 @@ from repro.fragments.algebra import (
     UnionOp,
 )
 from repro.fragments.classify import Fragment
-from repro.fragments.xpatterns import XPatternsCompiler
 from repro.plan import plan_for
 from repro.session import XPathSession
 from repro.store import DocumentStore
@@ -88,10 +87,9 @@ class TestAnalyzeCompilability:
         assert not report.compilable
         assert "position on the descendant axis" in report.violations[0]
 
-    def test_id_is_not(self):
+    def test_id_is_compilable(self):
         report = analyze_compilability(normalize_query("id('r')/b"))
-        assert not report.compilable
-        assert "id()" in report.violations[0]
+        assert report.compilable and report.violations == ()
 
     @pytest.mark.parametrize(
         "query",
@@ -125,7 +123,7 @@ class TestAnalyzeCompilability:
     def test_classification_carries_the_report(self):
         plan = plan_for("//b", cache=None)
         assert plan.classification.compilable
-        plan = plan_for("id('r')", cache=None)
+        plan = plan_for("/descendant::b[2]", cache=None)
         assert not plan.classification.compilable
         assert plan.classification.compile_violations
 
@@ -147,9 +145,6 @@ REFUSALS = [
     ("//b[. > $x]", "comparison with a non-literal operand ($x)"),
     ("//b[c = d]", "comparison with a non-literal operand (child::d)"),
     ("//b[. > '3']", "> against a string literal ('3')"),
-    ("id('r')/b", "id() needs the identifier relation"),
-    ("count(id('r'))", "id() needs the identifier relation"),
-    ("//b[id('r')]", "id() needs the identifier relation"),
     ("sum(//b)", "sum(/descendant-or-self::node()/child::b) has no array lowering"),
     ("//namespace::*", "the namespace axis has no array lowering"),
 ]
@@ -218,15 +213,12 @@ class TestLowering:
     def test_non_compilable_plan_has_no_program(self):
         assert plan_for("//b[count(c) = 2]", cache=None).array_program() is None
 
-    def test_programs_are_memoised_per_compiler_class(self):
-        # The compiled engine asks for ArrayCompiler's program by class.
-        plan = plan_for("//b/c", cache=None)
-        assert plan.array_program(ArrayCompiler) is plan.array_program()
-        # An id plan has no compiled program, but lowers under XPatterns.
-        id_plan = plan_for("id('r')/b", cache=None)
-        assert id_plan.array_program() is None
-        program = id_plan.array_program(XPatternsCompiler)
-        assert id_plan.array_program(XPatternsCompiler) is program
+    def test_one_program_per_plan(self):
+        # corexpath, xpatterns and compiled all run the plan's one program.
+        plan = plan_for("id('r')/b", engine="xpatterns", cache=None)
+        program = plan.array_program()
+        assert plan.array_program() is program
+        assert plan_for(plan, engine="compiled", cache=None).array_program() is program
         assert program.render().splitlines()[:2] == [
             "r0 = id-literal('r')",
             "r1 = axis-test[child](r0, T(b))",
@@ -287,10 +279,7 @@ class TestLowering:
         assert len(program) == 2 + 2 * 12
         assert program.register_count == len(program)
 
-    def test_id_apply_lowers_but_id_stays_uncompilable(self):
-        # XPatterns plans lower their id axis; the compiled fragment still
-        # refuses id(), so auto's routing and the store's column path keep
-        # away from it.
+    def test_id_apply_lowers_and_id_is_compilable(self):
         program = lower_algebra(IdApply(IdApply(RootSet()), inverse=True))
         assert program.render().splitlines() == [
             "r0 = root()",
@@ -299,16 +288,14 @@ class TestLowering:
             "result: r2",
         ]
         report = analyze_compilability(normalize_query("id('k')/a"))
-        assert not report.compilable
-        assert report.violations[0].startswith("id() needs the identifier relation")
+        assert report.compilable
 
     def test_unlowerable_leaf_raises_fragment_error(self):
         with pytest.raises(FragmentError):
             lower_algebra(object())
 
     def test_dom_if_nonempty_lowering_and_execution(self):
-        # Only id-starts emit DomIfNonempty, and those run as XPatterns
-        # programs, never compiled ones: exercise the opcode directly.
+        # Only id-starts emit DomIfNonempty: exercise the opcode directly.
         view = DOC.index
         program = lower_algebra(DomIfNonempty(RootSet()))
         assert list(execute_program(program, view, (0,))) == list(range(view.size))
@@ -669,7 +656,7 @@ class TestCompiledEngine:
         engine.evaluate(plan, DOC)
         assert engine._fallbacks[plan.classification.recommended_engine] is fallback
 
-    def test_fallback_handles_id_queries(self):
+    def test_id_queries_match_reference(self):
         got = [n.order for n in api.select("id('r')/b", DOC, engine="compiled")]
         assert got == _reference_orders("id('r')/b")
 
@@ -700,7 +687,7 @@ class TestCompiledEngine:
     [
         ("//b/c", Fragment.CORE_XPATH, "compiled"),
         ("//b[@n = '2']/c", Fragment.XPATTERNS, "compiled"),
-        ("id('r')/b", Fragment.XPATTERNS, "xpatterns"),
+        ("id('r')/b", Fragment.XPATTERNS, "compiled"),
         # The shapes past XPatterns route to compiled; fragment stays put.
         ("//b[2]", Fragment.EXTENDED_WADLER, "compiled"),
         ("//b/following-sibling::b[last()]", Fragment.EXTENDED_WADLER, "compiled"),
@@ -722,8 +709,8 @@ def test_auto_routes_compilable_plans_to_compiled(query, fragment, engine):
 def test_compiled_request_on_an_id_plan_answers_like_xpatterns():
     session = XPathSession(engine="compiled")
     result = session.run("id('r')/b", DOC)
-    assert result.stats.as_dict()["compiled_fallbacks"] == 1
-    assert set(session.engine("compiled")._fallbacks) == {"xpatterns"}
+    assert "compiled_fallbacks" not in result.stats.as_dict()
+    assert not session.engine("compiled")._fallbacks
     expected = XPathSession(engine="xpatterns").run("id('r')/b", DOC)
     assert [node.order for node in result.nodes] == [
         node.order for node in expected.nodes
@@ -746,5 +733,5 @@ class TestExplain:
         assert "result: r1" in explanation
 
     def test_non_compilable_reports_the_reason(self):
-        explanation = XPathSession().explain("id('r')")
-        assert "compiled:   no (id() needs the identifier relation" in explanation
+        explanation = XPathSession().explain("/descendant::b[2]")
+        assert "compiled:   no (position on the descendant axis" in explanation

@@ -30,7 +30,13 @@ from repro.plan import PlanCache, plan_for
 from repro.session import XPathSession
 from repro.streaming import stream_select
 from repro.workloads import random_edit_script
-from repro.workloads.documents import doc_figure8, doc_flat, doc_wide, random_document
+from repro.workloads.documents import (
+    doc_figure8,
+    doc_flat,
+    doc_library,
+    doc_wide,
+    random_document,
+)
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
 from repro.xpath.values import NodeSet
@@ -338,6 +344,81 @@ def test_inverse_axis_cases_all_engines_agree(source, query):
     document = DOCUMENTS[source] if source in DOCUMENTS else parse_xml(source)
     answers = {engine: _answer(engine, query, document) for engine in _engines_for(query)}
     assert len({tuple(answer) for answer in answers.values()}) == 1, (query, answers)
+
+
+#: A fixed id() family, the same at every seed, over its own documents:
+#: two digital libraries, whose books cite each other by ID in ``related``,
+#: and two where an ID token touches another text node, so the string value
+#: of an element holds fewer tokens than its text nodes do.  Kept out of
+#: ALL_QUERIES: streaming refuses id(), and the store's column path
+#: declines it.
+ID_DOCUMENTS = {
+    "library8": doc_library(books=8, seed=11),
+    "library20": doc_library(books=20, seed=7),
+    "touching": parse_xml(
+        "<lib><book id='b1'><t>x</t><r>b2</r></book><book id='b2'/></lib>"
+    ),
+    "nested": parse_xml(
+        "<lib><book id='b1'><r>b2</r></book><book id='b2'><r>b1</r></book></lib>"
+    ),
+}
+ID_QUERIES = [
+    # id starts
+    "id('bk3')",
+    "id('bk3 bk5 nothere bk3')/title",
+    "id('b1 b2')/r",
+    "id(//book)",
+    "id(//related)",
+    "id(//related)/title",
+    "id(//book/@id)",
+    "id(//r)",
+    "id(/)",
+    # id predicates
+    "//book[id(.)]",
+    "//book[id(related)]",
+    "//book[id(related)/title]",
+    "//book[id(related)/@id = 'bk3']",
+    "//*[id(.)/@id = 'b1']",
+    "//related[id(.)]",
+    "//book[id('bk3')]",
+    "//book[not(id(related))]",
+    # nested id(id(…))
+    "id(id('bk3')/related)",
+    "id(id(//related))",
+    "//*[id(id(.))]",
+    "//book[id(id(r))]",
+    "//*[id(id('b2'))]",
+    # count(id(…))
+    "count(id(//related))",
+    "count(id('bk1 bk2 b1'))",
+    "count(id(//book))",
+    # positions after an id start
+    "id('bk3')/following-sibling::book[1]",
+    "id('bk3 bk5 b2')/preceding-sibling::book[last()]",
+    "id(//related)/child::*[2]",
+    "id('b1 b2')/r[1]",
+]
+
+
+@pytest.mark.parametrize("query", ID_QUERIES, ids=range(len(ID_QUERIES)))
+def test_id_family_all_engines_agree(query):
+    # Every id() shape lowers to an array program, which auto picks.
+    info = api.classify_query(query)
+    assert info.compilable and info.recommended_engine == "compiled", query
+    for doc_name, document in ID_DOCUMENTS.items():
+        expected = _answer("topdown", query, document)
+        for engine in _engines_for(query):
+            assert _answer(engine, query, document) == expected, (engine, doc_name)
+
+
+def test_xpatterns_is_inside_the_compiled_fragment():
+    # auto has two picks: compiled for every compilable query, which covers
+    # all of XPatterns, and optmincontext for the rest.
+    for query in ALL_QUERIES + ID_QUERIES + COUNT_QUERIES:
+        info = api.classify_query(query)
+        assert info.compilable or not info.in_xpatterns, query
+        expected = "compiled" if info.compilable else "optmincontext"
+        assert info.recommended_engine == expected, query
 
 
 def test_generation_is_deterministic_for_fixed_seed():

@@ -85,12 +85,10 @@ class TestCompiledQuery:
         sets = set(plan.relevance.values())
         assert frozenset({"cp"}) in sets or frozenset({"cp", "cs"}) in sets
 
-    def test_algebra_plan_memoised_per_compiler(self):
-        from repro.fragments.core_xpath import CoreXPathCompiler
-
+    def test_array_program_memoised(self):
         plan = compile_plan("/descendant::b", engine="corexpath")
-        first = plan.algebra_plan(CoreXPathCompiler)
-        assert plan.algebra_plan(CoreXPathCompiler) is first
+        first = plan.array_program()
+        assert plan.array_program() is first
 
     def test_a_miss_runs_each_front_end_analysis_once(self, monkeypatch):
         # Over compile_plan(q, engine="auto") plus the first lowering:
@@ -127,13 +125,12 @@ class TestCompiledQuery:
         assert plan.array_program() is not None
         assert calls == {"relevance": 1, "wadler": 1, "algebra": 1}
 
-    def test_only_compiled_plans_keep_the_dry_run_algebra(self):
-        from repro.engines.compiled import ArrayCompiler
-
+    def test_only_array_engine_plans_keep_the_dry_run_algebra(self):
         plan = compile_plan("//a[b = '2']/c", engine="topdown")
         assert plan.classification.compilable
-        assert ArrayCompiler not in plan._algebra_plans
-        assert ArrayCompiler in compile_plan("//a[b = '2']/c", engine="auto")._algebra_plans
+        assert "algebra" not in plan._array_program
+        for engine in ("auto", "corexpath", "xpatterns", "compiled"):
+            assert "algebra" in compile_plan("//a[b = '2']/c", engine=engine)._array_program
 
     def test_retarget_preserves_ast_and_classification(self):
         plan = compile_plan("//b", engine="topdown")
@@ -159,7 +156,7 @@ class TestCompiledQuery:
         api.select(plan, doc)
         # The compiled engine ran: its array program was memoised on *this*
         # plan object, which only happens when the plan is used as-is.
-        assert len(plan._array_programs) == 1
+        assert "program" in plan._array_program
         # An explicit engine still overrides — without mutating the plan.
         nodes = api.select(plan, doc, engine="naive")
         assert [n.order for n in nodes] == [n.order for n in plan.select(doc)]

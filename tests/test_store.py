@@ -264,6 +264,21 @@ class TestEngineParity:
         with DocumentStore.build(path, [parse_xml(ENGINE_DOC)]) as store:
             assert store.document_at(0).orders(plan) is None
 
+    def test_column_path_declines_an_id_plan(self, tmp_path):
+        # id() lowers, but the columns hold no ID map: the handle declines
+        # without building a tree, and a stored batch answers from the tree.
+        plan = plan_for("id('r1')/b", engine="compiled", cache=None)
+        assert plan.array_program().reads_document
+        expected = [n.order for n in plan.select(parse_xml(ENGINE_DOC))]
+        assert expected
+        path = str(tmp_path / "mapped.reproxs")
+        with DocumentStore.build(path, [parse_xml(ENGINE_DOC)]) as store:
+            handle = store.document_at(0)
+            assert handle.orders(plan) is None
+            assert handle._document is None
+            batch = StoredCollection(store).select(plan, engine="compiled")
+            assert [[n.order for n in result.nodes] for result in batch] == [expected]
+
 
 class TestCorruption:
     def _built(self, tmp_path, name="c.reproxs"):

@@ -1,12 +1,13 @@
-"""Tests for the tree builder, the serialiser and the ref relation (§10.2)."""
+"""Tests for the tree builder, the serialiser and the id axis (§4, §10.2)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.errors import XMLSyntaxError
 from repro.xmlmodel.builder import TreeBuilder, build_document
-from repro.xmlmodel.ids import RefRelation, deref_ids, ref_relation_for
+from repro.xmlmodel.ids import deref_ids
 from repro.xmlmodel.nodes import Node, NodeType
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize, serialize_node
@@ -118,47 +119,28 @@ class TestSerializer:
         assert 'xmlns:p="urn:x"' in serialize(doc)
 
 
-class TestRefRelation:
-    def test_paper_example_pairs(self, idref_doc):
-        """ref = {(n1,n3),(n2,n1),(n3,n1),(n3,n2)} for the Theorem-10.7 document."""
-        relation = RefRelation(idref_doc)
-        pairs = {
-            (source.attribute_value("id"), target.attribute_value("id"))
-            for source, target in relation.pairs()
-        }
-        assert pairs == {("1", "3"), ("2", "1"), ("3", "1"), ("3", "2")}
+#: (document fixture, query, the IDs of the answer) for the id axis.
+ID_AXIS_CASES = [
+    # n2's string value " 1 " names n1.
+    ("idref_doc", "id(//*[@id='2'])", {"1"}),
+    # n1's string value covers the text of n2 and n3, naming 1, 2 and 3.
+    ("idref_doc", "id(//*[@id='1'])", {"1", "2", "3"}),
+    # id⁻¹: n1 (through its descendants' text), n2 and n3 name n1.
+    ("idref_doc", "//*[id(.)/@id = '1']", {"1", "2", "3"}),
+    # In Figure 8 the c/d text happens to mention other ids (11..24).
+    ("figure8", "id(//*[@id='22'])", {"11", "12"}),
+]
 
-    def test_id_axis(self, idref_doc):
-        relation = RefRelation(idref_doc)
-        n2 = idref_doc.element_by_id("2")
-        result = relation.id_axis({n2})
-        assert {node.attribute_value("id") for node in result} == {"1"}
 
-    def test_id_axis_includes_descendant_references(self, idref_doc):
-        relation = RefRelation(idref_doc)
-        n1 = idref_doc.element_by_id("1")
-        # descendant-or-self of n1 covers n2 and n3, whose text references 1, 2, 3.
-        result = relation.id_axis({n1})
-        assert {node.attribute_value("id") for node in result} == {"1", "2", "3"}
-
-    def test_id_axis_inverse(self, idref_doc):
-        relation = RefRelation(idref_doc)
-        n1 = idref_doc.element_by_id("1")
-        result = relation.id_axis_inverse({n1})
-        # n2 and n3 reference 1; their ancestor-or-self closure adds n1 and the root.
-        ids = {node.attribute_value("id") for node in result if node.is_element}
-        assert ids == {"1", "2", "3"}
-
-    def test_ref_relation_cached_per_document(self, idref_doc):
-        assert ref_relation_for(idref_doc) is ref_relation_for(idref_doc)
+class TestIdAxis:
+    # Every engine but corexpath, whose fragment has no id().
+    @pytest.mark.parametrize("engine", [e for e in api.engine_names() if e != "corexpath"])
+    @pytest.mark.parametrize("fixture, query, ids", ID_AXIS_CASES)
+    def test_id_axis_on_every_engine(self, request, engine, fixture, query, ids):
+        document = request.getfixturevalue(fixture)
+        nodes = api.select(query, document, engine=engine)
+        assert {node.attribute_value("id") for node in nodes} == ids
 
     def test_deref_ids_function(self, figure8):
         nodes = deref_ids(figure8, "12 13")
         assert [node.attribute_value("id") for node in nodes] == ["12", "13"]
-
-    def test_figure8_ref_relation(self, figure8):
-        """In Figure 8 the c/d text happens to mention other ids (11..24)."""
-        relation = ref_relation_for(figure8)
-        c22 = figure8.element_by_id("22")
-        targets = {node.attribute_value("id") for node in relation.referenced_from(c22)}
-        assert targets == {"11", "12"}
