@@ -131,7 +131,8 @@ from ..xpath.ast import (
 )
 from ..xpath.functions import NUMBER_COMPARISONS, _flip
 from ..xpath.values import XPathValue, format_number, string_to_number
-from .base import EvaluationStats, XPathEngine
+from .base import EvaluationStats
+from .optmincontext import OptMinContextEngine
 
 Orders = Sequence[int]
 
@@ -829,24 +830,13 @@ class CompiledEngine(XPatternsEngine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._fallbacks: dict[str, XPathEngine] = {}
+        # Only non-compilable plans fall back, and classify recommends
+        # optmincontext for every one of them.
+        self._fallback = OptMinContextEngine()
 
     def _accepts_plan(self, plan) -> bool:
         return plan.classification.compilable
 
     def _outside_fragment(self, plan, static_context, context, stats) -> XPathValue:
         stats.bump("compiled_fallbacks")
-        fallback = self._fallback_engine(plan)
-        return fallback._evaluate(plan, static_context, context, stats)
-
-    def _fallback_engine(self, plan) -> XPathEngine:
-        # Only non-compilable plans fall back, and classify recommends this
-        # engine exactly for the compilable ones: the pick is another engine.
-        name = plan.classification.recommended_engine
-        engine = self._fallbacks.get(name)
-        if engine is None:
-            from ..session import ENGINE_CLASSES  # deferred: registry layer above
-
-            engine = ENGINE_CLASSES[name]()
-            self._fallbacks[name] = engine
-        return engine
+        return self._fallback._evaluate(plan, static_context, context, stats)

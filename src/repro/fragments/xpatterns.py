@@ -90,6 +90,10 @@ def _is_id_start(expression: Expression) -> bool:
     return False
 
 
+def _is_id_call(expression: Expression) -> bool:
+    return isinstance(expression, FunctionCall) and expression.name == "id"
+
+
 def _is_xpatterns_path(expression: Expression) -> bool:
     if isinstance(expression, LocationPath):
         return all(_is_xpatterns_step(step) for step in expression.steps)
@@ -163,12 +167,12 @@ class XPatternsCompiler(CoreXPathCompiler):
         return plan
 
     def _compile_id_start(self, expression: Expression) -> AlgebraExpr:
-        if isinstance(expression, FilterExpr):
+        if isinstance(expression, FilterExpr) and _is_id_call(expression.primary):
             raise FragmentError(
                 "predicates on id(...) starts are outside XPatterns: "
                 f"{expression.to_xpath()}"
             )
-        if not (isinstance(expression, FunctionCall) and expression.name == "id"):
+        if not _is_id_call(expression):
             raise FragmentError(f"not an id(...) path start: {expression.to_xpath()}")
         argument = expression.args[0]
         if isinstance(argument, StringLiteral):
@@ -180,7 +184,11 @@ class XPatternsCompiler(CoreXPathCompiler):
             return IdApply(super().compile_query(argument))
         if isinstance(argument, PathExpr):
             return IdApply(self._compile_id_path(argument))
-        return IdApply(self._compile_id_start(argument))
+        if _is_id_call(argument) or (
+            isinstance(argument, FilterExpr) and _is_id_call(argument.primary)
+        ):
+            return IdApply(self._compile_id_start(argument))
+        raise FragmentError(f"id(...) argument outside XPatterns: {argument.to_xpath()}")
 
     # -- E1 extension: "π = 's'" ----------------------------------------
     def compile_predicate(self, expression: Expression) -> AlgebraExpr:

@@ -147,6 +147,9 @@ REFUSALS = [
     ("//b[. > '3']", "> against a string literal ('3')"),
     ("sum(//b)", "sum(/descendant-or-self::node()/child::b) has no array lowering"),
     ("//namespace::*", "the namespace axis has no array lowering"),
+    ("id((//a)[1])", "id(...) argument outside XPatterns: (/descendant-or-self"),
+    ("id(concat('a','b'))", "id(...) argument outside XPatterns: concat('a', 'b')"),
+    ("id(id(//a)[1])", "predicates on id(...) starts are outside XPatterns: (id("),
 ]
 
 
@@ -648,13 +651,14 @@ class TestCompiledEngine:
             "/descendant::b[2]"
         )
 
-    def test_fallback_engines_are_pooled(self):
+    def test_fallback_engine_is_built_once(self):
         engine = CompiledEngine()
+        fallback = engine._fallback
         plan = plan_for("/descendant::b[1]", engine="compiled", cache=None)
+        assert plan.classification.recommended_engine == fallback.name == "optmincontext"
         engine.evaluate(plan, DOC)
-        fallback = engine._fallbacks[plan.classification.recommended_engine]
         engine.evaluate(plan, DOC)
-        assert engine._fallbacks[plan.classification.recommended_engine] is fallback
+        assert engine._fallback is fallback
 
     def test_id_queries_match_reference(self):
         got = [n.order for n in api.select("id('r')/b", DOC, engine="compiled")]
@@ -710,7 +714,7 @@ def test_compiled_request_on_an_id_plan_answers_like_xpatterns():
     session = XPathSession(engine="compiled")
     result = session.run("id('r')/b", DOC)
     assert "compiled_fallbacks" not in result.stats.as_dict()
-    assert not session.engine("compiled")._fallbacks
+    assert "compiled_instructions" in result.stats.as_dict()
     expected = XPathSession(engine="xpatterns").run("id('r')/b", DOC)
     assert [node.order for node in result.nodes] == [
         node.order for node in expected.nodes

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
 from repro.errors import XMLSyntaxError
@@ -347,3 +350,192 @@ class TestPositions:
         with pytest.raises(XMLSyntaxError) as excinfo:
             tokens_of("<a x=1>")
         assert excinfo.value.line == 1
+
+
+class TestDocumentExpansionBudget:
+    """Entity expansion is charged to one budget per document, so repeating
+    a sub-cap expansion in many text runs or attribute values cannot grow
+    the output without limit."""
+
+    @staticmethod
+    def _chunked_bomb(chunks: int) -> str:
+        # &e4; expands to 90,000 characters and charges 134,440 replacement
+        # characters, so five of them stay under MAX_ENTITY_EXPANSION in one
+        # text run, and two runs together pass it.
+        declarations = "<!ENTITY e0 'xxxxxxxxx'>" + "".join(
+            f"<!ENTITY e{i} '{f'&e{i - 1};' * 10}'>" for i in range(1, 5)
+        )
+        body = "<a>&e4;&e4;&e4;&e4;&e4;</a>" * chunks
+        return f"<!DOCTYPE r [{declarations}]><r>{body}</r>"
+
+    def test_one_run_under_the_cap_still_parses(self):
+        from repro.xmlmodel.parser import parse_xml
+
+        document = parse_xml(self._chunked_bomb(1))
+        assert len(document.root.string_value()) == 5 * 90_000
+
+    def test_repeated_runs_share_the_budget(self):
+        from repro.xmlmodel.parser import parse_xml
+
+        with pytest.raises(XMLSyntaxError, match="entity expansion exceeds") as excinfo:
+            parse_xml(self._chunked_bomb(12))
+        assert excinfo.value.line == 1 and excinfo.value.column > 1
+
+    def test_repeated_runs_share_the_budget_when_streaming(self):
+        import repro
+
+        with pytest.raises(XMLSyntaxError, match="entity expansion exceeds"):
+            list(repro.stream("//a", self._chunked_bomb(12)))
+
+    def test_repeated_attribute_values_share_the_budget(self):
+        bomb = self._chunked_bomb(0).replace(
+            "<r></r>", "<r>" + "<a v='&e4;&e4;&e4;&e4;&e4;'/>" * 12 + "</r>"
+        )
+        with pytest.raises(XMLSyntaxError, match="entity expansion exceeds"):
+            tokens_of(bomb)
+
+    def test_large_real_corpus_stays_under_the_budget(self):
+        from repro.workloads.documents import doc_dblp_source
+        from repro.xmlmodel.parser import parse_xml
+
+        source = doc_dblp_source(10_000)
+        assert source.count("&") > 15_000
+        document = parse_xml(source)
+        assert len(document.root.first_child.children) == 10_000
+
+    def test_standalone_resolution_keeps_its_own_budget(self):
+        from repro.xmlmodel.lexer import MAX_ENTITY_EXPANSION
+
+        entities = {"big": "x" * (MAX_ENTITY_EXPANSION // 2 + 1)}
+        for _call in range(2):
+            assert resolve_references("&big;", entities=entities) == entities["big"]
+        with pytest.raises(XMLSyntaxError, match="entity expansion exceeds"):
+            resolve_references("&big;&big;", entities=entities)
+
+
+# ----------------------------------------------------------------------
+# Differential test against the character-at-a-time reference lexer
+# ----------------------------------------------------------------------
+FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260731"))
+#: Corrupted copies of each base document: 12 bases make 3,132 inputs.
+MUTANTS_PER_DOCUMENT = 260
+#: Markup-heavy alphabet of the single-character edits.
+MUTATION_ALPHABET = "\r\n\t &;\"'<>/!?=#-[]:x1·é"
+
+HAND_WRITTEN = {
+    "crlf-tabs-prefixes": (
+        '<?xml version="1.0"?>\r\n'
+        '<p:root xmlns:p="urn:p"\tp:a·b="1"\r\n  x=\'1\'y=\'2\'>\r\n'
+        '\t<p:item·x n = "v" >tabs\tand\r\nlines</p:item·x >\r\n'
+        "<_e-1.2\r\n/><q:z\t/></p:root>\r\n"
+    ),
+    "constructs-and-entities": (
+        "<?xml version='1.0' encoding='UTF-8'?>\n"
+        "<!DOCTYPE lib PUBLIC '-//x//y>z//EN' \"lib.dtd\" [\n"
+        "  <!ELEMENT lib (book)*>\n"
+        "  <!ATTLIST book id ID #IMPLIED note CDATA 'a > b'>\n"
+        '  <!ENTITY auth "M&#252;ller &amp; Co">\n'
+        "  <!ENTITY who '&auth;, Jr.'>\n"
+        "  <!ENTITY % pe 'never'>\n"
+        "  <!ENTITY ext SYSTEM 'x.ent'>\n"
+        "  %pe;\n"
+        "  <!-- subset comment -->\n"
+        "  <?subset pi?>\n"
+        "]>\n"
+        "<!-- leading comment -->\n"
+        "<lib><?style type='x'?>\n"
+        '  <book id="b1" by="&who; &lt;1&gt;">&who; wrote '
+        "<![CDATA[<raw> & ]]> &#x41;&#66;&quot;&apos;</book>\n"
+        "  <book id='b2' by='&#xe9;'/><!-- c --></lib>\n"
+        "<?tail pi?>"
+    ),
+}
+
+
+def _reference_documents() -> dict[str, str]:
+    from repro.workloads.documents import (
+        doc_dblp_source,
+        doc_deep_source,
+        doc_figure8,
+        doc_flat_source,
+        doc_flat_text_source,
+        doc_idref,
+        doc_library,
+    )
+    from repro.xmlmodel.serializer import serialize
+
+    documents = {
+        "dblp": doc_dblp_source(2, seed=FUZZ_SEED),
+        "flat": doc_flat_source(12),
+        "flat-text": doc_flat_text_source(12),
+        "deep": doc_deep_source(12),
+        "library": serialize(doc_library(books=3, seed=FUZZ_SEED)),
+        "figure8": serialize(doc_figure8()),
+        "idref": serialize(doc_idref()),
+    }
+    documents.update(HAND_WRITTEN)
+    documents["crlf-dblp"] = documents["dblp"].replace("\n", "\r\n").replace("><", ">\r\n\t<")
+    documents["one-line-entities"] = (
+        "<!DOCTYPE a [<!ENTITY e 'é&amp;'>]><a x='&e;'y=\"&#233;\">&e;&lt;&e;</a>"
+    )
+    documents["text-only"] = "just &amp; text\nno markup"
+    return documents
+
+
+def _mutants(text: str, rng: random.Random, count: int) -> list[str]:
+    mutants = []
+    for _ in range(count):
+        mutant = text
+        for _edit in range(rng.randint(1, 2)):
+            at = rng.randrange(len(mutant) + 1)
+            roll = rng.random()
+            if roll < 1 / 3 or not mutant:
+                mutant = mutant[:at] + rng.choice(MUTATION_ALPHABET) + mutant[at:]
+            elif roll < 2 / 3:
+                mutant = mutant[:at] + mutant[at + 1 :]
+            else:
+                mutant = mutant[:at] + rng.choice(MUTATION_ALPHABET) + mutant[at + 1 :]
+        mutants.append(mutant)
+    return mutants
+
+
+def _lex_outcome(lexer_class, text: str) -> tuple[list, tuple | None]:
+    """Every token's fields, then the error that ended the stream, if any."""
+    tokens = []
+    try:
+        for token in lexer_class(text).tokens():
+            tokens.append(
+                (
+                    token.kind.value,
+                    token.name,
+                    token.data,
+                    list(token.attributes),
+                    token.line,
+                    token.column,
+                )
+            )
+    except Exception as error:  # noqa: BLE001 - any divergence is reported
+        return tokens, (
+            type(error).__name__,
+            str(error),
+            getattr(error, "line", None),
+            getattr(error, "column", None),
+        )
+    return tokens, None
+
+
+DIFFERENTIAL_DOCUMENTS = _reference_documents()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_DOCUMENTS))
+def test_lexer_matches_the_reference_lexer(name):
+    from _reference_xml_lexer import XMLLexer as ReferenceLexer
+
+    text = DIFFERENTIAL_DOCUMENTS[name]
+    assert _lex_outcome(ReferenceLexer, text)[1] is None, "the base lexes without error"
+    rng = random.Random(f"{FUZZ_SEED}:{name}")
+    for case in [text, *_mutants(text, rng, MUTANTS_PER_DOCUMENT)]:
+        expected = _lex_outcome(ReferenceLexer, case)
+        assert _lex_outcome(XMLLexer, case) == expected, (
+            f"REPRO_FUZZ_SEED={FUZZ_SEED} {name}: lexers differ on {case!r}"
+        )
