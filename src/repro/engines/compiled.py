@@ -1,9 +1,13 @@
 """Array programs: the one evaluator of the Section-10 set algebra.
 
-:class:`ArrayCompiler` builds a query's set-algebra plan: XPatterns
-(Section 10 / Table VI, Core XPath included) plus four array-only shapes:
-``count(π)`` as the whole query, ``π op N`` numeric comparisons, and
-``[k]`` / ``[last()]`` on child and sibling steps of the outermost path.
+:class:`ArrayCompiler`, the only compiler of the set algebra, builds a
+query's plan in one pass, as Definition 10.2 does: S→ for the outermost
+path, S← for predicate paths (run backwards by Lemma 10.1) and E1 for
+boolean predicates, with Section 10.2's id axis and ``= s``.  It covers
+XPatterns (Section 10 / Table VI, Core XPath included) plus four
+array-only shapes: ``count(π)`` as the whole query, ``π op N`` numeric
+comparisons, and ``[k]`` / ``[last()]`` on child and sibling steps of the
+outermost path.
 The plan is *lowered* once per :class:`CompiledQuery` into a short linear
 :class:`ArrayProgram` — a register machine whose every instruction is an
 array operation over the flat :class:`~repro.xmlmodel.index.DocumentIndex`
@@ -107,12 +111,7 @@ from ..fragments.algebra import (
     TestSet,
     UnionOp,
 )
-from ..fragments.xpatterns import (
-    XPATTERNS_AXES,
-    XPatternsCompiler,
-    XPatternsEngine,
-    _IdLiteral,
-)
+from ..fragments.xpatterns import XPATTERNS_AXES, XPatternsEngine
 from ..xmlmodel.document import Document
 from ..xmlmodel.index import DocumentIndex, complement_orders
 from ..xpath.ast import (
@@ -148,7 +147,7 @@ _ID_OPS = frozenset({"id", "id-inverse", "id-literal"})
 
 
 # ----------------------------------------------------------------------
-# The shapes past XPatterns, read off the normalised AST
+# The path grammar and the shapes past XPatterns, read off the normalised AST
 # ----------------------------------------------------------------------
 def _is_context_function(expression: Expression, name: str) -> bool:
     return isinstance(expression, ContextFunction) and expression.name == name
@@ -182,24 +181,52 @@ def _number_literal(expression: Expression) -> Optional[float]:
     return None
 
 
+def _is_path(expression: Expression) -> bool:
+    """Whether ``expression`` stands where a path may: a location path, or
+    an ``id(…)`` start followed by steps.  A filtered start (``id('k')[1]``)
+    counts, so that :func:`_id_start` refuses it by name."""
+    if isinstance(expression, LocationPath):
+        return True
+    if isinstance(expression, PathExpr):
+        expression = expression.start
+    if isinstance(expression, FilterExpr):
+        expression = expression.primary
+    return isinstance(expression, FunctionCall) and expression.name == "id"
+
+
+def _id_start(path: Expression) -> tuple[Expression, Sequence[Step]]:
+    """The argument of the ``id(…)`` call that starts ``path`` (a path, not
+    a location path) and the steps after the call.  Refuses a filtered call
+    and an argument that is neither a string literal nor a path."""
+    start, steps = (path.start, path.path.steps) if isinstance(path, PathExpr) else (path, ())
+    if isinstance(start, FilterExpr):
+        raise FragmentError(
+            f"predicates on id(...) starts are outside XPatterns: {start.to_xpath()}"
+        )
+    argument = start.args[0]
+    if not (isinstance(argument, StringLiteral) or _is_path(argument)):
+        raise FragmentError(f"id(...) argument outside XPatterns: {argument.to_xpath()}")
+    return argument, steps
+
+
 def _path_comparison(
     expression: Expression,
-) -> Optional[tuple[LocationPath, str, Expression]]:
+) -> Optional[tuple[Expression, str, Expression]]:
     """``(π, op, operand)`` for ``π op operand`` or ``operand op π`` (op
-    flipped), where π is a location path; else ``None``."""
+    flipped), where π is a path; else ``None``."""
     if not (isinstance(expression, BinaryOp) and expression.op in NUMBER_COMPARISONS):
         return None
     left, right, op = expression.left, expression.right, expression.op
-    if not isinstance(left, LocationPath):
+    if not _is_path(left):
         left, right, op = right, left, _flip(op)
-    if isinstance(left, LocationPath):
+    if _is_path(left):
         return left, op, right
     return None
 
 
-def _is_context_node(path: LocationPath) -> bool:
+def _is_context_node(path: Expression) -> bool:
     """``.`` — the normalised ``self::node()`` without predicates."""
-    if path.absolute or len(path.steps) != 1:
+    if not isinstance(path, LocationPath) or path.absolute or len(path.steps) != 1:
         return False
     step = path.steps[0]
     return (
@@ -263,8 +290,10 @@ def analyze_compilability(expression: Expression) -> CompilabilityReport:
     the id axis included — plus four shapes outside XPatterns: ``count(π)``
     as the whole query, ``π op N`` predicates against a number literal, and
     ``[k]`` / ``[last()]`` on the child and sibling steps of the outermost
-    path (at most one per sibling step).  A refused query gets the compiler's reason, which names its
-    shape.  The lowering accepts every plan the compiler builds.
+    path (at most one per sibling step).  Every path in it, an ``id(…)``
+    start and its steps included, follows the compiler's one path rule.  A
+    refused query gets the compiler's reason, which names its shape.  The
+    lowering accepts every plan the compiler builds.
     """
     try:
         algebra = ArrayCompiler().compile_query(expression)
@@ -345,8 +374,23 @@ class ArrayProgram:
 
 
 # ----------------------------------------------------------------------
-# The algebra past XPatterns: compiled-only nodes and their compiler
+# The algebra past the paper's operators: compiled-only nodes
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _IdLiteral:
+    """The node set id('k1 k2 …') — context independent algebra leaf.
+
+    Kept out of :mod:`repro.fragments.algebra` so the base algebra stays
+    exactly the paper's operator set; the lowering turns it into the
+    ``id-literal`` instruction, which reads the document's ID map.
+    """
+
+    value: str
+
+    def render(self) -> str:
+        return f"id({self.value!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class NumberMatchSet:
     """``{x | number(strval(x)) op value}`` (XPath 1.0 number grammar; NaN
@@ -379,28 +423,53 @@ class CountOf:
     operand: AlgebraExpr
 
 
-class ArrayCompiler(XPatternsCompiler):
-    """The XPatterns compiler plus the shapes only the array engine runs.
+# ----------------------------------------------------------------------
+# The compiler (Definition 10.2 with Section 10.2's id axis and "= s")
+# ----------------------------------------------------------------------
+class ArrayCompiler:
+    """Compile a normalised query into the set algebra.
+
+    S→ runs the outermost path forwards from the context set, E1 turns a
+    boolean predicate into set operations, and S← runs a predicate path
+    backwards with the inverse axes (Lemma 10.1).  Wherever a path may
+    stand — the query, inside ``count(…)``, an id argument, a bare
+    predicate, or the path operand of ``= 's'`` or ``op N`` — it is a
+    location path or an ``id(…)`` start followed by steps, and positions
+    lower on the outermost path only.
 
     It is also the compiled fragment's grammar: every shape it cannot
     lower raises :class:`FragmentError` with a reason naming the shape,
     and :func:`analyze_compilability` is a dry run of it.
     """
 
+    # -- S→ ------------------------------------------------------------
     def compile_query(self, expression: Expression):
+        """S→ plan of the whole query relative to the context set N0."""
         for step in find_steps(expression):
             if step.axis not in XPATTERNS_AXES:
                 raise FragmentError(f"the {step.axis.value} axis has no array lowering")
         count = isinstance(expression, FunctionCall) and expression.name == "count"
         path = expression.args[0] if count else expression
-        start = path.start if isinstance(path, PathExpr) else path
-        if not (
-            isinstance(path, LocationPath)
-            or (isinstance(start, FunctionCall) and start.name == "id")
-        ):
+        if not _is_path(path):
             raise FragmentError(_refusal(path))
-        plan = super().compile_query(path)
+        plan = self._forward_path(path)
         return CountOf(plan) if count else plan
+
+    def _forward_path(self, path: Expression) -> AlgebraExpr:
+        """S→ of a path; an id argument runs forwards from the same context."""
+        if isinstance(path, LocationPath):
+            plan: AlgebraExpr = RootSet() if path.absolute else ContextSet()
+            steps: Sequence[Step] = path.steps
+        else:
+            argument, steps = _id_start(path)
+            if isinstance(argument, StringLiteral):
+                # id('k1 k2 …'): the literal's IDs in the document's ID map.
+                plan = _IdLiteral(argument.value)
+            else:
+                plan = IdApply(self._forward_path(argument))
+        for step in steps:
+            plan = self._forward_step(plan, step)
+        return plan
 
     def _forward_step(self, plan: AlgebraExpr, step: Step) -> AlgebraExpr:
         """S→ of one step of the outermost path, the one place positions lower."""
@@ -443,39 +512,84 @@ class ArrayCompiler(XPatternsCompiler):
                 result = Intersect(result, self.compile_predicate(predicate))
         return result
 
+    # -- E1 ------------------------------------------------------------
     def compile_predicate(self, expression: Expression) -> AlgebraExpr:
-        """E1, plus ``π = 's'`` / ``π != 's'`` and ``π op N`` for every
-        location path π the compiler lowers (not only XPatterns paths)."""
+        """E1: ``π = 's'``, ``π != 's'`` and ``π op N`` by S← of π into the
+        literal's set, and/or/not/boolean as set operations, a path by S←."""
         comparison = _path_comparison(expression)
-        if comparison is None:
-            return super().compile_predicate(expression)
-        path, op, operand = comparison
-        number = _number_literal(operand)
-        if number is not None:
-            target: AlgebraExpr = NumberMatchSet(op, number)
-        elif isinstance(operand, StringLiteral) and op in ("=", "!="):
-            target = StringMatchSet(operand.value, negated=(op == "!="))
-        elif isinstance(operand, StringLiteral):
-            raise FragmentError(
-                f"{op} against a string literal ({operand.to_xpath()}): "
-                "relational comparisons lower against numbers only"
+        if comparison is not None:
+            path, op, operand = comparison
+            number = _number_literal(operand)
+            if number is not None:
+                target: AlgebraExpr = NumberMatchSet(op, number)
+            elif isinstance(operand, StringLiteral) and op in ("=", "!="):
+                target = StringMatchSet(operand.value, negated=(op == "!="))
+            elif isinstance(operand, StringLiteral):
+                raise FragmentError(
+                    f"{op} against a string literal ({operand.to_xpath()}): "
+                    "relational comparisons lower against numbers only"
+                )
+            else:
+                raise FragmentError(
+                    f"comparison with a non-literal operand ({_shown(operand)}): "
+                    "only number and string literals lower"
+                )
+            return self._backward_path(path, target)
+        if isinstance(expression, BinaryOp) and expression.op == "and":
+            return Intersect(
+                self.compile_predicate(expression.left), self.compile_predicate(expression.right)
             )
-        else:
-            raise FragmentError(
-                f"comparison with a non-literal operand ({_shown(operand)}): "
-                "only number and string literals lower"
+        if isinstance(expression, BinaryOp) and expression.op == "or":
+            return UnionOp(
+                self.compile_predicate(expression.left), self.compile_predicate(expression.right)
             )
-        return self._backward_with_target(path, target)
-
-    def compile_backward_path(self, expression: Expression) -> AlgebraExpr:
-        if isinstance(expression, LocationPath):
-            return super().compile_backward_path(expression)
+        if isinstance(expression, FunctionCall) and expression.name == "not":
+            return Complement(self.compile_predicate(expression.args[0]))
+        if isinstance(expression, FunctionCall) and expression.name == "boolean":
+            return self.compile_predicate(expression.args[0])
+        if _is_path(expression):
+            return self._backward_path(expression)
         if _mentions_position(expression):
             raise FragmentError(
                 f"position inside a predicate ({_shown(expression)}): "
                 "positions lower on the outermost path only"
             )
         raise FragmentError(_refusal(expression))
+
+    # -- S← ------------------------------------------------------------
+    def _backward_path(
+        self, path: Expression, target: Optional[AlgebraExpr] = None
+    ) -> AlgebraExpr:
+        """S← of a path: the nodes from which it reaches a node of
+        ``target``, or any node when there is none."""
+        if isinstance(path, LocationPath):
+            steps: Sequence[Step] = path.steps
+        else:
+            argument, steps = _id_start(path)
+            if target is None:
+                # The last step of an id-start path always meets a target:
+                # dom when none is given, a no-op "∩ dom" that the programs
+                # of predicates such as [id('k')/c] carry.
+                target = DomSet()
+        plan: Optional[AlgebraExpr] = None
+        for step in reversed(steps):
+            matched: AlgebraExpr = TestSet(step.node_test, step.axis)
+            if plan is None and target is not None:
+                matched = Intersect(matched, target)
+            for predicate in step.predicates:
+                matched = Intersect(matched, self.compile_predicate(predicate))
+            if plan is not None:
+                matched = Intersect(plan, matched)
+            plan = InverseAxisApply(step.axis, matched)
+        if plan is None:
+            plan = DomSet() if target is None else target
+        if isinstance(path, LocationPath):
+            return DomIfRoot(plan) if path.absolute else plan
+        if isinstance(argument, StringLiteral):
+            # id('k') is context independent: the path holds at every node
+            # iff a referenced node is in ``plan``, and nowhere otherwise.
+            return DomIfNonempty(Intersect(_IdLiteral(argument.value), plan))
+        return self._backward_path(argument, IdApply(plan, inverse=True))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """XPath fragments with better-than-general complexity (paper §10–§11).
 
 * :mod:`.algebra` — the set algebra used by the linear-time fragments;
-* :mod:`.core_xpath` — Core XPath membership, compilation and engine;
-* :mod:`.xpatterns` — XPatterns (Core XPath + id axis + unary predicates);
+* :mod:`.core_xpath` — Core XPath membership and engine;
+* :mod:`.xpatterns` — XPatterns (Core XPath + id axis + unary predicates)
+  membership and engine;
 * :mod:`.wadler` — the Extended Wadler Fragment (Restrictions 1–3);
 * :mod:`.classify` — the Figure-1 lattice classifier.
+
+Nothing here compiles: :class:`repro.engines.compiled.ArrayCompiler` is the
+one compiler of the set algebra, and both fragment engines run its array
+program.
 """
 
 from .algebra import (
@@ -15,16 +20,14 @@ from .algebra import (
     last_of_type,
 )
 from .classify import Classification, Fragment, classify, containment_holds
-from .core_xpath import CoreXPathCompiler, CoreXPathEngine, is_core_xpath
+from .core_xpath import CoreXPathEngine, is_core_xpath
 from .wadler import is_extended_wadler, wadler_fragment_summary, wadler_violations
-from .xpatterns import XPatternsCompiler, XPatternsEngine, is_xpatterns
+from .xpatterns import XPatternsEngine, is_xpatterns
 
 __all__ = [
     "Classification",
-    "CoreXPathCompiler",
     "CoreXPathEngine",
     "Fragment",
-    "XPatternsCompiler",
     "XPatternsEngine",
     "algebra_size",
     "classify",

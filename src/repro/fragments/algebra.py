@@ -5,11 +5,12 @@ Core XPath queries are rewritten into expressions over the operations
     χ (axis application), χ⁻¹ (inverse axis), ∩, ∪, ‘−’, and dom/root(S),
 
 as in Definition 10.2 and Example 10.3's "query tree".  This module defines
-that algebra as a tiny IR; the compiler from Core XPath ASTs into the IR
-lives in :mod:`repro.fragments.core_xpath`, and every engine that runs it
-lowers it to one array instruction per operation and runs that program
-(:mod:`repro.engines.compiled`).  Every operation evaluates in O(|dom|), so
-an algebra expression of size O(|Q|) evaluates in O(|D|·|Q|) (Theorem 10.5).
+that algebra as a tiny IR.  The one compiler from query ASTs into the IR,
+:class:`repro.engines.compiled.ArrayCompiler`, lives beside the lowering
+that turns it into one array instruction per operation, and every engine
+that runs the algebra runs that program.  Every operation evaluates in
+O(|dom|), so an algebra expression of size O(|Q|) evaluates in O(|D|·|Q|)
+(Theorem 10.5).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Core XPath: grammar check, algebra compilation and linear-time evaluation.
+"""Core XPath: the grammar check and the linear-time engine.
 
 Section 10.1 defines Core XPath as the fragment of XPath that manipulates
 node sets only: full location paths with all axes, predicates that are
 boolean combinations (``and``, ``or``, ``not``) of (existentially
 interpreted) location paths, and nothing else — no arithmetic, no strings,
-no positions.
+no positions.  :func:`is_core_xpath` is that membership test, which the
+Figure-1 classification reads.
 
 Evaluation maps a query onto the set algebra of
 :mod:`repro.fragments.algebra` using the three semantics functions of
@@ -15,13 +16,13 @@ Definition 10.2:
   axes (Lemma 10.1), yielding the set of nodes where the path "matches";
 * ``E1`` — boolean predicate expressions as set operations.
 
-Theorem 10.5: the resulting plan has O(|Q|) operations, each O(|D|), so Core
-XPath evaluates in time O(|D|·|Q|).
+That compilation is :class:`repro.engines.compiled.ArrayCompiler`, the one
+compiler of the set algebra, and :class:`CoreXPathEngine` runs its array
+program.  Theorem 10.5: the resulting plan has O(|Q|) operations, each
+O(|D|), so Core XPath evaluates in time O(|D|·|Q|).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from ..axes.nodetests import KindTest, NameTest
 from ..axes.regex import Axis
@@ -40,19 +41,7 @@ from ..engines.base import EvaluationStats, XPathEngine
 # engines.compiled imports this module while it loads: bind the module, whose
 # execute_program exists by the time an engine runs.
 from ..engines import compiled as _compiled
-from .algebra import (
-    AlgebraExpr,
-    AxisApply,
-    Complement,
-    ContextSet,
-    DomIfRoot,
-    DomSet,
-    Intersect,
-    InverseAxisApply,
-    RootSet,
-    TestSet,
-    UnionOp,
-)
+from .algebra import AlgebraExpr
 
 #: Axes available in Core XPath (all of them except the attribute/namespace
 #: axes, which select non-element nodes — the paper's Core XPath grammar is
@@ -106,76 +95,6 @@ def _is_core_predicate(expression: Expression) -> bool:
         # boolean(π) is the explicit-conversion spelling of a bare path.
         return _is_core_path(expression.args[0])
     return _is_core_path(expression)
-
-
-# ----------------------------------------------------------------------
-# Compilation (Definition 10.2)
-# ----------------------------------------------------------------------
-class CoreXPathCompiler:
-    """Compile Core XPath queries into algebra plans.
-
-    Subclasses (the XPatterns compiler) extend the predicate and path hooks.
-    """
-
-    def compile_query(self, expression: Expression) -> AlgebraExpr:
-        """S→ plan of the whole query relative to the context set N0."""
-        if not isinstance(expression, LocationPath):
-            raise FragmentError(f"not a Core XPath query: {expression.to_xpath()}")
-        plan: AlgebraExpr = RootSet() if expression.absolute else ContextSet()
-        for step in expression.steps:
-            plan = self._forward_step(plan, step)
-        return plan
-
-    # -- S→ ------------------------------------------------------------
-    def _forward_step(self, plan: AlgebraExpr, step: Step) -> AlgebraExpr:
-        result: AlgebraExpr = Intersect(
-            AxisApply(step.axis, plan), TestSet(step.node_test, step.axis)
-        )
-        for predicate in step.predicates:
-            result = Intersect(result, self.compile_predicate(predicate))
-        return result
-
-    # -- E1 ------------------------------------------------------------
-    def compile_predicate(self, expression: Expression) -> AlgebraExpr:
-        if isinstance(expression, BinaryOp) and expression.op == "and":
-            return Intersect(
-                self.compile_predicate(expression.left), self.compile_predicate(expression.right)
-            )
-        if isinstance(expression, BinaryOp) and expression.op == "or":
-            return UnionOp(
-                self.compile_predicate(expression.left), self.compile_predicate(expression.right)
-            )
-        if isinstance(expression, FunctionCall) and expression.name == "not":
-            return Complement(self.compile_predicate(expression.args[0]))
-        if isinstance(expression, FunctionCall) and expression.name == "boolean":
-            return self.compile_predicate(expression.args[0])
-        return self.compile_backward_path(expression)
-
-    # -- S← ------------------------------------------------------------
-    def compile_backward_path(self, expression: Expression) -> AlgebraExpr:
-        if not isinstance(expression, LocationPath):
-            raise FragmentError(
-                f"predicate is not a Core XPath path: {expression.to_xpath()}"
-            )
-        plan = self._backward_steps(expression.steps)
-        if expression.absolute:
-            return DomIfRoot(plan)
-        return plan
-
-    def _backward_steps(self, steps: Sequence[Step]) -> AlgebraExpr:
-        plan: AlgebraExpr | None = None
-        for step in reversed(steps):
-            matched: AlgebraExpr = TestSet(step.node_test, step.axis)
-            for predicate in step.predicates:
-                matched = Intersect(matched, self.compile_predicate(predicate))
-            if plan is not None:
-                matched = Intersect(plan, matched)
-            plan = InverseAxisApply(step.axis, matched)
-        if plan is None:
-            # An empty relative path ("/" alone is handled by the caller):
-            # every node trivially matches.
-            return DomSet()
-        return plan
 
 
 # ----------------------------------------------------------------------

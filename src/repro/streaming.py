@@ -592,11 +592,18 @@ class _StreamRun:
                 depth -= 1
                 continue
             raise XMLSyntaxError(f"unexpected token {kind}")  # pragma: no cover
+        # ``token`` is the EOF token here: both errors are positioned at the end.
         if depth != 0:
-            raise XMLSyntaxError("unexpected end of input: unclosed elements remain")
+            raise XMLSyntaxError(
+                "unexpected end of input: unclosed elements remain",
+                line=token.line,
+                column=token.column,
+            )
         if not saw_document_element:
             raise XMLSyntaxError(
-                "a document must have exactly one document element, found 0"
+                "a document must have exactly one document element, found 0",
+                line=token.line,
+                column=token.column,
             )
         if self.guard is not None:
             self.guard.check_deadline(self.stats)

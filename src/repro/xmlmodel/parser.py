@@ -91,13 +91,30 @@ def parse_xml(
                     line=token.line,
                     column=token.column,
                 )
-            builder.end(token.name)
+            try:
+                builder.end(token.name)
+            except XMLSyntaxError as error:
+                # The builder checks the name but knows no position.
+                raise XMLSyntaxError(
+                    error.args[0], line=token.line, column=token.column
+                ) from None
             depth -= 1
             continue
         raise XMLSyntaxError(f"unexpected token {token.kind}")  # pragma: no cover
 
+    # ``token`` is the EOF token here: both errors are positioned at the end.
     if depth != 0:
-        raise XMLSyntaxError("unexpected end of input: unclosed elements remain")
+        raise XMLSyntaxError(
+            "unexpected end of input: unclosed elements remain",
+            line=token.line,
+            column=token.column,
+        )
+    if not saw_document_element:
+        raise XMLSyntaxError(
+            "a document must have exactly one document element, found 0",
+            line=token.line,
+            column=token.column,
+        )
     return builder.finish()
 
 

@@ -36,6 +36,7 @@ from repro.fragments.classify import Fragment
 from repro.plan import plan_for
 from repro.session import XPathSession
 from repro.store import DocumentStore
+from repro.workloads.documents import doc_library
 from repro.xmlmodel.index import STRING_MATCH_CACHE_SIZE
 from repro.xpath.normalize import compile_query as normalize_query
 from repro.xpath.values import NodeSet
@@ -150,6 +151,11 @@ REFUSALS = [
     ("id((//a)[1])", "id(...) argument outside XPatterns: (/descendant-or-self"),
     ("id(concat('a','b'))", "id(...) argument outside XPatterns: concat('a', 'b')"),
     ("id(id(//a)[1])", "predicates on id(...) starts are outside XPatterns: (id("),
+    # One reason per shape, wherever the path stands.
+    ("//b[id(c[1])]", "position inside a predicate (position() = 1)"),
+    ("id('a')[1]", "predicates on id(...) starts are outside XPatterns: (id('a'))"),
+    ("//b[id(.)[1]]", "predicates on id(...) starts are outside XPatterns: (id("),
+    ("//b[count(id(c)) > 1]", "count() inside a larger expression"),
 ]
 
 
@@ -164,6 +170,36 @@ def test_refusal_names_the_shape(query, reason):
     with pytest.raises(FragmentError) as refusal:
         ArrayCompiler().compile_query(expression)
     assert str(refusal.value) == report.violations[0]
+
+
+#: One path grammar: wherever a path may stand (the columns), it is a
+#: location path or an id(...) start followed by steps (the rows).
+PATH_FORMS = ["related", "id('bk3')/related", "id(related)", "id(id(related))"]
+PATH_POSITIONS = {
+    "query": "{}",
+    "count": "count({})",
+    "id-argument": "id({})",
+    "predicate": "//book[{}]",
+    "string-comparison": "//book[{} = 'bk10']",
+    "number-comparison": "//book[{} != 400]",
+    "negation": "//book[not({})]",
+}
+LIBRARY = doc_library(20, 7)
+
+
+@pytest.mark.parametrize("position", PATH_POSITIONS)
+@pytest.mark.parametrize("form", PATH_FORMS)
+def test_every_path_form_compiles_wherever_a_path_may_stand(form, position):
+    query = PATH_POSITIONS[position].format(form)
+    report = analyze_compilability(normalize_query(query))
+    assert report.compilable, report.violations
+    compiled = plan_for(query, engine="compiled", cache=None)
+    reference = plan_for(query, engine="topdown", cache=None)
+    # Relative paths answer from every book, and from the root.
+    for context in [LIBRARY.root, *api.select("//book", LIBRARY)]:
+        assert _answer(compiled.evaluate(LIBRARY, context=context)) == _answer(
+            reference.evaluate(LIBRARY, context=context)
+        ), (query, context.order)
 
 
 # ----------------------------------------------------------------------

@@ -397,6 +397,11 @@ ID_QUERIES = [
     "id('bk3 bk5 b2')/preceding-sibling::book[last()]",
     "id(//related)/child::*[2]",
     "id('b1 b2')/r[1]",
+    # id paths wherever a path may stand: compared, and with a numeric
+    # filter inside an id argument
+    "//book[id(related)/pages > 400]",
+    "//book[id(related) != 'x']",
+    "//*[id(book[pages > 600]/related)]",
 ]
 
 

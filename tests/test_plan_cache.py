@@ -125,6 +125,23 @@ class TestCompiledQuery:
         assert plan.array_program() is not None
         assert calls == {"relevance": 1, "wadler": 1, "algebra": 1}
 
+    def test_id_arguments_compile_inside_the_one_dry_run(self, monkeypatch):
+        # The forward walk compiles an id argument; compile_query runs once.
+        from repro.engines.compiled import ArrayCompiler
+
+        calls = []
+        compile_query = ArrayCompiler.compile_query
+
+        def counted(compiler, expression):
+            calls.append(expression)
+            return compile_query(compiler, expression)
+
+        monkeypatch.setattr(ArrayCompiler, "compile_query", counted)
+        plan = compile_plan("id(id(//a)/b)/c", engine="auto")
+        assert plan.engine_name == "compiled"
+        assert plan.array_program() is not None
+        assert len(calls) == 1
+
     def test_only_array_engine_plans_keep_the_dry_run_algebra(self):
         plan = compile_plan("//a[b = '2']/c", engine="topdown")
         assert plan.classification.compilable

@@ -299,6 +299,33 @@ class TestStreamingWellFormedness:
         with pytest.raises(XMLSyntaxError):
             stream_select("//b", source)
 
+    @pytest.mark.parametrize(
+        "read",
+        [parse_xml, lambda source: stream_select("//b", source)],
+        ids=["parse", "stream"],
+    )
+    @pytest.mark.parametrize(
+        "source, message, position",
+        [
+            ("<a>\n<b></c></a>", "mismatched end tag: expected </b>, got </c>", (2, 4)),
+            ("<a>\n<b>", "unexpected end of input: unclosed elements remain", (2, 4)),
+            (
+                "<!-- c -->\n",
+                "a document must have exactly one document element, found 0",
+                (2, 1),
+            ),
+        ],
+        ids=["mismatched", "unclosed", "no-element"],
+    )
+    def test_end_of_structure_errors_carry_the_token_position(
+        self, read, source, message, position
+    ):
+        # The end tag's position, or the end of input's.
+        with pytest.raises(XMLSyntaxError) as error:
+            read(source)
+        assert (error.value.line, error.value.column) == position
+        assert str(error.value) == f"{message} (line {position[0]}, column {position[1]})"
+
 
 # ----------------------------------------------------------------------
 # Resource limits at event granularity
