@@ -566,11 +566,6 @@ class ArrayCompiler:
             steps: Sequence[Step] = path.steps
         else:
             argument, steps = _id_start(path)
-            if target is None:
-                # The last step of an id-start path always meets a target:
-                # dom when none is given, a no-op "∩ dom" that the programs
-                # of predicates such as [id('k')/c] carry.
-                target = DomSet()
         plan: Optional[AlgebraExpr] = None
         for step in reversed(steps):
             matched: AlgebraExpr = TestSet(step.node_test, step.axis)

@@ -41,8 +41,11 @@ site            actions     effect
                             an uncooperative stall the deadline must bound
 ``parse``       ``fail``    raise :class:`~repro.errors.XMLSyntaxError` for
                             the matching source document
-``stream.token`` ``delay``  sleep ``seconds`` at the matching token event of
-                            the streaming scan loop
+``stream.token`` ``delay``  sleep ``seconds`` at the matching event of the
+                            streaming scan loop: one per event the XML
+                            reader yields, none for the DOCTYPE, the XML
+                            declaration, the end of input or whitespace-only
+                            text outside the document element
 ``store``       ``corrupt`` raise :class:`~repro.errors.StoreCorruptError` when
                             the matching stored document is first read from its
                             store file (simulated on-disk damage; the batch
@@ -59,7 +62,7 @@ Spec syntax (``;``-separated entries)::
     hang@document:index=0,seconds=0.5
     delay@stream.token:index=100,seconds=0.2;fail@parse:index=3
 
-``index`` restricts a fault to schedules containing that document (or token
+``index`` restricts a fault to schedules containing that document (or event
 ordinal); omitted, the fault matches every occurrence of its site.
 """
 

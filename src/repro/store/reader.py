@@ -35,9 +35,9 @@ from typing import Optional, Sequence
 
 from ..errors import StoreCorruptError
 from ..faultinject import active_plan
-from ..xmlmodel.document import Document
+from ..xmlmodel.document import Document, tree_from_preorder
 from ..xmlmodel.index import StringMatchCache
-from ..xmlmodel.nodes import Node, NodeType
+from ..xmlmodel.nodes import NodeType
 from . import format as fmt
 
 _EMPTY_ORDERS: tuple[int, ...] = ()
@@ -316,11 +316,11 @@ class StoredDocument:
     def materialize(self) -> Document:
         """Rebuild (once) and return the full ``Document`` tree.
 
-        The reconstruction is the disk twin of ``Document._rebuild_document``:
-        one linear pass over the parent/type/name/value columns — parents
-        always precede children in preorder — then ``freeze()`` reassigns
-        the identical document orders.  The resulting document's pickle
-        ships the store path instead of the tree.
+        The type, name, value and parent columns are the preorder rows
+        :func:`~repro.xmlmodel.document.tree_from_preorder` links, as when a
+        pickled document is rebuilt; ``freeze()`` then reassigns the
+        identical document orders.  The resulting document's pickle ships
+        the store path instead of the tree.
         """
         document = self._document
         if document is not None:
@@ -336,34 +336,16 @@ class StoredDocument:
         store = self.store
         entry = self._entry
         n = entry.node_count
-        type_bytes = bytes(store._bytes(entry.type_off, n))
+        type_codes = store._bytes(entry.type_off, n)
         parent_col = store._column(entry.parent_off, n)
         name_col = store._column(entry.name_col_off, n)
         value_col = store._column(entry.value_col_off, n)
-        nodes: list[Node] = []
-        root: Optional[Node] = None
+        string_at = store.string_at
         try:
-            for k in range(n):
-                name_id = name_col[k]
-                value_id = value_col[k]
-                node = Node(
-                    fmt.TYPE_BY_CODE[type_bytes[k]],
-                    store.string_at(name_id) if name_id >= 0 else None,
-                    store.string_at(value_id) if value_id >= 0 else None,
-                )
-                parent_position = parent_col[k]
-                if parent_position < 0:
-                    root = node
-                else:
-                    parent = nodes[parent_position]
-                    node.parent = parent
-                    if node.node_type is NodeType.ATTRIBUTE:
-                        parent._attributes.append(node)
-                    elif node.node_type is NodeType.NAMESPACE:
-                        parent._namespaces.append(node)
-                    else:
-                        parent._children.append(node)
-                nodes.append(node)
+            types = [fmt.TYPE_BY_CODE[code] for code in type_codes]
+            names = [string_at(k) if k >= 0 else None for k in name_col]
+            values = [string_at(k) if k >= 0 else None for k in value_col]
+            root = tree_from_preorder(zip(types, names, values, parent_col))
             if root is None or root.node_type is not NodeType.ROOT:
                 raise ValueError("store block has no root node")
             document = Document(root, self.id_attribute).freeze()

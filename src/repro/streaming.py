@@ -3,8 +3,10 @@
 The linear-time fragments of the paper are dominated by *forward, downward*
 location paths — exactly the queries that do not need a materialised tree.
 This module compiles such a plan into a stack automaton driven directly by
-the token stream of :class:`~repro.xmlmodel.lexer.XMLLexer`: the document is
-scanned once, no :class:`~repro.xmlmodel.document.Document` or
+the checked event stream of :func:`~repro.xmlmodel.parser.document_events`,
+the one XML reader that :func:`~repro.xmlmodel.parser.parse_xml` also builds
+its trees from: the document is scanned once, no
+:class:`~repro.xmlmodel.document.Document` or
 :class:`~repro.xmlmodel.index.DocumentIndex` is ever built, and the live
 state is O(depth · |Q|) — a frame per open element carrying the set of
 automaton states waiting below it.  Matches are emitted in document order as
@@ -39,7 +41,9 @@ its result is recorded in the plan's Figure-1
 Resource limits
 ---------------
 :class:`~repro.engines.base.EvalLimits` are enforced at event granularity:
-every XML token is a counted operation checked against the operation budget
+every event the reader yields (one per start tag, end tag, text run or CDATA
+section, comment and processing instruction; an empty-element tag is a start
+and an end) is a counted operation checked against the operation budget
 and the wall-clock deadline, and the result-node cap aborts the scan the
 moment one match too many is emitted — the same cooperative
 :class:`~repro.errors.ResourceLimitExceeded` contract as the tree engines,
@@ -64,10 +68,10 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .axes.nodetests import NodeTest
 from .axes.regex import Axis
 from .engines.base import EvalLimits, EvaluationStats
-from .errors import ResourceLimitExceeded, XMLSyntaxError, XPathEvaluationError
+from .errors import ResourceLimitExceeded, XPathEvaluationError
 from .faultinject import active_plan
-from .xmlmodel.lexer import XMLLexer, XMLTokenType
 from .xmlmodel.nodes import NodeType
+from .xmlmodel.parser import COMMENT, END, START, TEXT, document_events
 from .xpath.ast import (
     BinaryOp,
     ContextFunction,
@@ -413,10 +417,12 @@ class StreamAutomaton:
     ) -> Iterator[StreamMatch]:
         """Scan ``text`` once and yield matches in document order.
 
-        The scan mirrors :func:`~repro.xmlmodel.parser.parse_xml` exactly —
-        the same well-formedness checks, the same text-node merging, the
-        same whitespace stripping — so the emitted ``order`` integers line
-        up with a parsed document's.  ``limits`` is enforced per event.
+        The scan reads :func:`~repro.xmlmodel.parser.document_events`, the
+        event stream :func:`~repro.xmlmodel.parser.parse_xml` builds its
+        tree from, so the well-formedness errors and whitespace stripping
+        are the parser's by construction; it merges adjacent text events
+        as the tree builder does, so the emitted ``order`` integers line up
+        with a parsed document's.  ``limits`` is enforced per event.
         """
         run = _StreamRun(self, limits=limits, stats=stats)
         return run.scan(text, strip_whitespace=strip_whitespace)
@@ -449,9 +455,9 @@ def compile_stream(query) -> StreamAutomaton:
 class _Frame:
     """Per-open-element automaton state: the O(depth) unit."""
 
-    __slots__ = ("waiting", "counters", "pending_text", "name")
+    __slots__ = ("waiting", "counters", "pending_text")
 
-    def __init__(self, name: Optional[str]):
+    def __init__(self):
         #: Step indices waiting to match among this element's children
         #: (child axis) or anywhere below it (descendant axes).
         self.waiting: set[int] = set()
@@ -459,7 +465,6 @@ class _Frame:
         self.counters: dict[int, list[int]] = {}
         #: An accumulating text node: (snode, parts, matched).
         self.pending_text: Optional[list] = None
-        self.name = name
 
 
 class _StreamRun:
@@ -490,22 +495,19 @@ class _StreamRun:
         order = 0
         root = _SNode(NodeType.ROOT, None, None, (), order)
         order += 1
-        root_frame = _Frame(None)
-        frames = [root_frame]
+        frames = [_Frame()]
         emissions: list[_SNode] = []
         if self.automaton.match_root:  # the bare "/" selects the root
             emissions.append(root)
         for start in self.automaton.starts:
-            self._arrive(start, root, root_frame, emissions)
+            self._arrive(start, root, frames[0], emissions)
         yield from self._flush(emissions)
 
-        depth = 0
-        saw_document_element = False
-        for token in XMLLexer(text).tokens():
+        for event in document_events(text, strip_whitespace=strip_whitespace):
             self.stats.bump("stream_events")
             self.stats.checkpoint()
             if self.faults is not None:
-                # An injected token delay is an *uncooperative* stall; the
+                # An injected event delay is an *uncooperative* stall; the
                 # unconditional deadline check right after it is what turns
                 # the stall into a limit error, proving the deadline bounds
                 # even code that never reaches a counter checkpoint.
@@ -515,139 +517,55 @@ class _StreamRun:
                 )
                 if self.guard is not None:
                     self.guard.check_deadline(self.stats)
-            kind = token.kind
-            if kind is XMLTokenType.EOF:
-                break
-            if kind in (XMLTokenType.TEXT, XMLTokenType.CDATA):
-                if depth == 0:
-                    if kind is XMLTokenType.CDATA or token.data.strip():
-                        raise XMLSyntaxError(
-                            "character data outside the document element",
-                            line=token.line,
-                            column=token.column,
-                        )
-                    continue
-                if kind is XMLTokenType.TEXT and strip_whitespace and not token.data.strip():
-                    continue
-                if token.data == "":
-                    continue
-                order = self._text_chunk(frames[-1], token.data, order)
+            kind = event[0]
+            if kind == TEXT:
+                order = self._text_chunk(frames[-1], event[1], order)
                 continue
-            # Any non-text token ends a pending text run.
-            yield from self._flush_text(frames[-1])
-            if kind is XMLTokenType.DECLARATION:
-                if depth != 0:
-                    raise XMLSyntaxError(
-                        "XML declaration only allowed at the start of the document",
-                        line=token.line,
-                        column=token.column,
+            # Any other event ends a pending text run.
+            if frames[-1].pending_text is not None:
+                yield from self._flush_text(frames[-1])
+            if kind == END:
+                frames.pop()
+                continue
+            if kind == START:
+                element, order = self._make_element(event, order)
+                frames.append(self._open_element(frames[-1], element, emissions))
+            else:
+                if kind == COMMENT:
+                    node = _SNode(NodeType.COMMENT, None, event[1], (), order)
+                else:
+                    node = _SNode(
+                        NodeType.PROCESSING_INSTRUCTION, event[1], event[2], (), order
                     )
-                continue
-            if kind is XMLTokenType.DOCTYPE:
-                continue
-            if kind is XMLTokenType.COMMENT:
-                node = _SNode(NodeType.COMMENT, None, token.data, (), order)
                 order += 1
                 self._match_leaf(frames[-1], node, emissions)
+            if emissions:
                 yield from self._flush(emissions)
-                continue
-            if kind is XMLTokenType.PROCESSING_INSTRUCTION:
-                node = _SNode(
-                    NodeType.PROCESSING_INSTRUCTION, token.name, token.data, (), order
-                )
-                order += 1
-                self._match_leaf(frames[-1], node, emissions)
-                yield from self._flush(emissions)
-                continue
-            if kind in (XMLTokenType.START_TAG, XMLTokenType.EMPTY_TAG):
-                if depth == 0 and saw_document_element:
-                    raise XMLSyntaxError(
-                        "multiple document elements",
-                        line=token.line,
-                        column=token.column,
-                    )
-                saw_document_element = True
-                element, order = self._make_element(token, order)
-                frame = self._open_element(frames[-1], element, emissions)
-                yield from self._flush(emissions)
-                if kind is XMLTokenType.START_TAG:
-                    frames.append(frame)
-                    depth += 1
-                continue
-            if kind is XMLTokenType.END_TAG:
-                if depth == 0:
-                    raise XMLSyntaxError(
-                        f"unexpected end tag </{token.name}>",
-                        line=token.line,
-                        column=token.column,
-                    )
-                frame = frames.pop()
-                if frame.name != token.name:
-                    raise XMLSyntaxError(
-                        f"mismatched end tag: expected </{frame.name}>, "
-                        f"got </{token.name}>",
-                        line=token.line,
-                        column=token.column,
-                    )
-                depth -= 1
-                continue
-            raise XMLSyntaxError(f"unexpected token {kind}")  # pragma: no cover
-        # ``token`` is the EOF token here: both errors are positioned at the end.
-        if depth != 0:
-            raise XMLSyntaxError(
-                "unexpected end of input: unclosed elements remain",
-                line=token.line,
-                column=token.column,
-            )
-        if not saw_document_element:
-            raise XMLSyntaxError(
-                "a document must have exactly one document element, found 0",
-                line=token.line,
-                column=token.column,
-            )
         if self.guard is not None:
             self.guard.check_deadline(self.stats)
 
     # ------------------------------------------------------------------
     # Node construction per event
     # ------------------------------------------------------------------
-    def _make_element(self, token, order: int) -> tuple[_SNode, int]:
-        """Build the element's stream node and assign document orders.
+    def _make_element(self, event: tuple, order: int) -> tuple[_SNode, int]:
+        """Build the element's stream node from its start event and assign
+        document orders.
 
         Order assignment mirrors ``Document.freeze``: the element first,
-        then its namespace nodes (xmlns attributes), then its ordinary
-        attributes, each in declaration order.
+        then its namespace nodes, then its ordinary attributes, each in
+        declaration order.
         """
+        _kind, name, attributes, namespaces = event
         element_order = order
-        order += 1
-        namespace_count = 0
-        plain: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        for name, value in token.attributes:
-            if name == "xmlns" or name.startswith("xmlns:"):
-                namespace_count += 1
-                continue
-            if name in seen:
-                raise XMLSyntaxError(
-                    f"duplicate attribute {name!r} on <{token.name}>",
-                    line=token.line,
-                    column=token.column,
-                )
-            seen.add(name)
-            plain.append((name, value))
-        order += namespace_count
-        attributes = []
-        for name, value in plain:
-            attributes.append(_SNode(NodeType.ATTRIBUTE, name, value, (), order))
+        order += 1 + len(namespaces)
+        nodes = []
+        for attribute_name, value in attributes.items():
+            nodes.append(_SNode(NodeType.ATTRIBUTE, attribute_name, value, (), order))
             order += 1
-        element = _SNode(
-            NodeType.ELEMENT, token.name, None, tuple(attributes), element_order
-        )
-        return element, order
+        return _SNode(NodeType.ELEMENT, name, None, tuple(nodes), element_order), order
 
     def _open_element(self, parent: _Frame, element: _SNode, emissions) -> _Frame:
-        frame = _Frame(element.name)
-        parent.pending_text = None  # a new child ends any text run
+        frame = _Frame()
         for index in parent.waiting:
             step = self.steps[index]
             if step.axis is Axis.CHILD:
@@ -660,8 +578,7 @@ class _StreamRun:
         return frame
 
     def _match_leaf(self, parent: _Frame, node: _SNode, emissions) -> None:
-        """Match a childless node (comment/PI/text) against waiting states."""
-        parent.pending_text = None
+        """Match a childless node (comment/PI) against waiting states."""
         for index in parent.waiting:
             step = self.steps[index]
             counting = parent if step.axis is Axis.CHILD else None
@@ -669,7 +586,7 @@ class _StreamRun:
                 self._complete(index, node, None, emissions)
 
     def _text_chunk(self, parent: _Frame, data: str, order: int) -> int:
-        """Start or extend a text node (adjacent text/CDATA tokens merge)."""
+        """Start or extend a text node (adjacent text events merge)."""
         if parent.pending_text is not None:
             parent.pending_text[1].append(data)
             return order
@@ -687,12 +604,9 @@ class _StreamRun:
         return order
 
     def _flush_text(self, parent: _Frame) -> Iterator[StreamMatch]:
-        """Emit a completed text node once its last chunk has arrived."""
-        pending = parent.pending_text
-        if pending is None:
-            return
+        """Emit the pending text node once its last chunk has arrived."""
+        node, parts, matched = parent.pending_text
         parent.pending_text = None
-        node, parts, matched = pending
         if matched:
             node.value = "".join(parts)
             yield from self._flush([node])

@@ -207,9 +207,7 @@ class Document:
         while stack:
             node, parent_position = stack.pop()
             position = len(payload)
-            payload.append(
-                (node.node_type.value, node.name, node.value, parent_position)
-            )
+            payload.append((node.node_type, node.name, node.value, parent_position))
             stack.extend(
                 (child, position) for child in reversed(node.child0_sequence())
             )
@@ -897,31 +895,39 @@ def _text_path(node: Node, subtree: list[Node]) -> list[Node]:
     return []
 
 
-def _rebuild_document(payload, id_attribute: str, frozen: bool) -> "Document":
-    """Unpickle counterpart of :meth:`Document.__reduce__`.
+def tree_from_preorder(rows: Iterable[tuple]) -> Optional[Node]:
+    """Link ``(node_type, name, value, parent_position)`` rows, listed in
+    preorder, into a tree and return its root: the row whose parent position
+    is negative, or ``None`` when no row is.
 
-    The payload lists ``(node_type, name, value, parent_position)`` in
-    preorder, so every parent is materialised before its children and one
-    linear pass rebuilds the tree without recursion.
+    Every parent precedes its children, so one linear pass rebuilds the
+    tree without recursion, and freezing a document over the root
+    reassigns the identical orders.  Unpickling a :class:`Document` and
+    materializing a stored one both rebuild through here.
     """
     nodes: list[Node] = []
     root: Optional[Node] = None
-    for type_value, name, value, parent_position in payload:
-        node = Node(NodeType(type_value), name, value)
+    for node_type, name, value, parent_position in rows:
+        node = Node(node_type, name, value)
         if parent_position < 0:
             root = node
         else:
             parent = nodes[parent_position]
             node.parent = parent
-            if node.node_type is NodeType.ATTRIBUTE:
+            if node_type is NodeType.ATTRIBUTE:
                 parent._attributes.append(node)
-            elif node.node_type is NodeType.NAMESPACE:
+            elif node_type is NodeType.NAMESPACE:
                 parent._namespaces.append(node)
             else:
                 parent._children.append(node)
         nodes.append(node)
-    assert root is not None
-    document = Document(root, id_attribute)
+    return root
+
+
+def _rebuild_document(payload, id_attribute: str, frozen: bool) -> "Document":
+    """Unpickle counterpart of :meth:`Document.__reduce__`; ``payload`` is
+    the tree's :func:`tree_from_preorder` rows."""
+    document = Document(tree_from_preorder(payload), id_attribute)
     if frozen:
         document.freeze()
     return document

@@ -1,18 +1,122 @@
-"""XML parser: token stream → :class:`~repro.xmlmodel.document.Document`.
+"""XML parser: one checked event stream, and the tree built from it.
 
-The parser enforces the well-formedness rules that matter for the XPath data
-model (single document element, matching tags, unique attributes) and ignores
-DOCTYPE content apart from skipping it.  Whitespace-only text between
-elements is preserved by default — XPath's ``text()`` node test sees it — but
-can be stripped for the synthetic evaluation documents.
+:func:`document_events` is the one reader of XML text.  It drives the
+:class:`~repro.xmlmodel.lexer.XMLLexer` and enforces every document-level
+well-formedness rule that matters for the XPath data model: where the XML
+declaration may stand, no character data outside the document element, a
+single document element, matching end tags, unique attributes and no
+unclosed element at the end.  It skips the DOCTYPE (the lexer has already
+registered its internal-subset entities) and, on request, whitespace-only
+text between elements.
+
+Both consumers read that stream: :func:`parse_xml` builds a frozen
+:class:`~repro.xmlmodel.document.Document` through a
+:class:`~repro.xmlmodel.builder.TreeBuilder`, and the streaming scan
+(:mod:`repro.streaming`) runs its automaton over it, so the two agree on
+every node order and every error by construction.  Whitespace-only text
+between elements is preserved by default — XPath's ``text()`` node test sees
+it — but can be stripped for the synthetic evaluation documents.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from ..errors import XMLSyntaxError
 from .builder import TreeBuilder
 from .document import Document
 from .lexer import XMLLexer, XMLToken, XMLTokenType
+
+#: Kinds of the events :func:`document_events` yields; each is the first item
+#: of its event tuple.
+START, END, TEXT, COMMENT, PI = range(5)
+
+_END_EVENT = (END,)
+
+
+def document_events(text: str, *, strip_whitespace: bool = False) -> Iterator[tuple]:
+    """Yield the checked events of the XML document ``text``, in order.
+
+    The events are tuples:
+
+    * ``(START, name, attributes, namespaces)`` for a start or empty-element
+      tag: ``attributes`` maps each ordinary attribute's name to its value,
+      ``namespaces`` lists the ``xmlns`` declarations as ``(prefix, uri)``
+      pairs, both in document order;
+    * ``(END,)`` when an element closes, also right after an empty-element
+      tag's ``START``;
+    * ``(TEXT, data)`` for each non-empty text run or CDATA section, so
+      adjacent events of one text node are the consumer's to merge;
+    * ``(COMMENT, data)`` and ``(PI, target, data)``.
+
+    An :class:`~repro.errors.XMLSyntaxError` carrying the offending token's
+    line and column is raised at the token that breaks a rule, the end of
+    input included; lexical errors come from the lexer with their positions.
+    """
+    open_names: list[str] = []
+    saw_document_element = False
+    for token in XMLLexer(text).tokens():
+        kind = token.kind
+        if kind is XMLTokenType.TEXT or kind is XMLTokenType.CDATA:
+            data = token.data
+            if not open_names:
+                if kind is XMLTokenType.CDATA or data.strip():
+                    raise _error("character data outside the document element", token)
+            elif data and not (
+                strip_whitespace and kind is XMLTokenType.TEXT and data.isspace()
+            ):
+                yield TEXT, data
+        elif kind is XMLTokenType.START_TAG or kind is XMLTokenType.EMPTY_TAG:
+            if saw_document_element and not open_names:
+                raise _error("multiple document elements", token)
+            saw_document_element = True
+            attributes: dict[str, str] = {}
+            namespaces: list[tuple[str, str]] = []
+            for name, value in token.attributes:
+                if name == "xmlns":
+                    namespaces.append(("", value))
+                elif name.startswith("xmlns:"):
+                    namespaces.append((name[6:], value))
+                elif name in attributes:
+                    raise _error(f"duplicate attribute {name!r} on <{token.name}>", token)
+                else:
+                    attributes[name] = value
+            yield START, token.name, attributes, namespaces
+            if kind is XMLTokenType.START_TAG:
+                open_names.append(token.name)
+            else:
+                yield _END_EVENT
+        elif kind is XMLTokenType.END_TAG:
+            if not open_names:
+                raise _error(f"unexpected end tag </{token.name}>", token)
+            expected = open_names.pop()
+            if token.name != expected:
+                raise _error(
+                    f"mismatched end tag: expected </{expected}>, got </{token.name}>",
+                    token,
+                )
+            yield _END_EVENT
+        elif kind is XMLTokenType.COMMENT:
+            yield COMMENT, token.data
+        elif kind is XMLTokenType.PROCESSING_INSTRUCTION:
+            yield PI, token.name, token.data
+        elif kind is XMLTokenType.DECLARATION:
+            if open_names:
+                raise _error(
+                    "XML declaration only allowed at the start of the document", token
+                )
+        elif kind is XMLTokenType.EOF:
+            if open_names:
+                raise _error("unexpected end of input: unclosed elements remain", token)
+            if not saw_document_element:
+                raise _error(
+                    "a document must have exactly one document element, found 0", token
+                )
+        # A DOCTYPE yields nothing.
+
+
+def _error(message: str, token: XMLToken) -> XMLSyntaxError:
+    return XMLSyntaxError(message, line=token.line, column=token.column)
 
 
 def parse_xml(
@@ -33,124 +137,23 @@ def parse_xml(
         the workload generators enable this to keep node counts exact.
     id_attribute:
         Attribute name that provides element IDs for ``id()`` / ``deref_ids``.
+
+    The tree is built from :func:`document_events`, which raises every
+    :class:`~repro.errors.XMLSyntaxError`.
     """
     builder = TreeBuilder(id_attribute=id_attribute)
-    lexer = XMLLexer(text)
-    depth = 0
-    saw_document_element = False
-
-    for token in lexer.tokens():
-        if token.kind is XMLTokenType.EOF:
-            break
-        if token.kind is XMLTokenType.DECLARATION:
-            if depth != 0:
-                raise XMLSyntaxError(
-                    "XML declaration only allowed at the start of the document",
-                    line=token.line,
-                    column=token.column,
-                )
-            continue
-        if token.kind is XMLTokenType.DOCTYPE:
-            continue
-        if token.kind is XMLTokenType.TEXT:
-            _handle_text(builder, token, depth, strip_whitespace)
-            continue
-        if token.kind is XMLTokenType.CDATA:
-            if depth == 0:
-                raise XMLSyntaxError(
-                    "character data outside the document element",
-                    line=token.line,
-                    column=token.column,
-                )
-            builder.text(token.data)
-            continue
-        if token.kind is XMLTokenType.COMMENT:
-            builder.comment(token.data)
-            continue
-        if token.kind is XMLTokenType.PROCESSING_INSTRUCTION:
-            builder.processing_instruction(token.name, token.data)
-            continue
-        if token.kind in (XMLTokenType.START_TAG, XMLTokenType.EMPTY_TAG):
-            if depth == 0 and saw_document_element:
-                raise XMLSyntaxError(
-                    "multiple document elements",
-                    line=token.line,
-                    column=token.column,
-                )
-            _start_element(builder, token)
-            saw_document_element = True
-            if token.kind is XMLTokenType.START_TAG:
-                depth += 1
-            else:
-                builder.end(token.name)
-            continue
-        if token.kind is XMLTokenType.END_TAG:
-            if depth == 0:
-                raise XMLSyntaxError(
-                    f"unexpected end tag </{token.name}>",
-                    line=token.line,
-                    column=token.column,
-                )
-            try:
-                builder.end(token.name)
-            except XMLSyntaxError as error:
-                # The builder checks the name but knows no position.
-                raise XMLSyntaxError(
-                    error.args[0], line=token.line, column=token.column
-                ) from None
-            depth -= 1
-            continue
-        raise XMLSyntaxError(f"unexpected token {token.kind}")  # pragma: no cover
-
-    # ``token`` is the EOF token here: both errors are positioned at the end.
-    if depth != 0:
-        raise XMLSyntaxError(
-            "unexpected end of input: unclosed elements remain",
-            line=token.line,
-            column=token.column,
-        )
-    if not saw_document_element:
-        raise XMLSyntaxError(
-            "a document must have exactly one document element, found 0",
-            line=token.line,
-            column=token.column,
-        )
+    for event in document_events(text, strip_whitespace=strip_whitespace):
+        kind = event[0]
+        if kind == TEXT:
+            builder.text(event[1])
+        elif kind == START:
+            builder.start(event[1], event[2])
+            for prefix, uri in event[3]:
+                builder.namespace(prefix, uri)
+        elif kind == END:
+            builder.end()
+        elif kind == COMMENT:
+            builder.comment(event[1])
+        else:
+            builder.processing_instruction(event[1], event[2])
     return builder.finish()
-
-
-def _handle_text(builder: TreeBuilder, token: XMLToken, depth: int, strip: bool) -> None:
-    data = token.data
-    if depth == 0:
-        if data.strip():
-            raise XMLSyntaxError(
-                "character data outside the document element",
-                line=token.line,
-                column=token.column,
-            )
-        return
-    if strip and not data.strip():
-        return
-    builder.text(data)
-
-
-def _start_element(builder: TreeBuilder, token: XMLToken) -> None:
-    attributes: dict[str, str] = {}
-    namespaces: list[tuple[str, str]] = []
-    for name, value in token.attributes:
-        if name == "xmlns":
-            namespaces.append(("", value))
-            continue
-        if name.startswith("xmlns:"):
-            namespaces.append((name.split(":", 1)[1], value))
-            continue
-        if name in attributes:
-            raise XMLSyntaxError(
-                f"duplicate attribute {name!r} on <{token.name}>",
-                line=token.line,
-                column=token.column,
-            )
-        attributes[name] = value
-    element = builder.start(token.name, attributes)
-    for prefix, uri in namespaces:
-        builder.namespace(prefix, uri)
-    del element

@@ -16,7 +16,6 @@ from .parser import parse_xpath
 from .typing import FUNCTION_ARITIES, FUNCTION_RETURN_TYPES, static_type
 from .values import (
     NodeSet,
-    OrderSet,
     ValueType,
     XPathValue,
     format_number,
@@ -33,7 +32,6 @@ __all__ = [
     "FUNCTION_RETURN_TYPES",
     "FunctionLibrary",
     "NodeSet",
-    "OrderSet",
     "StaticContext",
     "Token",
     "TokenType",

@@ -124,71 +124,6 @@ def merge_difference(
     return tuple(result)
 
 
-class OrderSet:
-    """A node set represented as a sorted document-order array.
-
-    Within one document the ``order`` integers are unique, so document order
-    is a total order and a sorted array of distinct nodes is a canonical set
-    representation: union, intersection and difference are linear merges and
-    iteration in document order is free.  This is the representation backing
-    :class:`NodeSet` whenever the nodes' order is already known.
-    """
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: Iterable[Node] = (), *, presorted: bool = False):
-        if presorted:
-            self.nodes: tuple[Node, ...] = tuple(nodes)
-        else:
-            self.nodes = tuple(sorted(set(nodes), key=_ORDER))
-
-    def union(self, other: "OrderSet") -> "OrderSet":
-        merged = merge_union(self.nodes, other.nodes)
-        if merged is None:
-            return OrderSet(set(self.nodes) | set(other.nodes))
-        return OrderSet(merged, presorted=True)
-
-    def intersection(self, other: "OrderSet") -> "OrderSet":
-        merged = merge_intersection(self.nodes, other.nodes)
-        if merged is None:
-            return OrderSet(set(self.nodes) & set(other.nodes))
-        return OrderSet(merged, presorted=True)
-
-    def difference(self, other: "OrderSet") -> "OrderSet":
-        merged = merge_difference(self.nodes, other.nodes)
-        if merged is None:
-            return OrderSet(set(self.nodes) - set(other.nodes))
-        return OrderSet(merged, presorted=True)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __bool__(self) -> bool:
-        return bool(self.nodes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OrderSet):
-            return self.nodes == other.nodes
-        if isinstance(other, (set, frozenset)):
-            return frozenset(self.nodes) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Must match __eq__, which compares equal to frozensets of the same
-        # nodes — so hash the unordered view, like NodeSet does.
-        return hash(frozenset(self.nodes))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OrderSet({list(self.nodes)!r})"
-
-
 class NodeSet:
     """An immutable set of document nodes.
 
@@ -196,22 +131,19 @@ class NodeSet:
     instances; the underlying nodes are shared (nodes are identity objects).
 
     Internally a node set carries up to two views: an unordered ``frozenset``
-    (membership, equality with plain sets) and a document-order array (an
-    :class:`OrderSet`-style sorted tuple).  Either view is derived lazily
-    from the other, and the set algebra uses linear merges whenever both
-    operands already know their order — avoiding the ``sorted(set,
-    key=lambda)`` round-trips of the pre-index implementation.
+    (membership, equality with plain sets) and a document-order array (a
+    tuple sorted by ``order``, as :meth:`from_sorted` takes it).  Either
+    view is derived lazily from the other, and the set algebra uses linear
+    merges whenever both operands already know their order — avoiding the
+    ``sorted(set, key=lambda)`` round-trips of the pre-index implementation.
     """
 
     __slots__ = ("_nodes", "_ordered", "_origin")
 
     def __init__(self, nodes: Iterable[Node] = ()):
-        if isinstance(nodes, OrderSet):
-            self._nodes: Optional[frozenset[Node]] = None
-            self._ordered: Optional[tuple[Node, ...]] = nodes.nodes
-        elif isinstance(nodes, NodeSet):
-            self._nodes = nodes._nodes
-            self._ordered = nodes._ordered
+        if isinstance(nodes, NodeSet):
+            self._nodes: Optional[frozenset[Node]] = nodes._nodes
+            self._ordered: Optional[tuple[Node, ...]] = nodes._ordered
         else:
             self._nodes = frozenset(nodes)
             self._ordered = None

@@ -8,8 +8,8 @@ for every context node of random documents, including attribute and namespace
 context nodes (the Section 4 typing edge cases).  The inverse axes χ⁻¹ of the
 set algebra are checked against the definition through the reference χ.
 
-The :class:`OrderSet` / :class:`NodeSet` merge-based algebra is likewise
-checked against plain ``frozenset`` semantics.
+The :class:`NodeSet` merge-based algebra is likewise checked against its
+``frozenset`` path.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.axes.nodetests import ANY_NAME, ANY_NODE, KindTest, NameTest
 from repro.axes.reference import reference_axis_nodes, reference_axis_set
 from repro.axes.regex import Axis
 from repro.workloads.documents import random_document
-from repro.xpath.values import NodeSet, OrderSet
+from repro.xpath.values import NodeSet
 
 ALL_AXES = list(Axis)
 
@@ -149,31 +149,8 @@ def test_proximity_order_equals_proximity_sorted(document, axis):
 
 
 # ----------------------------------------------------------------------
-# OrderSet / NodeSet merge algebra
+# NodeSet merge algebra
 # ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(
-    documents,
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=0, max_value=10_000),
-)
-def test_order_set_algebra_matches_set_semantics(document, seed_a, seed_b):
-    rng_a, rng_b = random.Random(seed_a), random.Random(seed_b)
-    sample_a = [node for node in document.dom if rng_a.random() < 0.5]
-    sample_b = [node for node in document.dom if rng_b.random() < 0.5]
-    order_a, order_b = OrderSet(sample_a), OrderSet(sample_b)
-    set_a, set_b = frozenset(sample_a), frozenset(sample_b)
-
-    assert order_a == set_a
-    assert (order_a | order_b) == (set_a | set_b)
-    assert (order_a & order_b) == (set_a & set_b)
-    assert (order_a - order_b) == (set_a - set_b)
-    # Merge results stay sorted by document order and duplicate-free.
-    for result in (order_a | order_b, order_a & order_b, order_a - order_b):
-        orders = [node.order for node in result]
-        assert orders == sorted(set(orders))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     documents,
@@ -188,8 +165,8 @@ def test_node_set_merge_paths_match_set_paths(document, seed_a, seed_b):
     sample_b = [node for node in document.dom if rng_b.random() < 0.5]
 
     plain_a, plain_b = NodeSet(sample_a), NodeSet(sample_b)
-    ordered_a = NodeSet(OrderSet(sample_a))
-    ordered_b = NodeSet(OrderSet(sample_b))
+    ordered_a = NodeSet.from_sorted(sample_a)
+    ordered_b = NodeSet.from_sorted(sample_b)
 
     for op in ("union", "intersection", "difference"):
         merged = getattr(ordered_a, op)(ordered_b)

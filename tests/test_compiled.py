@@ -329,6 +329,24 @@ class TestLowering:
         report = analyze_compilability(normalize_query("id('k')/a"))
         assert report.compilable
 
+    def test_id_start_predicate_path_meets_no_dom_target(self):
+        # S← of id(related)/title: the last step's nodes run backwards as
+        # they are, with no "∩ dom" on them, into id⁻¹.
+        program = plan_for("//book[id(related)/title]", cache=None).array_program()
+        assert program.render().splitlines() == [
+            "r0 = root()",
+            "r1 = axis-test[descendant](r0, T(book))",
+            "r2 = test[child](T(related))",
+            "r3 = test[child](T(title))",
+            "r4 = inverse-axis[child](r3)",
+            "r5 = id-inverse(r4)",
+            "r6 = intersect(r2, r5)",
+            "r7 = inverse-axis[child](r6)",
+            "r8 = intersect(r1, r7)",
+            "result: r8",
+        ]
+        assert len(plan_for("//book[id('bk3')/related]", cache=None).array_program()) == 8
+
     def test_unlowerable_leaf_raises_fragment_error(self):
         with pytest.raises(FragmentError):
             lower_algebra(object())

@@ -347,6 +347,25 @@ class TestCorruption:
         finally:
             store.close()
 
+    def test_rows_without_a_root_past_the_checksum_are_a_store_error(
+        self, tmp_path, monkeypatch
+    ):
+        # What only a buggy or forged writer can produce: a block whose CRC
+        # holds but whose first preorder row is no root node.
+        path = self._built(tmp_path)
+        with DocumentStore.open(path) as probe:
+            type_off = probe._entries[0].type_off
+        with open(path, "r+b") as handle:
+            handle.seek(type_off)
+            handle.write(bytes((store_format.TYPE_CODES[NodeType.ELEMENT],)))
+        monkeypatch.setattr(store_reader.StoredDocument, "_check", lambda self: None)
+        with DocumentStore.open(path) as store:
+            with pytest.raises(
+                StoreCorruptError,
+                match="inconsistent document block: store block has no root node",
+            ):
+                store.document_at(0).materialize()
+
     def test_fault_site_simulates_block_damage(self, tmp_path, backend_batch_mode):
         path = self._built(tmp_path)
         with DocumentStore.open(path) as store:

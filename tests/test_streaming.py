@@ -2,8 +2,9 @@
 
 Covers the streamability analysis, automaton correctness (differentially
 against the tree engines over serialised documents — orders must agree
-node-for-node), the mirrored well-formedness checks, resource limits at
-event granularity, and the session / collection / parallel wiring.
+node-for-node), the well-formedness checks it shares with parse_xml,
+resource limits at event granularity, and the session / collection /
+parallel wiring.
 """
 
 from __future__ import annotations
@@ -326,6 +327,14 @@ class TestStreamingWellFormedness:
         assert (error.value.line, error.value.column) == position
         assert str(error.value) == f"{message} (line {position[0]}, column {position[1]})"
 
+    def test_a_skipped_doctype_between_text_runs_splits_no_text_node(self):
+        # The reader swallows the DOCTYPE, so the two runs are one text node
+        # on both paths.
+        source = "<a>x<!DOCTYPE a>y</a>"
+        parsed = [StreamMatch.from_node(node) for node in parse_xml(source).dom[1:]]
+        assert [match.value for match in parsed] == [None, "xy"]
+        assert stream_select("//node()", source) == parsed
+
 
 # ----------------------------------------------------------------------
 # Resource limits at event granularity
@@ -341,8 +350,20 @@ class TestStreamingLimits:
         error = info.value
         assert error.limit == "max_operations"
         assert error.stats is stats
-        # The scan stopped long before consuming all ~102 events.
+        # The scan stopped long before consuming all ~202 events.
         assert 0 < stats.total_work() <= 25
+
+    def test_each_cdata_section_is_one_counted_event(self):
+        # The reader yields one event per text run or CDATA section and
+        # leaves the merging to the scan, so the budget cuts a long run of
+        # sections short instead of counting it once.
+        source = "<a><b>" + "<![CDATA[x]]>" * 10_000 + "</b></a>"
+        stats = EvaluationStats()
+        with pytest.raises(ResourceLimitExceeded):
+            stream_select(
+                "//b", source, limits=EvalLimits(max_operations=1000), stats=stats
+            )
+        assert stats.extras["stream_events"] == 1000
 
     def test_result_cap_aborts_on_the_excess_match(self):
         source = "<a>" + "<b/>" * 10 + "</a>"

@@ -539,3 +539,54 @@ def test_lexer_matches_the_reference_lexer(name):
         assert _lex_outcome(XMLLexer, case) == expected, (
             f"REPRO_FUZZ_SEED={FUZZ_SEED} {name}: lexers differ on {case!r}"
         )
+
+
+# ----------------------------------------------------------------------
+# parse_xml and the streaming scan read the same checked event stream
+# ----------------------------------------------------------------------
+def _read_outcome(read, text: str) -> tuple[str, list | tuple]:
+    """``("ok", nodes)`` or ``("error", (type, message, line, column))``."""
+    try:
+        return "ok", read(text)
+    except Exception as error:  # noqa: BLE001 - any divergence is reported
+        return "error", (
+            type(error).__name__,
+            str(error),
+            getattr(error, "line", None),
+            getattr(error, "column", None),
+        )
+
+
+def test_parse_and_stream_agree_on_the_lexer_corpus():
+    from repro.streaming import stream_select
+    from repro.xmlmodel.nodes import NodeType
+    from repro.xmlmodel.parser import parse_xml
+
+    unlisted = (NodeType.ROOT, NodeType.NAMESPACE)
+
+    def parsed(text, strip):
+        document = parse_xml(text, strip_whitespace=strip)
+        return [
+            (
+                node.order,
+                node.node_type,
+                node.name,
+                None if node.node_type is NodeType.ELEMENT else node.value or "",
+            )
+            for node in document.dom
+            if node.node_type not in unlisted
+        ]
+
+    def streamed(text, strip):
+        matches = stream_select("//node() | //@*", text, strip_whitespace=strip)
+        return [(m.order, m.node_type, m.name, m.value) for m in matches]
+
+    for name, text in sorted(DIFFERENTIAL_DOCUMENTS.items()):
+        rng = random.Random(f"{FUZZ_SEED}:{name}")
+        for case in [text, *_mutants(text, rng, MUTANTS_PER_DOCUMENT)]:
+            for strip in (False, True):
+                expected = _read_outcome(lambda t: parsed(t, strip), case)
+                assert _read_outcome(lambda t: streamed(t, strip), case) == expected, (
+                    f"REPRO_FUZZ_SEED={FUZZ_SEED} {name} strip_whitespace={strip}: "
+                    f"parse_xml and streaming differ on {case!r}"
+                )
