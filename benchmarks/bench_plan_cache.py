@@ -31,8 +31,8 @@ from repro.workloads.queries import experiment2_query, workload_queries
 
 #: The repeated query: nested enough that front-end work is substantial,
 #: evaluated on a small document — the regime the plan cache targets.
-#: (classifies as XPatterns, so the warm path also reuses the memoised
-#: set-algebra plan of the fragment engine)
+#: (classifies as XPatterns, so ``auto`` picks the compiled engine and the
+#: warm path also reuses the plan's memoised array program)
 REPEATED_QUERY = experiment2_query(10)
 ENGINE = "auto"
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Fragment analysis: classify queries into the Figure-1 lattice and inspect
-the Core XPath set-algebra plans (paper Sections 10–11).
+the Core XPath set-algebra programs (paper Sections 10–11).
 
 Run with::
 
@@ -56,9 +56,11 @@ def main() -> None:
     print()
     print("== The Core XPath set algebra (Example 10.3) ==")
     engine = CoreXPathEngine()
-    plan = engine.compile(compile_query(EXAMPLE_10_3_QUERY))
+    program = engine.compile(compile_query(EXAMPLE_10_3_QUERY))
     print("query:", EXAMPLE_10_3_QUERY)
-    print("plan: ", plan.render())
+    print("array program (one instruction per set operation):")
+    for line in program.render().splitlines():
+        print("   ", line)
 
     document = repro.parse("<a><b><c><d/></c></b><b><e/></b><b/></a>")
     print("result on <a><b><c><d/></c></b><b><e/></b><b/></a>:")

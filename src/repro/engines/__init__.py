@@ -13,8 +13,8 @@ OptMinContextEngine  MinContext + backward inner-path evaluation  §11
 
 The linear-time fragment engines (Core XPath, XPatterns) live in
 :mod:`repro.fragments` but are re-exported by :mod:`repro.api`.  They
-and :class:`CompiledEngine` (:mod:`repro.engines.compiled`) lower a
-query's set algebra to a linear array program over the flat document
+and :class:`CompiledEngine` (:mod:`repro.engines.compiled`) compile a
+query's set algebra into a linear array program over the flat document
 index and run it with one executor; the compiled engine falls back to
 the recommended engine outside its fragment.
 """

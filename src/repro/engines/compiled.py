@@ -1,54 +1,53 @@
-"""Array programs: the one evaluator of the Section-10 set algebra.
+"""Array programs: the one compiler and evaluator of the Section-10 set algebra.
 
-:class:`ArrayCompiler`, the only compiler of the set algebra, builds a
-query's plan in one pass, as Definition 10.2 does: S→ for the outermost
-path, S← for predicate paths (run backwards by Lemma 10.1) and E1 for
-boolean predicates, with Section 10.2's id axis and ``= s``.  It covers
-XPatterns (Section 10 / Table VI, Core XPath included) plus four
-array-only shapes: ``count(π)`` as the whole query, ``π op N`` numeric
-comparisons, and ``[k]`` / ``[last()]`` on child and sibling steps of the
-outermost path.
-The plan is *lowered* once per :class:`CompiledQuery` into a short linear
-:class:`ArrayProgram` — a register machine whose every instruction is an
-array operation over the flat :class:`~repro.xmlmodel.index.DocumentIndex`
-columns, or over their zero-copy mmap twin
-:class:`~repro.store.StoredIndexArrays` — and :func:`execute_program` runs
-that one program for the ``corexpath``, ``xpatterns`` and ``compiled``
-engines alike, so they differ only in which plans they accept.  Registers
-hold sorted arrays of document orders; only the id instructions read the
-document beside them.
+:class:`ArrayCompiler` compiles a query into its :class:`ArrayProgram` in
+one pass, as Definition 10.2 reads it: S→ for the outermost path, S← for
+predicate paths (run backwards by Lemma 10.1) and E1 for boolean
+predicates, with Section 10.2's id axis and ``= s``.  Every set operation
+is one instruction, appended as the compiler walks the normalised AST, so
+a plan has exactly one form.  It covers XPatterns (Section 10 / Table VI,
+Core XPath included) plus four array-only shapes: ``count(π)`` as the
+whole query, ``π op N`` numeric comparisons, and ``[k]`` / ``[last()]``
+on child and sibling steps of the outermost path.
+An :class:`ArrayProgram` is a short linear register machine whose every
+instruction is an array operation over the flat
+:class:`~repro.xmlmodel.index.DocumentIndex` columns, or over their
+zero-copy mmap twin :class:`~repro.store.StoredIndexArrays`, and
+:func:`execute_program` runs that one program for the ``corexpath``,
+``xpatterns`` and ``compiled`` engines alike, so they differ only in which
+plans they accept.  Registers hold sorted arrays of document orders; only
+the id instructions read the document beside them.
 
 The axis, node-test and set instructions call the order-column kernel of
 :mod:`repro.axes` (``axis_orders``, ``inverse_axis_orders``, T over
 posting lists, ``intersect_orders`` / ``union_orders``) that the tree
-engines' axes run too.  This module keeps the lowering, :func:`execute_program`
-and the instructions no tree engine shares: ``numfilter``, ``position`` and
-the id axis.
+engines' axes run too.  This module keeps the compiler,
+:func:`execute_program` and the instructions no tree engine shares:
+``numfilter``, ``position`` and the id axis.
 
-Lowering rules (one instruction per algebra operator):
+The instructions and the set each one computes:
 
 =====================================  ==================================
-algebra expression                      instruction
+set                                     instruction
 =====================================  ==================================
 ``S`` (context set)                     ``context``
 ``{root}``                              ``root``
 ``dom``                                 ``dom``
 ``T(t)``                                ``test``
 ``{x | strval(x) = s}``                 ``strmatch``
-``χ(E) ∩ T(t)`` (same axis)             ``axis-test`` (fused: t's posting
-                                        list is the candidate list)
+``χ(E) ∩ T(t)``                         ``axis-test`` (t's posting list is
+                                        the candidate list)
 ``child(dos(E) ∩ T(node())) ∩ T(t)``    ``axis-test[descendant]`` (``//t``:
                                         child ∘ descendant-or-self is
                                         descendant under the typing rule)
-``χ(E)``                                ``axis``
 ``χ⁻¹(E)``                              ``inverse-axis`` (Lemma 10.1
                                         under the typing rule)
 ``E1 ∩ E2`` / ``E1 ∪ E2``               ``intersect`` / ``union``
 ``dom ∖ E``                             ``complement``
 ``dom·[root ∈ E]``                      ``dom-if-root``
 ``dom·[E ≠ ∅]``                         ``dom-if-nonempty``
-``E ∩ {x | number(strval(x)) op N}``    ``numfilter`` (fused: only E's
-                                        nodes are converted; ``π op N``)
+``E ∩ {x | number(strval(x)) op N}``    ``numfilter`` (only E's nodes are
+                                        converted; ``π op N``)
 ``[k]`` / ``[last()]`` of a step        ``position[axis]`` (per parent on
                                         child, per context node on the
                                         sibling axes)
@@ -66,7 +65,7 @@ Extended Wadler.  Everything else — positions on other axes or inside
 predicates, arithmetic, string functions — is refused by
 :class:`ArrayCompiler` with one reason per shape
 (:func:`analyze_compilability` is a dry run of that compiler, so the
-analysis and the lowering cannot disagree), and :class:`CompiledEngine`
+analysis and the program cannot disagree), and :class:`CompiledEngine`
 falls back transparently to ``optmincontext``, so ``engine="compiled"`` is
 always safe to request.  Every program preserves the tree engines'
 semantics node-for-node; the differential fuzz suite gates this against
@@ -77,7 +76,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..axes.functions import (
     axis_orders,
@@ -85,32 +85,9 @@ from ..axes.functions import (
     inverse_axis_orders,
     union_orders,
 )
-from ..axes.nodetests import (
-    ANY_NODE,
-    KindTest,
-    NodeTest,
-    candidate_orders,
-    default_candidates,
-    select_orders,
-)
+from ..axes.nodetests import ANY_NODE, NodeTest, candidate_orders, select_orders
 from ..axes.regex import Axis
 from ..errors import FragmentError
-from ..fragments.algebra import (
-    AlgebraExpr,
-    AxisApply,
-    Complement,
-    ContextSet,
-    DomIfNonempty,
-    DomIfRoot,
-    DomSet,
-    IdApply,
-    Intersect,
-    InverseAxisApply,
-    RootSet,
-    StringMatchSet,
-    TestSet,
-    UnionOp,
-)
 from ..fragments.xpatterns import XPATTERNS_AXES, XPatternsEngine
 from ..xmlmodel.document import Document
 from ..xmlmodel.index import DocumentIndex, complement_orders
@@ -224,16 +201,18 @@ def _path_comparison(
     return None
 
 
+def _is_any_node_step(step: Step, axis: Axis) -> bool:
+    """``axis::node()`` without predicates."""
+    return step.axis is axis and step.node_test == ANY_NODE and not step.predicates
+
+
 def _is_context_node(path: Expression) -> bool:
     """``.`` — the normalised ``self::node()`` without predicates."""
-    if not isinstance(path, LocationPath) or path.absolute or len(path.steps) != 1:
-        return False
-    step = path.steps[0]
     return (
-        step.axis is Axis.SELF
-        and isinstance(step.node_test, KindTest)
-        and step.node_test.kind == "node"
-        and not step.predicates
+        isinstance(path, LocationPath)
+        and not path.absolute
+        and len(path.steps) == 1
+        and _is_any_node_step(path.steps[0], Axis.SELF)
     )
 
 
@@ -260,46 +239,11 @@ def _mentions_position(expression: Expression) -> bool:
 
 
 def _refusal(expression: Expression) -> str:
-    """Why an expression that is neither a path nor a lowered predicate
+    """Why an expression that is neither a path nor a compiled predicate
     shape has no array form."""
     if _calls(expression, "count"):
         return "count() inside a larger expression: it lowers only as the whole query"
     return f"{_shown(expression)} has no array lowering"
-
-
-# ----------------------------------------------------------------------
-# Compilability analysis (consumed by Classification / explain())
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CompilabilityReport:
-    """Whether a normalised query lowers to an array program, and why not."""
-
-    compilable: bool
-    violations: tuple[str, ...] = ()
-    #: The dry run's :class:`ArrayCompiler` algebra (``None`` when refused),
-    #: which :func:`repro.plan.compile_plan` hands to plans that resolve to
-    #: this engine so their lowering does not compile it again.
-    algebra: object = field(default=None, repr=False, compare=False)
-
-
-def analyze_compilability(expression: Expression) -> CompilabilityReport:
-    """Check whether the normalised AST lowers to an :class:`ArrayProgram`.
-
-    A dry run of :class:`ArrayCompiler`, which is the compiled fragment's
-    only grammar: XPatterns — everything with a linear set-algebra plan,
-    the id axis included — plus four shapes outside XPatterns: ``count(π)``
-    as the whole query, ``π op N`` predicates against a number literal, and
-    ``[k]`` / ``[last()]`` on the child and sibling steps of the outermost
-    path (at most one per sibling step).  Every path in it, an ``id(…)``
-    start and its steps included, follows the compiler's one path rule.  A
-    refused query gets the compiler's reason, which names its shape.  The
-    lowering accepts every plan the compiler builds.
-    """
-    try:
-        algebra = ArrayCompiler().compile_query(expression)
-    except FragmentError as refusal:
-        return CompilabilityReport(compilable=False, violations=(str(refusal),))
-    return CompilabilityReport(compilable=True, algebra=algebra)
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +253,8 @@ class Instruction(NamedTuple):
     """One array operation: ``dest ← op(srcs…)`` plus static operands.
 
     A named tuple rather than a frozen dataclass, which sets its ten fields
-    one ``object.__setattr__`` call at a time: every plan-cache miss lowers
-    a fresh program.
+    one ``object.__setattr__`` call at a time: every plan-cache miss
+    compiles a fresh program.
     """
 
     op: str
@@ -346,12 +290,12 @@ class Instruction(NamedTuple):
 class ArrayProgram:
     """A linear register program over :class:`DocumentIndex` columns.
 
-    ``count`` programs answer ``count(π)``: their result is the length of
-    the final register, a number, not a node set.
+    Instruction k writes register k, so a program has one register per
+    instruction.  ``count`` programs answer ``count(π)``: their result is
+    the length of the final register, a number, not a node set.
     """
 
     instructions: tuple[Instruction, ...] = field(default_factory=tuple)
-    register_count: int = 0
     count: bool = False
 
     @property
@@ -374,77 +318,78 @@ class ArrayProgram:
 
 
 # ----------------------------------------------------------------------
-# The algebra past the paper's operators: compiled-only nodes
+# Compilability analysis (consumed by Classification / explain())
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _IdLiteral:
-    """The node set id('k1 k2 …') — context independent algebra leaf.
+class CompilabilityReport:
+    """Whether a normalised query compiles to an array program, and why not."""
 
-    Kept out of :mod:`repro.fragments.algebra` so the base algebra stays
-    exactly the paper's operator set; the lowering turns it into the
-    ``id-literal`` instruction, which reads the document's ID map.
+    compilable: bool
+    violations: tuple[str, ...] = ()
+    #: The dry run's :class:`ArrayProgram` (``None`` when refused), which
+    #: :func:`repro.plan.compile_plan` hands to plans that resolve to an
+    #: array engine so their first evaluation does not compile it again.
+    program: Optional[ArrayProgram] = field(default=None, repr=False, compare=False)
+
+
+def analyze_compilability(expression: Expression) -> CompilabilityReport:
+    """Check whether the normalised AST compiles to an :class:`ArrayProgram`.
+
+    A dry run of :class:`ArrayCompiler`, which is the compiled fragment's
+    only grammar: XPatterns — everything with a linear set-algebra plan,
+    the id axis included — plus four shapes outside XPatterns: ``count(π)``
+    as the whole query, ``π op N`` predicates against a number literal, and
+    ``[k]`` / ``[last()]`` on the child and sibling steps of the outermost
+    path (at most one per sibling step).  Every path in it, an ``id(…)``
+    start and its steps included, follows the compiler's one path rule.  A
+    refused query gets the compiler's reason, which names its shape; an
+    accepted one gets its program.
     """
-
-    value: str
-
-    def render(self) -> str:
-        return f"id({self.value!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class NumberMatchSet:
-    """``{x | number(strval(x)) op value}`` (XPath 1.0 number grammar; NaN
-    passes only ``!=``) — the numeric twin of ``StringMatchSet``."""
-
-    op: str
-    value: float
-
-
-@dataclass(frozen=True, eq=False)
-class PositionPick:
-    """The ``[k]`` / ``[last()]`` of one step over its ``candidates`` (the
-    step's nodes that passed the earlier predicates).
-
-    On ``child`` the rank counts within each parent's group of candidates;
-    on the sibling axes it counts from each node of ``context`` (the step's
-    input), nearest sibling first.
-    """
-
-    axis: Axis
-    context: AlgebraExpr
-    candidates: AlgebraExpr
-    rank: int
-
-
-@dataclass(frozen=True, eq=False)
-class CountOf:
-    """``count(operand)`` as the whole query."""
-
-    operand: AlgebraExpr
+    try:
+        program = ArrayCompiler().compile_query(expression)
+    except FragmentError as refusal:
+        return CompilabilityReport(compilable=False, violations=(str(refusal),))
+    return CompilabilityReport(compilable=True, program=program)
 
 
 # ----------------------------------------------------------------------
 # The compiler (Definition 10.2 with Section 10.2's id axis and "= s")
 # ----------------------------------------------------------------------
+#: S←'s target set, not yet emitted: given the register of a path's last
+#: step (``None`` when the path has no step), it emits the instructions
+#: that keep the nodes in the set and returns their register.
+Target = Callable[[Optional[int]], int]
+
+
 class ArrayCompiler:
-    """Compile a normalised query into the set algebra.
+    """Compile a normalised query into its :class:`ArrayProgram`.
 
     S→ runs the outermost path forwards from the context set, E1 turns a
     boolean predicate into set operations, and S← runs a predicate path
-    backwards with the inverse axes (Lemma 10.1).  Wherever a path may
-    stand — the query, inside ``count(…)``, an id argument, a bare
-    predicate, or the path operand of ``= 's'`` or ``op N`` — it is a
-    location path or an ``id(…)`` start followed by steps, and positions
-    lower on the outermost path only.
+    backwards with the inverse axes (Lemma 10.1).  Each appends one
+    instruction per set operation as it walks the AST and returns the
+    register holding its result.  Wherever a path may stand — the query,
+    inside ``count(…)``, an id argument, a bare predicate, or the path
+    operand of ``= 's'`` or ``op N`` — it is a location path or an
+    ``id(…)`` start followed by steps, and positions compile on the
+    outermost path only.
+
+    The emission rules: every forward step is one ``axis-test[χ](E,
+    T(t))``; ``descendant-or-self::node()/child::t`` is one
+    ``axis-test[descendant](E, T(t))``; ``[. op N]`` on a step of regular
+    nodes, and an ``op N`` target meeting a path's last step, are one
+    ``numfilter``.  S←'s target (``strmatch``, ``numfilter``, or
+    ``id-inverse`` of the rest of an id path) is a :data:`Target`, emitted
+    right after the last step's ``test``.
 
     It is also the compiled fragment's grammar: every shape it cannot
-    lower raises :class:`FragmentError` with a reason naming the shape,
+    compile raises :class:`FragmentError` with a reason naming the shape,
     and :func:`analyze_compilability` is a dry run of it.
     """
 
     # -- S→ ------------------------------------------------------------
-    def compile_query(self, expression: Expression):
-        """S→ plan of the whole query relative to the context set N0."""
+    def compile_query(self, expression: Expression) -> ArrayProgram:
+        """The program of the whole query: S→ from the context set N0."""
         for step in find_steps(expression):
             if step.axis not in XPATTERNS_AXES:
                 raise FragmentError(f"the {step.axis.value} axis has no array lowering")
@@ -452,30 +397,48 @@ class ArrayCompiler:
         path = expression.args[0] if count else expression
         if not _is_path(path):
             raise FragmentError(_refusal(path))
-        plan = self._forward_path(path)
-        return CountOf(plan) if count else plan
+        self._instructions: list[Instruction] = []
+        self._forward_path(path)
+        return ArrayProgram(tuple(self._instructions), count)
 
-    def _forward_path(self, path: Expression) -> AlgebraExpr:
+    def _emit(self, op: str, srcs: tuple[int, ...] = (), **operands) -> int:
+        dest = len(self._instructions)
+        self._instructions.append(Instruction(op, dest, srcs, **operands))
+        return dest
+
+    def _forward_path(self, path: Expression) -> int:
         """S→ of a path; an id argument runs forwards from the same context."""
         if isinstance(path, LocationPath):
-            plan: AlgebraExpr = RootSet() if path.absolute else ContextSet()
+            register = self._emit("root" if path.absolute else "context")
             steps: Sequence[Step] = path.steps
         else:
             argument, steps = _id_start(path)
             if isinstance(argument, StringLiteral):
                 # id('k1 k2 …'): the literal's IDs in the document's ID map.
-                plan = _IdLiteral(argument.value)
+                register = self._emit("id-literal", value=argument.value)
             else:
-                plan = IdApply(self._forward_path(argument))
-        for step in steps:
-            plan = self._forward_step(plan, step)
-        return plan
+                register = self._emit("id", (self._forward_path(argument),))
+        descend = False
+        for step, next_step in zip(steps, (*steps[1:], None)):
+            if (
+                next_step is not None
+                and next_step.axis is Axis.CHILD
+                and _is_any_node_step(step, Axis.DESCENDANT_OR_SELF)
+            ):
+                descend = True  # //t: the child step reads this step's input
+                continue
+            register = self._forward_step(register, step, descend)
+            descend = False
+        return register
 
-    def _forward_step(self, plan: AlgebraExpr, step: Step) -> AlgebraExpr:
-        """S→ of one step of the outermost path, the one place positions lower."""
-        result: AlgebraExpr = Intersect(
-            AxisApply(step.axis, plan), TestSet(step.node_test, step.axis)
-        )
+    def _forward_step(self, context: int, step: Step, descend: bool) -> int:
+        """S→ of one step of the outermost path, the one place positions
+        compile.  With ``descend`` the step is the ``child::t`` of ``//t``
+        and ``context`` the input of the ``descendant-or-self::node()``
+        step before it: child ∘ descendant-or-self is descendant under the
+        typing rule, so t's posting list is sliced once per subtree."""
+        axis = Axis.DESCENDANT if descend else step.axis
+        result = self._emit("axis-test", (context,), axis=axis, test=step.node_test)
         picked = False
         for predicate in step.predicates:
             rank = _position_rank(predicate)
@@ -491,7 +454,9 @@ class ArrayCompiler:
                         "step lowers one [k] or [last()]"
                     )
                 picked = True
-                result = PositionPick(step.axis, plan, result, rank)
+                # child ranks within parent groups and needs no context register.
+                srcs = (result,) if step.axis is Axis.CHILD else (context, result)
+                result = self._emit("position", srcs, axis=step.axis, rank=rank)
                 continue
             if _mentions_position(predicate):
                 raise FragmentError(
@@ -507,13 +472,13 @@ class ArrayCompiler:
             ):
                 # [. op N] on a step of regular nodes: filter the step's own
                 # nodes, not (as S← of "." would) every node of the document.
-                result = Intersect(result, NumberMatchSet(comparison[1], number))
+                result = self._emit_numfilter(result, comparison[1], number)
             else:
-                result = Intersect(result, self.compile_predicate(predicate))
+                result = self._emit("intersect", (result, self._compile_predicate(predicate)))
         return result
 
     # -- E1 ------------------------------------------------------------
-    def compile_predicate(self, expression: Expression) -> AlgebraExpr:
+    def _compile_predicate(self, expression: Expression) -> int:
         """E1: ``π = 's'``, ``π != 's'`` and ``π op N`` by S← of π into the
         literal's set, and/or/not/boolean as set operations, a path by S←."""
         comparison = _path_comparison(expression)
@@ -521,9 +486,9 @@ class ArrayCompiler:
             path, op, operand = comparison
             number = _number_literal(operand)
             if number is not None:
-                target: AlgebraExpr = NumberMatchSet(op, number)
+                target: Target = partial(self._emit_numfilter, op=op, number=number)
             elif isinstance(operand, StringLiteral) and op in ("=", "!="):
-                target = StringMatchSet(operand.value, negated=(op == "!="))
+                target = partial(self._emit_strmatch, value=operand.value, negated=(op == "!="))
             elif isinstance(operand, StringLiteral):
                 raise FragmentError(
                     f"{op} against a string literal ({operand.to_xpath()}): "
@@ -535,18 +500,18 @@ class ArrayCompiler:
                     "only number and string literals lower"
                 )
             return self._backward_path(path, target)
-        if isinstance(expression, BinaryOp) and expression.op == "and":
-            return Intersect(
-                self.compile_predicate(expression.left), self.compile_predicate(expression.right)
-            )
-        if isinstance(expression, BinaryOp) and expression.op == "or":
-            return UnionOp(
-                self.compile_predicate(expression.left), self.compile_predicate(expression.right)
+        if isinstance(expression, BinaryOp) and expression.op in ("and", "or"):
+            return self._emit(
+                "intersect" if expression.op == "and" else "union",
+                (
+                    self._compile_predicate(expression.left),
+                    self._compile_predicate(expression.right),
+                ),
             )
         if isinstance(expression, FunctionCall) and expression.name == "not":
-            return Complement(self.compile_predicate(expression.args[0]))
+            return self._emit("complement", (self._compile_predicate(expression.args[0]),))
         if isinstance(expression, FunctionCall) and expression.name == "boolean":
-            return self.compile_predicate(expression.args[0])
+            return self._compile_predicate(expression.args[0])
         if _is_path(expression):
             return self._backward_path(expression)
         if _mentions_position(expression):
@@ -556,192 +521,69 @@ class ArrayCompiler:
             )
         raise FragmentError(_refusal(expression))
 
+    # -- S←'s targets: each meets the register of a path's last step ----
+    def _emit_numfilter(self, last: Optional[int], op: str, number: float) -> int:
+        """``E ∩ {x | number(strval(x)) op N}``: the numbers of E's nodes
+        only, of the whole domain when there is no E."""
+        if last is None:
+            last = self._emit("dom")
+        return self._emit("numfilter", (last,), comparison=op, number=number)
+
+    def _emit_strmatch(self, last: Optional[int], value: str, negated: bool) -> int:
+        return self._meet(last, self._emit("strmatch", value=value, negated=negated))
+
+    def _emit_id_inverse(
+        self, last: Optional[int], steps: Sequence[Step], target: Optional[Target]
+    ) -> int:
+        """``id⁻¹`` of the S← of the steps after an id call."""
+        return self._meet(last, self._emit("id-inverse", (self._backward_steps(steps, target),)))
+
+    def _meet(self, last: Optional[int], register: int) -> int:
+        return register if last is None else self._emit("intersect", (last, register))
+
     # -- S← ------------------------------------------------------------
-    def _backward_path(
-        self, path: Expression, target: Optional[AlgebraExpr] = None
-    ) -> AlgebraExpr:
+    def _backward_path(self, path: Expression, target: Optional[Target] = None) -> int:
         """S← of a path: the nodes from which it reaches a node of
         ``target``, or any node when there is none."""
         if isinstance(path, LocationPath):
-            steps: Sequence[Step] = path.steps
-        else:
+            register = self._backward_steps(path.steps, target)
+            return self._emit("dom-if-root", (register,)) if path.absolute else register
+        try:
             argument, steps = _id_start(path)
-        plan: Optional[AlgebraExpr] = None
-        for step in reversed(steps):
-            matched: AlgebraExpr = TestSet(step.node_test, step.axis)
-            if plan is None and target is not None:
-                matched = Intersect(matched, target)
-            for predicate in step.predicates:
-                matched = Intersect(matched, self.compile_predicate(predicate))
-            if plan is not None:
-                matched = Intersect(plan, matched)
-            plan = InverseAxisApply(step.axis, matched)
-        if plan is None:
-            plan = DomSet() if target is None else target
-        if isinstance(path, LocationPath):
-            return DomIfRoot(plan) if path.absolute else plan
+        except FragmentError:
+            # An id argument is checked after the steps that follow its id
+            # call (they compile in ``target``): refuse in that order.
+            if target is not None:
+                target(None)
+            raise
         if isinstance(argument, StringLiteral):
             # id('k') is context independent: the path holds at every node
-            # iff a referenced node is in ``plan``, and nowhere otherwise.
-            return DomIfNonempty(Intersect(_IdLiteral(argument.value), plan))
-        return self._backward_path(argument, IdApply(plan, inverse=True))
+            # iff a referenced node is in the steps' plan, and nowhere otherwise.
+            literal = self._emit("id-literal", value=argument.value)
+            if steps or target is None:
+                found = self._emit("intersect", (literal, self._backward_steps(steps, target)))
+            else:
+                found = target(literal)
+            return self._emit("dom-if-nonempty", (found,))
+        inverse = partial(self._emit_id_inverse, steps=steps, target=target)
+        return self._backward_path(argument, inverse)
 
-
-# ----------------------------------------------------------------------
-# Lowering (set algebra → ArrayProgram)
-# ----------------------------------------------------------------------
-def _axis_and_test(expression) -> Optional[tuple[AxisApply, NodeTest]]:
-    """``(χ(E), t)`` when ``expression`` is ``χ(E) ∩ T(t)`` over one axis."""
-    if not isinstance(expression, Intersect):
-        return None
-    left, right = expression.left, expression.right
-    if isinstance(right, AxisApply) and isinstance(left, TestSet):
-        left, right = right, left
-    if (
-        isinstance(left, AxisApply)
-        and isinstance(right, TestSet)
-        and right.axis is left.axis
-    ):
-        return left, right.test
-    return None
-
-
-class _Lowering:
-    def __init__(self) -> None:
-        self.instructions: list[Instruction] = []
-        self.next_register = 0
-        # id(expression) -> (expression, register).  A positional pick reads
-        # its step's context twice (directly and inside its candidates), so
-        # a sub-plan shared by identity lowers once; holding the expression
-        # keeps its id from being reused.
-        self._lowered: dict[int, tuple[object, int]] = {}
-
-    def emit(self, op: str, srcs: tuple[int, ...] = (), **operands) -> int:
-        dest = self.next_register
-        self.next_register += 1
-        self.instructions.append(Instruction(op, dest, srcs, **operands))
-        return dest
-
-    def lower(self, expression) -> int:
-        lowered = self._lowered.get(id(expression))
-        if lowered is not None:
-            return lowered[1]
-        register = self._lower(expression)
-        self._lowered[id(expression)] = (expression, register)
-        return register
-
-    def _lower(self, expression) -> int:
-        if isinstance(expression, Intersect):
-            fused = self._fused_axis_test(expression)
-            if fused is None:
-                fused = self._fused_number_filter(expression)
-            if fused is not None:
-                return fused
-            left = self.lower(expression.left)
-            right = self.lower(expression.right)
-            return self.emit("intersect", (left, right))
-        if isinstance(expression, ContextSet):
-            return self.emit("context")
-        if isinstance(expression, RootSet):
-            return self.emit("root")
-        if isinstance(expression, DomSet):
-            return self.emit("dom")
-        if isinstance(expression, TestSet):
-            return self.emit("test", axis=expression.axis, test=expression.test)
-        if isinstance(expression, StringMatchSet):
-            return self.emit(
-                "strmatch", value=expression.value, negated=expression.negated
-            )
-        if isinstance(expression, NumberMatchSet):
-            # Only "/ op N" leaves it standalone: filter the whole domain.
-            return self._number_filter(self.emit("dom"), expression)
-        if isinstance(expression, PositionPick):
-            # child ranks within parent groups and needs no context register.
-            srcs: tuple[int, ...] = ()
-            if expression.axis is not Axis.CHILD:
-                srcs = (self.lower(expression.context),)
-            srcs += (self.lower(expression.candidates),)
-            return self.emit(
-                "position", srcs, axis=expression.axis, rank=expression.rank
-            )
-        if isinstance(expression, AxisApply):
-            operand = self.lower(expression.operand)
-            return self.emit("axis", (operand,), axis=expression.axis)
-        if isinstance(expression, InverseAxisApply):
-            operand = self.lower(expression.operand)
-            return self.emit("inverse-axis", (operand,), axis=expression.axis)
-        if isinstance(expression, UnionOp):
-            left = self.lower(expression.left)
-            right = self.lower(expression.right)
-            return self.emit("union", (left, right))
-        if isinstance(expression, Complement):
-            operand = self.lower(expression.operand)
-            return self.emit("complement", (operand,))
-        if isinstance(expression, DomIfRoot):
-            operand = self.lower(expression.operand)
-            return self.emit("dom-if-root", (operand,))
-        if isinstance(expression, DomIfNonempty):
-            operand = self.lower(expression.operand)
-            return self.emit("dom-if-nonempty", (operand,))
-        if isinstance(expression, IdApply):
-            operand = self.lower(expression.operand)
-            return self.emit("id-inverse" if expression.inverse else "id", (operand,))
-        if isinstance(expression, _IdLiteral):
-            return self.emit("id-literal", value=expression.value)
-        raise FragmentError(
-            f"algebra operator {type(expression).__name__} has no array lowering"
-        )
-
-    def _fused_axis_test(self, expression: Intersect) -> Optional[int]:
-        """Fuse ``χ(E) ∩ T(t)`` into one ``axis-test`` instruction.
-
-        The axis routine then scans t's posting list, not every node the
-        bare axis reaches; the axes must be the same, because the test's
-        typing axis picks the posting list.  One step further:
-        the normalised ``//t``, ``child(dos(E) ∩ T(node())) ∩ T(t)``, is
-        ``descendant(E) ∩ T(t)`` as a set of orders, so it reads one slice
-        of t's posting list per subtree of E instead of first building
-        every regular order under E.
-        """
-        fused = _axis_and_test(expression)
-        if fused is None:
-            return None
-        apply_expr, test = fused
-        axis, operand = apply_expr.axis, apply_expr.operand
-        if axis is Axis.CHILD:
-            inner = _axis_and_test(operand)
-            if (
-                inner is not None
-                and inner[0].axis is Axis.DESCENDANT_OR_SELF
-                and inner[1] == ANY_NODE
-            ):
-                axis, operand = Axis.DESCENDANT, inner[0].operand
-        return self.emit("axis-test", (self.lower(operand),), axis=axis, test=test)
-
-    def _fused_number_filter(self, expression: Intersect) -> Optional[int]:
-        """Fuse ``E ∩ {x | number(strval(x)) op N}`` into ``numfilter(E)``:
-        the numbers of E's nodes only, never of the whole document."""
-        left, right = expression.left, expression.right
-        if isinstance(right, NumberMatchSet):
-            return self._number_filter(self.lower(left), right)
-        if isinstance(left, NumberMatchSet):
-            return self._number_filter(self.lower(right), left)
-        return None
-
-    def _number_filter(self, operand: int, test: NumberMatchSet) -> int:
-        return self.emit("numfilter", (operand,), comparison=test.op, number=test.value)
-
-
-def lower_algebra(expression) -> ArrayProgram:
-    """Lower a set-algebra expression to an :class:`ArrayProgram`."""
-    lowering = _Lowering()
-    count = isinstance(expression, CountOf)
-    lowering.lower(expression.operand if count else expression)
-    return ArrayProgram(
-        instructions=tuple(lowering.instructions),
-        register_count=lowering.next_register,
-        count=count,
-    )
+    def _backward_steps(self, steps: Sequence[Step], target: Optional[Target]) -> int:
+        """S← of a path's steps, last step first: ``target`` meets the last
+        step's test; with no step, the target (or dom) is the whole plan."""
+        if not steps:
+            return self._emit("dom") if target is None else target(None)
+        plan: Optional[int] = None
+        for step in reversed(steps):
+            matched = self._emit("test", axis=step.axis, test=step.node_test)
+            if plan is None and target is not None:
+                matched = target(matched)
+            for predicate in step.predicates:
+                matched = self._emit("intersect", (matched, self._compile_predicate(predicate)))
+            if plan is not None:
+                matched = self._emit("intersect", (plan, matched))
+            plan = self._emit("inverse-axis", (matched,), axis=step.axis)
+        return plan
 
 
 # ----------------------------------------------------------------------
@@ -848,7 +690,7 @@ def execute_program(
     so operation budgets and timeouts abort mid-program exactly like the
     interpreting engines.
     """
-    registers: list[Orders] = [_EMPTY] * program.register_count
+    registers: list[Orders] = [_EMPTY] * len(program.instructions)
     size = view.size
     for instruction in program.instructions:
         op = instruction.op
@@ -862,11 +704,6 @@ def execute_program(
             result = intersect_orders(registers[srcs[0]], registers[srcs[1]])
         elif op == "union":
             result = union_orders(registers[srcs[0]], registers[srcs[1]])
-        elif op == "axis":
-            axis = instruction.axis
-            result = axis_orders(
-                view, axis, registers[srcs[0]], default_candidates(view, axis)
-            )
         elif op == "inverse-axis":
             result = inverse_axis_orders(view, instruction.axis, registers[srcs[0]])
         elif op == "context":
@@ -907,7 +744,7 @@ def execute_program(
             result = _id_inverse(view, document, registers[srcs[0]])
         elif op == "id-literal":
             result = [node.order for node in document.deref_ids(instruction.value)]
-        else:  # pragma: no cover - lowering emits a closed opcode set
+        else:  # pragma: no cover - the compiler emits a closed opcode set
             raise FragmentError(f"unknown array opcode {op!r}")
         registers[instruction.dest] = result
         if stats is not None:

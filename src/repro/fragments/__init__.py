@@ -1,35 +1,33 @@
 """XPath fragments with better-than-general complexity (paper §10–§11).
 
-* :mod:`.algebra` — the set algebra used by the linear-time fragments;
 * :mod:`.core_xpath` — Core XPath membership and engine;
 * :mod:`.xpatterns` — XPatterns (Core XPath + id axis + unary predicates)
-  membership and engine;
+  membership and engine, and the Table VI predicate sets;
 * :mod:`.wadler` — the Extended Wadler Fragment (Restrictions 1–3);
 * :mod:`.classify` — the Figure-1 lattice classifier.
 
 Nothing here compiles: :class:`repro.engines.compiled.ArrayCompiler` is the
-one compiler of the set algebra, and both fragment engines run its array
-program.
+one compiler of the set algebra, emitting the array program that both
+fragment engines run.
 """
 
-from .algebra import (
-    algebra_size,
-    first_of_any,
-    first_of_type,
-    last_of_any,
-    last_of_type,
-)
 from .classify import Classification, Fragment, classify, containment_holds
 from .core_xpath import CoreXPathEngine, is_core_xpath
 from .wadler import is_extended_wadler, wadler_fragment_summary, wadler_violations
-from .xpatterns import XPatternsEngine, is_xpatterns
+from .xpatterns import (
+    XPatternsEngine,
+    first_of_any,
+    first_of_type,
+    is_xpatterns,
+    last_of_any,
+    last_of_type,
+)
 
 __all__ = [
     "Classification",
     "CoreXPathEngine",
     "Fragment",
     "XPatternsEngine",
-    "algebra_size",
     "classify",
     "containment_holds",
     "first_of_any",

@@ -76,12 +76,12 @@ class Classification:
     streamable: bool = False
     #: Why the query is not streamable (empty when it is).
     streaming_violations: tuple[str, ...] = ()
-    #: Whether the compiled array-program backend can lower the query
+    #: Whether the query compiles to an array program
     #: (all of XPatterns, plus count(), numeric comparisons and
     #: child/sibling positions; see
     #: :func:`repro.engines.compiled.analyze_compilability`).
     compilable: bool = False
-    #: Why the query does not lower to an array program (empty when it does).
+    #: Why the query does not compile to an array program (empty when it does).
     compile_violations: tuple[str, ...] = ()
 
 

@@ -7,9 +7,9 @@ interpreted) location paths, and nothing else — no arithmetic, no strings,
 no positions.  :func:`is_core_xpath` is that membership test, which the
 Figure-1 classification reads.
 
-Evaluation maps a query onto the set algebra of
-:mod:`repro.fragments.algebra` using the three semantics functions of
-Definition 10.2:
+Evaluation maps a query onto the set algebra of Section 10.1 — χ (axis
+application), χ⁻¹ (inverse axis), ∩, ∪, ‘−’ and dom/root(S) — using the
+three semantics functions of Definition 10.2:
 
 * ``S→`` — the outermost path, evaluated forwards from the context set;
 * ``S←`` — paths inside predicates, evaluated *backwards* with the inverse
@@ -17,9 +17,10 @@ Definition 10.2:
 * ``E1`` — boolean predicate expressions as set operations.
 
 That compilation is :class:`repro.engines.compiled.ArrayCompiler`, the one
-compiler of the set algebra, and :class:`CoreXPathEngine` runs its array
-program.  Theorem 10.5: the resulting plan has O(|Q|) operations, each
-O(|D|), so Core XPath evaluates in time O(|D|·|Q|).
+compiler of the set algebra, which emits each set operation as one
+instruction of an array program, and :class:`CoreXPathEngine` runs that
+program.  Theorem 10.5: the program has O(|Q|) instructions, each O(|D|),
+so Core XPath evaluates in time O(|D|·|Q|).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from ..engines.base import EvaluationStats, XPathEngine
 # engines.compiled imports this module while it loads: bind the module, whose
 # execute_program exists by the time an engine runs.
 from ..engines import compiled as _compiled
-from .algebra import AlgebraExpr
 
 #: Axes available in Core XPath (all of them except the attribute/namespace
 #: axes, which select non-element nodes — the paper's Core XPath grammar is
@@ -103,7 +103,7 @@ def _is_core_predicate(expression: Expression) -> bool:
 class CoreXPathEngine(XPathEngine):
     """Linear-time evaluation of Core XPath queries via the set algebra.
 
-    The plan's one array program runs, one O(|D|) instruction per algebra
+    The plan's one array program runs, one O(|D|) instruction per set
     operation (Theorem 10.5).  Subclasses change only which plans they
     accept: the fragment membership test.
     """
@@ -120,7 +120,7 @@ class CoreXPathEngine(XPathEngine):
         if not self._accepts_plan(plan):
             return self._outside_fragment(plan, static_context, context, stats)
         # The program is memoised on the plan, so plan-cache hits and
-        # Collection batches skip compilation and lowering.
+        # Collection batches skip compilation.
         program = plan.array_program()
         document = static_context.document
         index = document.index
@@ -141,7 +141,7 @@ class CoreXPathEngine(XPathEngine):
             f"query is outside the {self.name} fragment: {plan.to_xpath()}"
         )
 
-    def compile(self, expression: Expression) -> AlgebraExpr:
-        """Expose the algebra plan that the engine's program lowers (used
+    def compile(self, expression: Expression) -> "_compiled.ArrayProgram":
+        """The array program the engine runs for a normalised query (used
         by examples and tests)."""
         return _compiled.ArrayCompiler().compile_query(expression)

@@ -11,14 +11,15 @@ Section 10.2 extends the linear-time fragment with
   string-equality test ``π = 's'`` (and its ``!=`` variant), whose extension
   is computed by one linear scan of the document before evaluation;
 * the ``first-of-type()`` / ``last-of-type()`` / first/last-of-any predicate
-  sets of XSLT Patterns'98, exposed programmatically from
-  :mod:`repro.fragments.algebra` (they are not XPath syntax, as the paper
-  notes).
+  sets of XSLT Patterns'98, exposed programmatically here as
+  :func:`first_of_any`, :func:`last_of_any`, :func:`first_of_type` and
+  :func:`last_of_type` (they are not XPath syntax, as the paper notes).
 
 :func:`is_xpatterns` is the Figure-1 membership test.  The compilation of
 these shapes into the set algebra is
 :class:`repro.engines.compiled.ArrayCompiler`'s, whose one path grammar
-covers the fragment, and :class:`XPatternsEngine` runs its array program.
+covers the fragment and which emits the array program that
+:class:`XPatternsEngine` runs.
 Theorem 10.8: XPatterns queries still evaluate in time O(|D|·|Q|), with
 the ``ref`` relation.  Over string values an ``id⁻¹`` splits every node's
 string value, O(Σ|strval(x)|), the cost the ``π = 's'`` scan pays too.
@@ -26,7 +27,11 @@ string value, O(Σ|strval(x)|), the cost the ``π = 's'`` scan pays too.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..axes.regex import Axis
+from ..xmlmodel.document import Document
+from ..xmlmodel.nodes import Node
 from ..xpath.ast import (
     BinaryOp,
     Expression,
@@ -122,3 +127,66 @@ class XPatternsEngine(CoreXPathEngine):
 
     def _accepts_plan(self, plan) -> bool:
         return plan.classification.in_xpatterns
+
+
+# ----------------------------------------------------------------------
+# Document-level unary predicates of XSLT Patterns '98 (Table VI)
+# ----------------------------------------------------------------------
+def first_of_any(document: Document) -> set[Node]:
+    """Nodes that are the first (regular) child of their parent."""
+    result: set[Node] = set()
+    for node in document.dom:
+        if node.is_special_child or node.parent is None:
+            continue
+        siblings = node.parent.children
+        if siblings and siblings[0] is node:
+            result.add(node)
+    return result
+
+
+def last_of_any(document: Document) -> set[Node]:
+    """Nodes that are the last (regular) child of their parent."""
+    result: set[Node] = set()
+    for node in document.dom:
+        if node.is_special_child or node.parent is None:
+            continue
+        siblings = node.parent.children
+        if siblings and siblings[-1] is node:
+            result.add(node)
+    return result
+
+
+def first_of_type(document: Document, names: Optional[set[str]] = None) -> set[Node]:
+    """first-of-type(): elements with no earlier sibling of the same name."""
+    result: set[Node] = set()
+    for node in document.dom:
+        if not node.is_element or (names is not None and node.name not in names):
+            continue
+        earlier_same = False
+        sibling = node.prev_sibling
+        while sibling is not None:
+            if sibling.is_element and sibling.name == node.name:
+                earlier_same = True
+                break
+            sibling = sibling.prev_sibling
+        if not earlier_same:
+            result.add(node)
+    return result
+
+
+def last_of_type(document: Document, names: Optional[set[str]] = None) -> set[Node]:
+    """last-of-type(): elements with no later sibling of the same name."""
+    result: set[Node] = set()
+    for node in document.dom:
+        if not node.is_element or (names is not None and node.name not in names):
+            continue
+        later_same = False
+        sibling = node.next_sibling
+        while sibling is not None:
+            if sibling.is_element and sibling.name == node.name:
+                later_same = True
+                break
+            sibling = sibling.next_sibling
+        if not later_same:
+            result.add(node)
+    return result

@@ -12,10 +12,11 @@ immutable, reusable *plan*:
   engine resolved from it (``engine="auto"`` is decided at compile time);
 * the relevant-context analysis Relev(N) of Section 8.2, precomputed so the
   CVT engines do not redo it per evaluation;
-* the plan's one array program — its Section-10 set algebra, lowered —
-  memoised on first use and run by the ``corexpath``, ``xpatterns`` and
+* the plan's one array program — its Section-10 set algebra as
+  ``ArrayCompiler`` emits it — run by the ``corexpath``, ``xpatterns`` and
   ``compiled`` engines alike; a plan that resolves to one of them starts
-  with the algebra its compilability check built;
+  with the program its compilability check built, and any other plan
+  compiles it on first use;
 * the free-variable and function-library signatures that key the cache.
 
 :class:`PlanCache` is a bounded LRU over ``(query, engine, library,
@@ -116,8 +117,7 @@ class CompiledQuery:
     _stream_automata: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
-    #: The memoised array program (one-slot dict; see array_program()),
-    #: under ``"algebra"`` the compilability dry run's plan until lowered.
+    #: The memoised array program (one-slot dict; see array_program()).
     _array_program: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -187,26 +187,23 @@ class CompiledQuery:
         return automaton
 
     def array_program(self):
-        """The plan's one :class:`~repro.engines.compiled.ArrayProgram`, the
-        ``ArrayCompiler`` algebra lowered once and memoised, or ``None``
-        outside the compiled fragment (``compile_violations`` says why).
+        """The plan's one :class:`~repro.engines.compiled.ArrayProgram`,
+        compiled once by ``ArrayCompiler`` and memoised, or ``None`` outside
+        the compiled fragment (``compile_violations`` says why).
 
         The ``corexpath``, ``xpatterns`` and ``compiled`` engines and the
         store's column path all run this program.  Safe under concurrent
         evaluation: the get/set pair on the memo dict is atomic, so two
-        threads racing a cold plan at worst lower the (side-effect-free,
+        threads racing a cold plan at worst compile the (side-effect-free,
         equivalent) program twice, and one of them wins the slot.
         """
         program = self._array_program.get("program")
         if program is None:
             if not self.classification.compilable:
                 return None
-            from .engines.compiled import ArrayCompiler, lower_algebra  # deferred: cycle-free
+            from .engines.compiled import ArrayCompiler  # deferred: cycle-free
 
-            algebra = self._array_program.pop("algebra", None)
-            if algebra is None:
-                algebra = ArrayCompiler().compile_query(self.expression)
-            program = lower_algebra(algebra)
+            program = ArrayCompiler().compile_query(self.expression)
             self._array_program["program"] = program
         return program
 
@@ -299,9 +296,9 @@ def compile_plan(
         relevance=relevance,
     )
     if resolved in _ARRAY_ENGINES and compilability.compilable:
-        # The dry run's algebra is what lowering needs; plans for other
-        # engines drop it rather than hold an algebra they may never lower.
-        plan._array_program["algebra"] = compilability.algebra
+        # The dry run built the program; plans for other engines drop it
+        # rather than hold a program they may never run.
+        plan._array_program["program"] = compilability.program
     return plan
 
 

@@ -17,6 +17,7 @@ Example
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
 from ..errors import XMLSyntaxError
@@ -37,6 +38,11 @@ class TreeBuilder:
         self._stack: list[Node] = [self._root]
         self._finished = False
         self._id_attribute = id_attribute
+        #: The last text node built, and its runs while more than one merge
+        #: into it; :meth:`_join_runs` joins them once, when another text
+        #: node starts, an element closes or the document is finished.
+        self._text: Optional[Node] = None
+        self._runs: Optional[list[str]] = None
 
     # ------------------------------------------------------------------
     # Event API
@@ -61,6 +67,8 @@ class TreeBuilder:
             raise XMLSyntaxError(
                 f"mismatched end tag: expected </{element.name}>, got </{name}>"
             )
+        if self._runs is not None:
+            self._join_runs()
         return element
 
     def element(
@@ -81,20 +89,29 @@ class TreeBuilder:
 
         Empty strings are ignored (they would not correspond to a text node
         in any XML serialisation).  Adjacent text nodes are merged, as
-        required by the data model.
+        required by the data model.  The runs of a merged node are joined
+        once, at the latest when its element closes, so until then the
+        returned node's ``value`` may hold its first run only.
         """
         self._check_open()
         if data == "":
             return None
         parent = self._stack[-1]
-        children = parent.children
-        if children and children[-1].node_type is NodeType.TEXT:
-            merged = children[-1]
-            merged.value = (merged.value or "") + data
-            return merged
-        node = Node(NodeType.TEXT, value=data)
+        node = self._text
+        if node is not None and node.parent is parent and parent._children[-1] is node:
+            if self._runs is None:
+                self._runs = [node.value]
+            self._runs.append(data)
+            return node
+        self._join_runs()
+        node = self._text = Node(NodeType.TEXT, value=data)
         parent.append_child(node)
         return node
+
+    def _join_runs(self) -> None:
+        if self._runs is not None:
+            self._text.value = "".join(self._runs)
+            self._runs = None
 
     def comment(self, data: str) -> Node:
         """Append a comment node."""
@@ -126,6 +143,7 @@ class TreeBuilder:
     def finish(self) -> Document:
         """Validate the tree, freeze it and return the document."""
         self._check_open()
+        self._join_runs()
         if len(self._stack) != 1:
             open_tags = ", ".join(node.name or "?" for node in self._stack[1:])
             raise XMLSyntaxError(f"unclosed element(s): {open_tags}")
@@ -194,16 +212,13 @@ def build_fragment(
         element.append_attribute(
             Node(NodeType.ATTRIBUTE, name=attr_name, value=attr_value)
         )
-    for kid in children:
-        if isinstance(kid, str):
-            if kid == "":
-                continue
-            last = element._children[-1] if element._children else None
-            if last is not None and last.node_type is NodeType.TEXT:
-                last.value = (last.value or "") + kid
-                continue
-            element.append_child(Node(NodeType.TEXT, value=kid))
-        else:
+    for is_text, kids in groupby(children, key=lambda kid: isinstance(kid, str)):
+        if is_text:
+            text = "".join(kids)
+            if text:
+                element.append_child(Node(NodeType.TEXT, value=text))
+            continue
+        for kid in kids:
             kid_tag = kid[0]
             kid_attrs = kid[1] if len(kid) > 1 else None
             kid_children = kid[2] if len(kid) > 2 else ()

@@ -280,10 +280,9 @@ class DocumentIndex:
     def string_match(self, value: str, negated: bool) -> Sequence[int]:
         """Orders of nodes whose string-value equals (or differs from) ``value``.
 
-        One linear pre-scan per distinct literal, shared by the compiled
-        engine's ``strmatch`` and the interpreters' ``StringMatchSet``.  The
-        result stays cached across edits, which repair it (see
-        :class:`StringMatchCache`).
+        One linear pre-scan per distinct literal, shared by every
+        ``strmatch`` instruction of the array programs.  The result stays
+        cached across edits, which repair it (see :class:`StringMatchCache`).
         """
         nodes = self.nodes
         return self._string_match_cache.match(

@@ -222,13 +222,17 @@ class Node:
         return child
 
     def append_attribute(self, attr: "Node") -> "Node":
-        """Attach an attribute node to this element and return it."""
+        """Attach an attribute node to this element and return it.
+
+        The name is not checked against the element's other attributes, so
+        k attributes cost O(k): the builder attaches a mapping's keys and
+        :meth:`detached_copy` an element's own attributes, both unique (the
+        reader refuses duplicates in XML text).
+        """
         if attr.node_type is not NodeType.ATTRIBUTE:
             raise ValueError("append_attribute expects an attribute node")
         if self.node_type is not NodeType.ELEMENT:
             raise ValueError("only element nodes carry attributes")
-        if self.attribute(attr.name) is not None:
-            raise ValueError(f"duplicate attribute {attr.name!r}")
         attr.parent = self
         self._attributes.append(attr)
         return attr

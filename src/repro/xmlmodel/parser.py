@@ -2,12 +2,13 @@
 
 :func:`document_events` is the one reader of XML text.  It drives the
 :class:`~repro.xmlmodel.lexer.XMLLexer` and enforces every document-level
-well-formedness rule that matters for the XPath data model: where the XML
-declaration may stand, no character data outside the document element, a
-single document element, matching end tags, unique attributes and no
-unclosed element at the end.  It skips the DOCTYPE (the lexer has already
-registered its internal-subset entities) and, on request, whitespace-only
-text between elements.
+well-formedness rule that matters for the XPath data model: the XML
+declaration only as the first token and at most one DOCTYPE, before the
+document element (the prolog of XML 1.0 §2.8), no character data outside
+the document element, a single document element, matching end tags, unique
+attributes and no unclosed element at the end.  It skips the DOCTYPE (the
+lexer has already registered its internal-subset entities) and, on
+request, whitespace-only text between elements.
 
 Both consumers read that stream: :func:`parse_xml` builds a frozen
 :class:`~repro.xmlmodel.document.Document` through a
@@ -54,7 +55,7 @@ def document_events(text: str, *, strip_whitespace: bool = False) -> Iterator[tu
     input included; lexical errors come from the lexer with their positions.
     """
     open_names: list[str] = []
-    saw_document_element = False
+    saw_document_element = saw_doctype = False
     for token in XMLLexer(text).tokens():
         kind = token.kind
         if kind is XMLTokenType.TEXT or kind is XMLTokenType.CDATA:
@@ -101,10 +102,19 @@ def document_events(text: str, *, strip_whitespace: bool = False) -> Iterator[tu
         elif kind is XMLTokenType.PROCESSING_INSTRUCTION:
             yield PI, token.name, token.data
         elif kind is XMLTokenType.DECLARATION:
-            if open_names:
+            # The first token, and only it, starts at line 1, column 1.
+            if token.line != 1 or token.column != 1:
                 raise _error(
                     "XML declaration only allowed at the start of the document", token
                 )
+        elif kind is XMLTokenType.DOCTYPE:
+            if saw_document_element:
+                raise _error(
+                    "DOCTYPE declaration only allowed before the document element", token
+                )
+            if saw_doctype:
+                raise _error("only one DOCTYPE declaration allowed", token)
+            saw_doctype = True
         elif kind is XMLTokenType.EOF:
             if open_names:
                 raise _error("unexpected end of input: unclosed elements remain", token)
@@ -112,7 +122,6 @@ def document_events(text: str, *, strip_whitespace: bool = False) -> Iterator[tu
                 raise _error(
                     "a document must have exactly one document element, found 0", token
                 )
-        # A DOCTYPE yields nothing.
 
 
 def _error(message: str, token: XMLToken) -> XMLSyntaxError:

@@ -3,7 +3,7 @@
 The differential fuzz suite (tests/test_fuzz_differential.py) gates the
 engine against the eight tree engines and the streaming evaluator; the
 tests here pin down the pieces individually: compilability analysis,
-lowering, the instruction set, the per-axis array routines, the
+the compiler's emission rules, the instruction set, the per-axis array routines, the
 DocumentIndex column contract, fallback behaviour and the explain() wiring.
 """
 
@@ -18,20 +18,11 @@ from repro.engines.compiled import (
     ArrayCompiler,
     ArrayProgram,
     CompiledEngine,
+    Instruction,
     analyze_compilability,
     execute_program,
-    lower_algebra,
 )
 from repro.errors import FragmentError, ResourceLimitExceeded
-from repro.fragments.algebra import (
-    ContextSet,
-    DomIfNonempty,
-    DomIfRoot,
-    DomSet,
-    IdApply,
-    RootSet,
-    UnionOp,
-)
 from repro.fragments.classify import Fragment
 from repro.plan import plan_for
 from repro.session import XPathSession
@@ -156,6 +147,10 @@ REFUSALS = [
     ("id('a')[1]", "predicates on id(...) starts are outside XPatterns: (id('a'))"),
     ("//b[id(.)[1]]", "predicates on id(...) starts are outside XPatterns: (id("),
     ("//b[count(id(c)) > 1]", "count() inside a larger expression"),
+    # The steps after an id call compile before its argument is checked.
+    ("//x[id(id('k')[1])/a[2]]", "position inside a predicate (position() = 2)"),
+    ("//x[id(id(1))/a[b = c]]", "comparison with a non-literal operand (child::c)"),
+    ("//x[id(id('k')[1])/a]", "predicates on id(...) starts are outside XPatterns"),
 ]
 
 
@@ -203,8 +198,14 @@ def test_every_path_form_compiles_wherever_a_path_may_stand(form, position):
 
 
 # ----------------------------------------------------------------------
-# Lowering and the program IR
+# The compiler's emission rules and the program IR
 # ----------------------------------------------------------------------
+def _program(*instructions: tuple) -> ArrayProgram:
+    """A hand-built program: one ``(op, srcs)`` pair per register."""
+    built = tuple(Instruction(op, dest, srcs) for dest, (op, srcs) in enumerate(instructions))
+    return ArrayProgram(built)
+
+
 class TestLowering:
     def test_steps_fuse_into_axis_test_instructions(self):
         program = plan_for("//b/c", cache=None).array_program()
@@ -311,15 +312,15 @@ class TestLowering:
         assert program.count
 
     def test_positional_chain_lowers_each_step_once(self):
-        # Each sibling pick reads its context register twice; shared
-        # sub-plans lower once, so k steps cost O(k) instructions.
+        # Each sibling pick reads its step's input register, which the
+        # step before emitted once, so k steps cost O(k) instructions.
         query = "//b" + "/following-sibling::b[1]" * 12
         program = plan_for(query, cache=None).array_program()
         assert len(program) == 2 + 2 * 12
-        assert program.register_count == len(program)
 
-    def test_id_apply_lowers_and_id_is_compilable(self):
-        program = lower_algebra(IdApply(IdApply(RootSet()), inverse=True))
+    def test_id_and_id_inverse_render_and_id_is_compilable(self):
+        program = _program(("root", ()), ("id", (0,)), ("id-inverse", (1,)))
+        assert program.reads_document
         assert program.render().splitlines() == [
             "r0 = root()",
             "r1 = id(r0)",
@@ -347,26 +348,25 @@ class TestLowering:
         ]
         assert len(plan_for("//book[id('bk3')/related]", cache=None).array_program()) == 8
 
-    def test_unlowerable_leaf_raises_fragment_error(self):
-        with pytest.raises(FragmentError):
-            lower_algebra(object())
-
-    def test_dom_if_nonempty_lowering_and_execution(self):
-        # Only id-starts emit DomIfNonempty: exercise the opcode directly.
+    def test_dom_if_nonempty_execution(self):
+        # Only id('k') starts in predicates emit it: run the opcode directly.
         view = DOC.index
-        program = lower_algebra(DomIfNonempty(RootSet()))
+        program = _program(("root", ()), ("dom-if-nonempty", (0,)))
         assert list(execute_program(program, view, (0,))) == list(range(view.size))
-        program = lower_algebra(DomIfNonempty(UnionOp(ContextSet(), ContextSet())))
+        program = _program(
+            ("context", ()), ("context", ()), ("union", (0, 1)), ("dom-if-nonempty", (2,))
+        )
         assert list(execute_program(program, view, ())) == []
 
-    def test_dom_set_and_dom_if_root_execution(self):
+    def test_dom_and_dom_if_root_execution(self):
         view = DOC.index
-        assert list(execute_program(lower_algebra(DomSet()), view, (0,))) == list(
+        assert list(execute_program(_program(("dom", ())), view, (0,))) == list(
             range(view.size)
         )
         # A context set without the root gates dom-if-root to empty.
-        program = lower_algebra(DomIfRoot(ContextSet()))
+        program = _program(("context", ()), ("dom-if-root", (0,)))
         assert list(execute_program(program, view, (3,))) == []
+        assert list(execute_program(program, view, (0, 3))) == list(range(view.size))
 
 
 # ----------------------------------------------------------------------
@@ -732,8 +732,8 @@ class TestCompiledEngine:
             )
 
     def test_empty_program_guard(self):
-        # register_count 0 / empty instructions never comes out of lowering;
-        # the dataclass still behaves.
+        # An empty program never comes out of the compiler; the dataclass
+        # still behaves.
         assert len(ArrayProgram()) == 0
 
 

@@ -9,7 +9,7 @@ the paper's results in a unit test:
   polynomially (Theorems 6.6, 7.5, 8.6 versus Section 2);
 * the data-pool patch removes the exponential growth (Theorem 9.2, Table V);
 * the Core XPath algebra performs O(|Q|) set operations, each O(|D|)
-  (Theorem 10.5);
+  (Theorem 10.5), and so does every compiled array program;
 * MinContext's table rows stay within O(|D|·|Q|) on Extended-Wadler-style
   queries (Theorem 8.6 / 11.3 flavour).
 """
@@ -26,6 +26,7 @@ from repro.engines import (
     TopDownEngine,
 )
 from repro.fragments import CoreXPathEngine
+from repro.plan import compile_plan
 from repro.workloads.documents import doc_deep, doc_flat, doc_flat_text
 from repro.workloads.queries import (
     core_xpath_chain_query,
@@ -166,16 +167,19 @@ class TestDataComplexityShape:
 
 class TestCoreXPathAlgebraSize:
     def test_plan_size_linear_in_query_size(self):
-        sizes = [1, 2, 4, 8]
-        plans = []
-        for size in sizes:
-            expression = compile_query(core_xpath_chain_query(size))
-            engine = CoreXPathEngine()
-            from repro.fragments.algebra import algebra_size
+        # The fuzz families, at the suite's seed: every compilable query.
+        from test_fuzz_differential import ALL_QUERIES, COUNT_QUERIES, ID_QUERIES
 
-            plans.append(algebra_size(engine.compile(expression)) / query_size(expression))
-        # Operations per AST node stay bounded by a small constant.
-        assert max(plans) < 4
+        queries = [core_xpath_chain_query(size) for size in (1, 2, 4, 8)]
+        queries += ALL_QUERIES + ID_QUERIES + COUNT_QUERIES
+        ratios = []
+        for query in queries:
+            plan = compile_plan(query, engine="compiled")
+            if plan.classification.compilable:
+                ratios.append(len(plan.array_program()) / query_size(plan.expression))
+        assert len(ratios) > len(queries) // 2
+        # Instructions per AST node stay bounded by a small constant.
+        assert max(ratios) < 4
 
 
 class TestMinContextSpaceShape:

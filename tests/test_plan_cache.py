@@ -91,9 +91,9 @@ class TestCompiledQuery:
         assert plan.array_program() is first
 
     def test_a_miss_runs_each_front_end_analysis_once(self, monkeypatch):
-        # Over compile_plan(q, engine="auto") plus the first lowering:
+        # Over compile_plan(q, engine="auto") plus the first array_program():
         # Relev(N) (Section 8.2), the Extended Wadler check (Section 11.1)
-        # and the ArrayCompiler algebra each run exactly once.
+        # and the ArrayCompiler program each run exactly once.
         from repro.engines.compiled import ArrayCompiler
 
         # By module name: the fragments package re-exports a function
@@ -118,12 +118,12 @@ class TestCompiledQuery:
         monkeypatch.setattr(wadler_module, "wadler_violations", violations)
         monkeypatch.setattr(classify_module, "wadler_violations", violations)
         monkeypatch.setattr(
-            ArrayCompiler, "compile_query", counted("algebra", ArrayCompiler.compile_query)
+            ArrayCompiler, "compile_query", counted("program", ArrayCompiler.compile_query)
         )
         plan = compile_plan("//a[b = '2']/c", engine="auto")
         assert plan.engine_name == "compiled"
         assert plan.array_program() is not None
-        assert calls == {"relevance": 1, "wadler": 1, "algebra": 1}
+        assert calls == {"relevance": 1, "wadler": 1, "program": 1}
 
     def test_id_arguments_compile_inside_the_one_dry_run(self, monkeypatch):
         # The forward walk compiles an id argument; compile_query runs once.
@@ -142,12 +142,12 @@ class TestCompiledQuery:
         assert plan.array_program() is not None
         assert len(calls) == 1
 
-    def test_only_array_engine_plans_keep_the_dry_run_algebra(self):
+    def test_only_array_engine_plans_keep_the_dry_run_program(self):
         plan = compile_plan("//a[b = '2']/c", engine="topdown")
         assert plan.classification.compilable
-        assert "algebra" not in plan._array_program
+        assert "program" not in plan._array_program
         for engine in ("auto", "corexpath", "xpatterns", "compiled"):
-            assert "algebra" in compile_plan("//a[b = '2']/c", engine=engine)._array_program
+            assert "program" in compile_plan("//a[b = '2']/c", engine=engine)._array_program
 
     def test_retarget_preserves_ast_and_classification(self):
         plan = compile_plan("//b", engine="topdown")

@@ -327,13 +327,41 @@ class TestStreamingWellFormedness:
         assert (error.value.line, error.value.column) == position
         assert str(error.value) == f"{message} (line {position[0]}, column {position[1]})"
 
-    def test_a_skipped_doctype_between_text_runs_splits_no_text_node(self):
-        # The reader swallows the DOCTYPE, so the two runs are one text node
-        # on both paths.
-        source = "<a>x<!DOCTYPE a>y</a>"
-        parsed = [StreamMatch.from_node(node) for node in parse_xml(source).dom[1:]]
-        assert [match.value for match in parsed] == [None, "xy"]
-        assert stream_select("//node()", source) == parsed
+    @pytest.mark.parametrize(
+        "read",
+        [parse_xml, lambda source: stream_select("//node()", source)],
+        ids=["parse", "stream"],
+    )
+    @pytest.mark.parametrize(
+        "source, message, column",
+        [
+            ('  <?xml version="1.0"?><a/>', "XML declaration only allowed", 3),
+            ('<!--c--><?xml version="1.0"?><a/>', "XML declaration only allowed", 9),
+            ('<?xml version="1.0"?><?xml version="1.0"?><a/>', "XML declaration only", 22),
+            ("<!DOCTYPE a><!DOCTYPE a><a/>", "only one DOCTYPE declaration allowed", 13),
+            ("<a/><!DOCTYPE a>", "DOCTYPE declaration only allowed before", 5),
+            ("<a>x<!DOCTYPE a>y</a>", "DOCTYPE declaration only allowed before", 5),
+            # A DOCTYPE there would still declare entities for the text after it.
+            ("<a>x<!DOCTYPE a [<!ENTITY e 'v'>]>&e;</a>", "DOCTYPE declaration only", 5),
+        ],
+        ids=[
+            "declaration-after-space",
+            "declaration-after-comment",
+            "second-declaration",
+            "second-doctype",
+            "doctype-after-element",
+            "doctype-in-element",
+            "doctype-in-element-declaring-entities",
+        ],
+    )
+    def test_prolog_rules_are_refused_at_the_offending_token(
+        self, read, source, message, column
+    ):
+        # XML 1.0 §2.8: the declaration only first, one DOCTYPE before the
+        # document element.
+        with pytest.raises(XMLSyntaxError, match=message) as error:
+            read(source)
+        assert (error.value.line, error.value.column) == (1, column)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from repro import api
 from repro.errors import XMLSyntaxError
-from repro.xmlmodel.builder import TreeBuilder, build_document
+from repro.xmlmodel import builder as builder_module
+from repro.xmlmodel.builder import TreeBuilder, build_document, build_fragment
 from repro.xmlmodel.ids import deref_ids
 from repro.xmlmodel.nodes import Node, NodeType
 from repro.xmlmodel.parser import parse_xml
@@ -83,6 +84,76 @@ class TestTreeBuilder:
             text.append_child(Node(NodeType.TEXT, value="y"))
         with pytest.raises(ValueError):
             Node(NodeType.TEXT, name="named", value="x")
+
+    def test_attributes_are_attached_without_a_duplicate_scan(self, monkeypatch):
+        # Attribute names are unique, so k attributes cost O(k): no lookup
+        # of each new name among the attributes attached before it.
+        lookups = []
+        attribute = Node.attribute
+
+        def counted(node, name):
+            lookups.append(name)
+            return attribute(node, name)
+
+        monkeypatch.setattr(Node, "attribute", counted)
+        attributes = {f"a{i}": str(i) for i in range(2000)}
+        source = "<e " + " ".join(f'{k}="{v}"' for k, v in attributes.items()) + "/>"
+        element = parse_xml(source).document_element
+        fragment = build_fragment("e", attributes)
+        copy = element.detached_copy()
+        assert len(lookups) <= 1  # the document's ID map reads id once
+        for node in (element, fragment, copy):
+            assert [(a.name, a.value, a.parent) for a in node.attributes] == [
+                (name, value, node) for name, value in attributes.items()
+            ]
+
+    def test_adjacent_string_children_of_a_fragment_merge(self):
+        fragment = build_fragment("a", None, ["x", "", "y", ("b",), "z", ""])
+        assert [(c.node_type, c.value) for c in fragment.children] == [
+            (NodeType.TEXT, "xy"),
+            (NodeType.ELEMENT, None),
+            (NodeType.TEXT, "z"),
+        ]
+
+    def test_merged_text_runs_are_joined_once(self, monkeypatch):
+        # Growing a text node's value run by run copies O(N²) characters for
+        # N runs; the builder writes a merged node's value twice, its first
+        # run and then all runs joined, and a fragment's once.
+        writes = []
+
+        class CountingNode(Node):
+            __slots__ = ()
+
+            def __setattr__(self, name, value):
+                if name == "value" and self.node_type is NodeType.TEXT:
+                    writes.append(value)
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(builder_module, "Node", CountingNode)
+        runs = 1000
+        source = "<a>" + "xxxxxxxxxx<![CDATA[yyyyyyyyyy]]>" * runs + "</a>"
+        (text,) = parse_xml(source).document_element.children
+        assert text.value == "xxxxxxxxxxyyyyyyyyyy" * runs
+        assert len(writes) == 2
+        writes.clear()
+        (text,) = build_fragment("a", None, ["xy"] * runs).children
+        assert text.value == "xy" * runs
+        assert len(writes) == 1
+
+    def test_merged_text_is_complete_when_its_element_closes(self):
+        builder = TreeBuilder()
+        builder.start("a")
+        builder.text("x")
+        builder.start("b")
+        merged = builder.text("y")
+        assert builder.text("z") is merged
+        builder.end("b")
+        assert merged.value == "yz"
+        builder.text("w")
+        builder.text("v")
+        builder.end("a")
+        a = builder.finish().document_element
+        assert [c.string_value() for c in a.children] == ["x", "yz", "wv"]
 
 
 class TestSerializer:
